@@ -1,7 +1,7 @@
 // Wave-parallel selector throughput — policies simulated per budget Delta
 // and wall-clock selection latency at eval_threads = 1/2/4/8.
 //
-// Two tables:
+// Three tables:
 //  1. Figure-10 synthetic-cost configuration (Delta = 200 ms, 10 ms/policy,
 //     measured cost off): budget accounting is deterministic, so the
 //     "policies simulated per Delta" column shows exactly how much more of
@@ -10,13 +10,11 @@
 //  2. Unbounded selection (Delta = 0, whole portfolio every time) with
 //     wall-clock timing: the real speedup of draining all 60 candidates
 //     through the shared thread pool.
-//  3. Hot-path table (gated, DESIGN.md §11): fresh vs memoized-repeat
-//     candidate throughput at eval_threads = 1/2/4. Each event is selected
-//     twice — the first pass exercises the snapshot + arena fast path cold,
-//     the second hits the fingerprint memo for all 60 candidates. The
-//     deterministic columns (candidates per selection, memo hits) are gated
+//  3. Hot-path table (gated, DESIGN.md §11): candidate throughput of the
+//     snapshot + arena fast path at eval_threads = 1/2/4, every round
+//     fresh. The deterministic column (candidates per selection) is gated
 //     exactly against bench/baselines/BENCH_selector.json; the throughput
-//     columns are gated with a generous timing tolerance. Emitted last so
+//     column is gated with a generous timing tolerance. Emitted last so
 //     --report captures this table.
 //
 // All tables replay the same deterministic sequence of selection events
@@ -83,47 +81,6 @@ Sample replay(const std::vector<SelectionEvent>& events, core::SelectorConfig co
   return sample;
 }
 
-struct MemoSample {
-  double fresh_per_selection = 0.0;   ///< candidates scored, first pass
-  double hits_per_selection = 0.0;    ///< memo hits, second pass
-  double fresh_candidates_per_s = 0.0;
-  double repeat_candidates_per_s = 0.0;
-};
-
-/// Select every event twice: the first pass is all misses (profile.now
-/// differs per event, so the round fingerprint is fresh), the second pass
-/// replays the identical round and must hit the memo for every candidate.
-MemoSample replay_memo(const std::vector<SelectionEvent>& events,
-                       core::SelectorConfig config) {
-  core::TimeConstrainedSelector selector(
-      bench::paper_portfolio(), core::OnlineSimulator(core::OnlineSimConfig{}), config);
-  std::size_t fresh = 0;
-  std::size_t repeat = 0;
-  std::size_t hits = 0;
-  double fresh_ms = 0.0;
-  double repeat_ms = 0.0;
-  for (const SelectionEvent& event : events) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fresh += selector.select(event.queue, event.profile).simulated();
-    const auto t1 = std::chrono::steady_clock::now();
-    const core::SelectionResult again = selector.select(event.queue, event.profile);
-    const auto t2 = std::chrono::steady_clock::now();
-    repeat += again.simulated();
-    hits += again.memo_hits;
-    fresh_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-    repeat_ms += std::chrono::duration<double, std::milli>(t2 - t1).count();
-  }
-  const auto count = static_cast<double>(events.size());
-  MemoSample sample;
-  sample.fresh_per_selection = static_cast<double>(fresh) / count;
-  sample.hits_per_selection = static_cast<double>(hits) / count;
-  sample.fresh_candidates_per_s =
-      fresh_ms > 0.0 ? 1000.0 * static_cast<double>(fresh) / fresh_ms : 0.0;
-  sample.repeat_candidates_per_s =
-      repeat_ms > 0.0 ? 1000.0 * static_cast<double>(repeat) / repeat_ms : 0.0;
-  return sample;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,12 +114,13 @@ int main(int argc, char** argv) {
 
   // Table 2: unbounded selection — wall-clock speedup of the wave scheduler.
   util::Table wall_table({"eval_threads", "Wall ms/selection", "Speedup vs 1 thread"});
+  std::vector<Sample> unbounded;
   double base_wall = 0.0;
   for (const std::size_t width : widths) {
     core::SelectorConfig config;
     config.time_constraint_ms = 0.0;  // unbounded: all 60 policies per event
     config.eval_threads = width;
-    const Sample sample = replay(events, config);
+    const Sample sample = unbounded.emplace_back(replay(events, config));
     if (width == 1) base_wall = sample.wall_ms_per_selection;
     wall_table.add_row({util::Cell(static_cast<double>(width), 0),
                         util::Cell(sample.wall_ms_per_selection, 3),
@@ -175,29 +133,25 @@ int main(int argc, char** argv) {
       "machine; the budget table above is machine-independent.\n",
       std::thread::hardware_concurrency());
 
-  // Table 3 (gated, emitted last so --report carries it): fresh vs memoized
-  // repeat throughput of the snapshot + arena hot path.
-  util::Table memo_table({"eval_threads", "Fresh simulated/selection",
-                          "Memo hits/repeat", "Fresh candidates/s",
-                          "Repeat candidates/s"});
-  static constexpr obs::ColumnKind kMemoGate[] = {
-      obs::ColumnKind::kExact,        obs::ColumnKind::kExact,
-      obs::ColumnKind::kExact,        obs::ColumnKind::kHigherBetter,
-      obs::ColumnKind::kHigherBetter};
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    core::SelectorConfig config;
-    config.time_constraint_ms = 0.0;  // unbounded: all 60 policies per event
-    config.eval_threads = width;
-    const MemoSample sample = replay_memo(events, config);
-    memo_table.add_row({util::Cell(static_cast<double>(width), 0),
-                        util::Cell(sample.fresh_per_selection, 0),
-                        util::Cell(sample.hits_per_selection, 0),
-                        util::Cell(sample.fresh_candidates_per_s, 0),
-                        util::Cell(sample.repeat_candidates_per_s, 0)});
+  // Table 3 (gated, emitted last so --report carries it): candidate
+  // throughput of the snapshot + arena hot path, from the unbounded replays
+  // at eval_threads 1/2/4.
+  util::Table hot_table({"eval_threads", "Fresh simulated/selection",
+                         "Fresh candidates/s"});
+  static constexpr obs::ColumnKind kHotGate[] = {obs::ColumnKind::kExact,
+                                                 obs::ColumnKind::kExact,
+                                                 obs::ColumnKind::kHigherBetter};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const Sample& sample = unbounded[i];
+    hot_table.add_row({util::Cell(static_cast<double>(widths[i]), 0),
+                       util::Cell(sample.simulated_per_selection, 0),
+                       util::Cell(1000.0 * sample.simulated_per_selection /
+                                      sample.wall_ms_per_selection,
+                                  0)});
   }
-  bench::emit(env, memo_table,
-              "Selector hot path: fresh vs memoized repeat (unbounded Delta, "
-              "60-policy portfolio)",
-              kMemoGate);
+  bench::emit(env, hot_table,
+              "Selector hot path: fresh rounds (unbounded Delta, 60-policy "
+              "portfolio)",
+              kHotGate);
   return 0;
 }

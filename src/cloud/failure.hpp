@@ -117,7 +117,7 @@ class FailureModel {
   /// materialized lazily and never rewound.
   [[nodiscard]] bool api_blocked(SimTime now);
 
-  /// Checkpoint support (DESIGN.md §14): fold every stream position and the
+  /// Determinism probe (DESIGN.md §7.5): fold every stream position and the
   /// materialized outage window into `digest`, bit-exactly.
   void capture_digest(util::StateDigest& digest) const {
     digest.add_u64("failure.boot_rng", boot_rng_.state());
@@ -164,7 +164,7 @@ class BackoffSchedule {
   /// SIZE_MAX instead of wrapping back to the base delay.
   [[nodiscard]] std::size_t attempts() const noexcept { return attempts_; }
 
-  /// Checkpoint support: the jitter stream position plus the attempt
+  /// Determinism probe: the jitter stream position plus the attempt
   /// counter are the schedule's whole mutable state.
   void capture_digest(util::StateDigest& digest) const {
     digest.add_u64("backoff.rng", rng_.state());

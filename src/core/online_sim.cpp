@@ -93,9 +93,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   SimTime last_completion = t0;
 
   while (!pending.empty()) {
-    if (++out.decisions > config_.max_iterations) {
-      PSCHED_ASSERT_MSG(false, "online simulation exceeded the iteration cap");
-    }
+    if (++out.decisions > config_.max_iterations)
+      throw OnlineSimError("online simulation exceeded the iteration cap");
 
     // --- scheduling context -------------------------------------------------
     std::size_t idle = 0, booting = 0;

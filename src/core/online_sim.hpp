@@ -17,6 +17,7 @@
 // engine's release rule).
 
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cloud/profile.hpp"
@@ -71,13 +72,25 @@ struct OnlineSimConfig {
   ReleaseRule release_rule = ReleaseRule::kEagerSurplus;
   AllocationMode allocation = AllocationMode::kHeadOfLine;
   InnerCostModel cost_model = InnerCostModel::kChargedHours;
-  std::size_t max_iterations = 2'000'000;  ///< hard safety valve
+  /// Hard safety valve on decision-loop iterations: a candidate that
+  /// reaches it throws OnlineSimError, which the selector quarantines like
+  /// any other failing candidate instead of aborting the run.
+  std::size_t max_iterations = 2'000'000;
   /// Validation self-test switch: kCandidateThrow makes every simulate()
   /// call throw, so the selector's graceful-degradation path (quarantine +
   /// last-known-good policy) is itself testable. Always kNone outside
   /// validation tests; the other fault flavors are provider-level and
   /// ignored here.
   validate::FaultInjection inject_fault = validate::FaultInjection::kNone;
+};
+
+/// A candidate simulation that cannot finish (it reached
+/// OnlineSimConfig::max_iterations). Typed so callers can tell it apart
+/// from injected faults; the selector treats both as a quarantined
+/// candidate (DESIGN.md §10.2).
+class OnlineSimError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Result of simulating one policy on one problem instance.
@@ -114,7 +127,8 @@ class OnlineSimulator {
   [[nodiscard]] const OnlineSimConfig& config() const noexcept { return config_; }
 
   /// Simulate `policy` scheduling `queue` starting from `profile`.
-  /// Deterministic: same inputs -> same outcome on every platform.
+  /// Deterministic: same inputs -> same outcome on every platform. Throws
+  /// OnlineSimError when the run reaches config().max_iterations.
   /// Convenience wrapper over the snapshot/arena fast path below: builds a
   /// fresh RoundSnapshot and SimArena per call, so it is allocation-heavy
   /// but needs no caller-side state. Safe to call concurrently.

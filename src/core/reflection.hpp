@@ -61,7 +61,7 @@ class ReflectionStore {
     return history_;
   }
 
-  /// Checkpoint support (DESIGN.md §14): fold the deterministic reflection
+  /// Determinism probe (DESIGN.md §7.5): fold the deterministic reflection
   /// state — invocation counters, per-policy chosen counts, and the
   /// per-context win tables that feed reflection hints — into `digest`.
   /// Wall-clock cost totals are excluded (psched-lint D1): they vary run to

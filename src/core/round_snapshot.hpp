@@ -7,9 +7,7 @@
 // the raw inputs: clamp each VmView's available_at to the snapshot instant,
 // copy the queue, allocate fresh vectors. A RoundSnapshot does that
 // derivation exactly once per round, stores the result in contiguous
-// struct-of-arrays columns every candidate reads, and — as a byproduct of
-// walking the bytes once — computes the round's 128-bit input fingerprint
-// that drives cross-round memoization (see core/selector.hpp).
+// struct-of-arrays columns every candidate reads.
 //
 // build() reuses the column capacity from the previous round, so a
 // long-running selector stops allocating here after the first few rounds.
@@ -24,7 +22,6 @@
 
 #include "cloud/profile.hpp"
 #include "policy/context.hpp"
-#include "util/fingerprint.hpp"
 #include "util/types.hpp"
 
 namespace psched::core {
@@ -49,20 +46,14 @@ struct RoundSnapshot {
   std::vector<SimTime> vm_available;
   std::vector<unsigned char> vm_busy;
 
-  // Pricing block (DESIGN.md §12), populated — and folded into the
-  // fingerprint — only when the profile carries an enabled pricing view.
-  // Pricing-off snapshots stay byte-identical to the pre-pricing layout,
-  // which is what makes pricing-off memo behavior provably unchanged. The
-  // view freezes the market at t0 (multiplier + epoch); candidate inner
-  // sims price everything at that frozen multiplier, and the epoch in the
-  // fingerprint guarantees a memo hit never spans a price change.
+  // Pricing block (DESIGN.md §12), populated only when the profile carries
+  // an enabled pricing view, so pricing-off snapshots stay byte-identical
+  // to the pre-pricing layout. The view freezes the market at t0
+  // (multiplier + epoch); candidate inner sims price everything at that
+  // frozen multiplier.
   cloud::PricingView pricing;
   std::vector<std::uint32_t> vm_family;
   std::vector<unsigned char> vm_tier;
-
-  /// 128-bit hash of every field above, computed during build(). Two
-  /// snapshots fingerprint equal iff their inputs are bit-identical.
-  util::Fingerprint fingerprint;
 
   /// Derive the snapshot from the raw selection inputs. Reuses column
   /// capacity; safe to call once per round on a long-lived instance.

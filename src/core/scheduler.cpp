@@ -62,13 +62,13 @@ policy::PolicyTriple PortfolioScheduler::policy_for_tick(
   return current_;
 }
 
-void PortfolioScheduler::capture_checkpoint_state(util::StateDigest& digest) const {
+void PortfolioScheduler::capture_state(util::StateDigest& digest) const {
   digest.add_size("scheduler.current_index", current_index_);
   digest.add_u64("scheduler.next_selection_tick", next_selection_tick_);
   digest.add_bool("scheduler.selected_once", selected_once_);
   digest.add_u64("scheduler.last_selection_tick", last_selection_tick_);
   digest.add_u64("scheduler.last_signature", signature_key(last_signature_));
-  selector_.capture_checkpoint_state(digest);
+  selector_.capture_state(digest);
   reflection_.capture_digest(digest);
 }
 

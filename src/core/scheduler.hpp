@@ -35,12 +35,11 @@ class Scheduler {
   /// its selector for round telemetry and candidate trace spans.
   virtual void set_recorder(obs::Recorder* /*recorder*/) {}
 
-  /// Checkpoint support (DESIGN.md §14): fold the scheduler's cross-tick
+  /// Determinism probe (DESIGN.md §7.5): fold the scheduler's cross-tick
   /// mutable state into `digest`, bit-exactly. The base implementation is a
   /// no-op — a fixed policy carries no state; the portfolio scheduler folds
-  /// its selection cadence, selector partition, RNG position, and memo
-  /// fingerprints.
-  virtual void capture_checkpoint_state(util::StateDigest& /*digest*/) const {}
+  /// its selection cadence, selector partition, and RNG position.
+  virtual void capture_state(util::StateDigest& /*digest*/) const {}
 };
 
 /// Applies one fixed policy forever.
@@ -111,7 +110,7 @@ class PortfolioScheduler final : public Scheduler {
     selector_.set_recorder(recorder);
   }
 
-  void capture_checkpoint_state(util::StateDigest& digest) const override;
+  void capture_state(util::StateDigest& digest) const override;
 
  private:
   const policy::Portfolio& portfolio_;

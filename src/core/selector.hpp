@@ -121,24 +121,6 @@ struct SelectorConfig {
   /// with synthetic-only accounting it is deterministic. Ignored in
   /// kFixedCount mode (every candidate charges exactly one unit there).
   double candidate_timeout_ms = 0.0;
-  /// Cross-round memoization (DESIGN.md §11): cache each candidate's
-  /// SimOutcome keyed by the round's 128-bit input fingerprint; a later
-  /// round with a bit-identical (queue, cloud profile) reuses the stored
-  /// outcome instead of re-simulating. Deterministic by construction: a hit
-  /// returns the exact outcome a fresh simulation would produce, and in the
-  /// deterministic budget modes (kFixedCount; kWallclock with
-  /// use_measured_cost = false) a hit charges exactly what a miss would, so
-  /// selection output is bit-identical with the memo on or off. In measured
-  /// kWallclock mode hits charge (near) zero measured time — the speedup —
-  /// which is budget-visible, like every other wall-clock effect in that
-  /// mode. Automatically disabled while fault injection is active (the
-  /// injected-throw path must stay exercised).
-  bool memoize = true;
-  /// Paranoia switch: on every memo hit, re-simulate fresh and assert the
-  /// stored outcome is bit-identical (fingerprint-collision tripwire).
-  /// Costs a full simulation per hit; enabled by the engine whenever
-  /// invariant checking is on, off in performance runs.
-  bool verify_memo = false;
 };
 
 /// Utility score of one simulated policy.
@@ -161,9 +143,6 @@ struct SelectionResult {
   /// Quarantined candidates charge the budget they consumed, contribute no
   /// score, and are demoted to the Poor set.
   std::size_t quarantined = 0;
-  /// Candidates answered from the cross-round memo cache this round (always
-  /// 0 with SelectorConfig::memoize off or fault injection active).
-  std::size_t memo_hits = 0;
   /// True when every attempted candidate was quarantined: no ranking was
   /// possible and best_index is the last-known-good (preferred) policy
   /// carried over with best_utility = 0 — graceful degradation instead of
@@ -221,42 +200,30 @@ class TimeConstrainedSelector {
   /// attached, detached, or at any ObsLevel.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Checkpoint support (DESIGN.md §14): fold the selector's cross-round
-  /// mutable state — the Poor-sampling RNG position, the Smart/Stale/Poor
-  /// partition, and every memo slot's fingerprint — into `digest`,
-  /// bit-exactly. Wall-clock costs never enter the digest (psched-lint D1):
-  /// in measured kWallclock mode they vary run to run by design, and in the
-  /// deterministic budget modes they are derived state. Must be called from
-  /// the coordinating thread, like select().
-  void capture_checkpoint_state(util::StateDigest& digest) const;
+  /// Determinism probe (DESIGN.md §7.5): fold the selector's cross-round
+  /// mutable state — the Poor-sampling RNG position and the Smart/Stale/Poor
+  /// partition — into `digest`, bit-exactly. Wall-clock costs never enter
+  /// the digest (psched-lint D1): in measured kWallclock mode they vary run
+  /// to run by design, and in the deterministic budget modes they are
+  /// derived state. Must be called from the coordinating thread, like
+  /// select().
+  void capture_state(util::StateDigest& digest) const;
 
  private:
-  /// One cached candidate outcome (per portfolio index): valid iff `fp`
-  /// equals the current round fingerprint.
-  struct MemoSlot {
-    util::Fingerprint fp;
-    SimOutcome outcome;
-    bool valid = false;
-  };
-
-  /// Whether memo lookups/stores are live for the current configuration.
-  [[nodiscard]] bool memo_enabled() const noexcept;
-
   /// Simulate policy `index` against the current round snapshot (arena slot
   /// 0) and append its score to `scores`; returns the budget cost charged.
   /// A candidate that throws or blows the per-candidate budget lands in
-  /// `quarantined` instead of `scores`. Memo hits skip the simulation and
-  /// bump `memo_hits`.
+  /// `quarantined` instead of `scores`.
   double simulate_one(std::size_t index, std::vector<PolicyScore>& scores,
-                      std::vector<std::size_t>& quarantined, std::size_t& memo_hits);
+                      std::vector<std::size_t>& quarantined);
 
   /// Simulate one wave of candidates against the current round snapshot
   /// (concurrently when the wave has more than one member; wave slot k uses
   /// arenas_[k]), append their scores in wave order, and return the budget
   /// cost charged for the whole wave. Failed members land in `quarantined`
-  /// (wave order); memo hits bump `memo_hits`.
+  /// (wave order).
   double run_wave(std::span<const std::size_t> wave, std::vector<PolicyScore>& scores,
-                  std::vector<std::size_t>& quarantined, std::size_t& memo_hits);
+                  std::vector<std::size_t>& quarantined);
 
   const policy::Portfolio& portfolio_;
   OnlineSimulator simulator_;
@@ -280,12 +247,9 @@ class TimeConstrainedSelector {
   // select() on the coordinating thread before any wave is dispatched and
   // is strictly read-only while workers run. Arena k is owned by wave slot
   // k for the duration of one wave (disjoint slots; no sharing); between
-  // waves all arenas belong to the coordinating thread. The memo cache is
-  // read and written by the coordinating thread only — workers receive
-  // copies of any hit outcome they need (verify_memo).
+  // waves all arenas belong to the coordinating thread.
   RoundSnapshot snapshot_;
   std::vector<SimArena> arenas_;
-  std::vector<MemoSlot> memo_ PSCHED_CONFINED_TO("selector coordinating thread");
 };
 
 }  // namespace psched::core

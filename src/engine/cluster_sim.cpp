@@ -683,7 +683,7 @@ RunResult ClusterSimulation::finish() {
   return result;
 }
 
-void ClusterSimulation::capture_checkpoint_state(util::StateDigest& digest) const {
+void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   // Event-loop position. Captured at a quiescent horizon, so the pending
   // queue's *content* is implied by the deterministic replay; its size and
   // the next due time pin the position bit-exactly.
@@ -781,7 +781,7 @@ void ClusterSimulation::capture_checkpoint_state(util::StateDigest& digest) cons
 
   // Metrics accumulated so far, and the scheduler's cross-tick state.
   collector_.capture_digest(digest);
-  scheduler_.capture_checkpoint_state(digest);
+  scheduler_.capture_state(digest);
 }
 
 }  // namespace psched::engine

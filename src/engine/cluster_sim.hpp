@@ -155,14 +155,14 @@ class ClusterSimulation {
     return provider_.charged_hours_total(sim_.now());
   }
 
-  /// Checkpoint support (DESIGN.md §14): fold every piece of deterministic
+  /// Determinism probe (DESIGN.md §7.5): fold every piece of deterministic
   /// simulation state — event-queue clock, fleet, waiting/running/blocked
   /// jobs, failure/pricing RNG stream positions, resubmission ledger,
   /// metrics collector, and the scheduler's own state — into `digest`.
-  /// Captured at an epoch boundary (between advance_until calls); two runs
-  /// that reached the same epoch through any start/advance split produce
-  /// identical digests. Wall-clock quantities are excluded by construction.
-  void capture_checkpoint_state(util::StateDigest& digest) const;
+  /// Captured between advance_until calls; two runs that reached the same
+  /// horizon through any start/advance split produce identical digests.
+  /// Wall-clock quantities are excluded by construction.
+  void capture_state(util::StateDigest& digest) const;
 
  private:
   struct Waiting {

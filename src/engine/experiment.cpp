@@ -108,13 +108,11 @@ bool write_observability_outputs(const ScenarioResult& result,
                                  const EngineConfig& config,
                                  const obs::Recorder* recorder,
                                  const std::string& report_path,
-                                 const std::string& trace_path,
-                                 const obs::ReportCheckpoint* checkpoint) {
+                                 const std::string& trace_path) {
   bool ok = true;
   if (!report_path.empty()) {
-    obs::RunReportInputs inputs = report_inputs(result, config);
-    if (checkpoint != nullptr) inputs.checkpoint = *checkpoint;
-    const std::string report = obs::run_report_json(inputs, recorder);
+    const std::string report =
+        obs::run_report_json(report_inputs(result, config), recorder);
     ok = obs::write_text_file(report_path, report) && ok;
   }
   if (!trace_path.empty() && recorder != nullptr) {
@@ -142,9 +140,6 @@ core::PortfolioSchedulerConfig paper_portfolio_config(const EngineConfig& engine
   core::PortfolioSchedulerConfig pc;
   pc.selector.time_constraint_ms = 0.0;  // unbounded
   pc.selector.lambda = 0.6;
-  // Invariant-checked runs also cross-check every memo hit against a fresh
-  // simulation (the fingerprint-collision tripwire; DESIGN.md §11).
-  pc.selector.verify_memo = engine.validation.check_invariants;
   pc.online_sim.utility = engine.utility;
   pc.online_sim.slowdown_bound = engine.slowdown_bound;
   pc.online_sim.schedule_period = engine.schedule_period;

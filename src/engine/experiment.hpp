@@ -78,15 +78,11 @@ struct ScenarioResult {
 /// `trace_path` (empty path = skip). Returns false if any write failed.
 /// `recorder` may be null (the report then has empty obs sections; a trace
 /// request needs a recorder at ObsLevel::kTrace to contain events).
-/// `checkpoint`, when non-null, fills the report's "checkpoint" section
-/// with the supervision counters (DESIGN.md §14); null keeps it absent so
-/// non-checkpointed reports stay byte-identical.
 bool write_observability_outputs(const ScenarioResult& result,
                                  const EngineConfig& config,
                                  const obs::Recorder* recorder,
                                  const std::string& report_path,
-                                 const std::string& trace_path,
-                                 const obs::ReportCheckpoint* checkpoint = nullptr);
+                                 const std::string& trace_path);
 
 /// Run `tasks` scenario thunks across a shared thread pool. Results keep
 /// task order. Each task owns its engine: engines are thread-compatible

@@ -42,7 +42,7 @@ class ResubmitLedger {
   /// Number of tenant shards the ledger is sized for.
   [[nodiscard]] std::size_t tenants() const noexcept { return shards_.size(); }
 
-  /// Checkpoint support (DESIGN.md §14): fold one tenant's shard into
+  /// Determinism probe (DESIGN.md §7.5): fold one tenant's shard into
   /// `digest` order-insensitively (the shard is an unordered map;
   /// psched-lint D2). Each engine folds only its own shard so tenant
   /// captures stay disjoint under a shared ledger.

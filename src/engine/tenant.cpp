@@ -174,7 +174,7 @@ MultiTenantExperiment::MultiTenantExperiment(MultiTenantConfig config,
   }
 }
 
-MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
+MultiTenantResult MultiTenantExperiment::run() {
   PSCHED_ASSERT_MSG(!ran_, "MultiTenantExperiment::run is single-shot");
   ran_ = true;
   const std::size_t n = config_.tenants.size();
@@ -309,31 +309,6 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
     }
   };
 
-  // Full-experiment state capture at an epoch boundary (checkpoint support):
-  // every tenant's engine under a "t<i>." scope, then the coordinator's own
-  // accumulators. Runs on the coordinating thread between waves.
-  const auto capture_all = [&](util::StateDigest& digest) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string scope = "t";
-      scope += std::to_string(i);
-      scope += '.';
-      digest.set_scope(std::move(scope));
-      sims[i]->capture_checkpoint_state(digest);
-    }
-    digest.set_scope("");
-    digest.add_u64("service.epochs", result.epochs);
-    digest.add_u64("service.arbitrations", result.arbitrations);
-    digest.add_size("service.peak_leased", result.peak_leased);
-    std::uint64_t allocs = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      allocs = util::digest_mix(allocs, static_cast<std::uint64_t>(alloc_stats[i].min));
-      allocs = util::digest_mix(allocs, static_cast<std::uint64_t>(alloc_stats[i].max));
-      allocs = util::digest_mix(allocs, alloc_stats[i].sum);
-    }
-    digest.add_u64("service.alloc_stats", allocs);
-    if (checker) digest.add_u64("service.checks", checker->checks_run());
-  };
-
   for (std::size_t i = 0; i < n; ++i) sims[i]->start();
   arbitrate(0.0);
   const SimDuration epoch =
@@ -349,12 +324,6 @@ MultiTenantResult MultiTenantExperiment::run(EpochObserver* observer) {
     const SimTime horizon = static_cast<double>(result.epochs) * epoch;
     advance_wave(horizon);
     arbitrate(horizon);
-    if (observer != nullptr) {
-      bool still_active = false;
-      for (std::size_t i = 0; i < n; ++i)
-        still_active = still_active || sims[i]->active();
-      if (still_active) observer->on_epoch_boundary(result.epochs, capture_all);
-    }
   }
 
   // Finish every tenant (coordinator thread, tenant-id order) and aggregate.

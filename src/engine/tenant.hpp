@@ -36,13 +36,11 @@
 // with every other subsystem's.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "engine/experiment.hpp"
 #include "policy/portfolio.hpp"
-#include "util/state_digest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace psched::engine {
@@ -143,21 +141,6 @@ struct MultiTenantResult {
   std::vector<validate::Violation> invariant_violations;
 };
 
-/// Observer of a multi-tenant run's epoch boundaries (checkpoint support,
-/// DESIGN.md §14). on_epoch_boundary fires on the coordinating thread after
-/// a wave advanced to its horizon and the arbiter re-divided capacity —
-/// a quiescent instant where every tenant's state is a pure function of
-/// configs and seeds. `capture` folds the complete experiment state (every
-/// tenant's engine scoped "t<i>.", plus the arbiter's accumulators) into a
-/// caller-supplied digest; it is valid only for the duration of the call.
-class EpochObserver {
- public:
-  virtual ~EpochObserver() = default;
-  virtual void on_epoch_boundary(
-      std::uint64_t epoch,
-      const std::function<void(util::StateDigest&)>& capture) = 0;
-};
-
 /// Runs N tenant simulations in lockstep epochs over shared capacity. The
 /// thread pool (optional, borrowed) hosts both the tenant waves and every
 /// tenant selector's candidate waves; null runs everything serially with
@@ -167,11 +150,8 @@ class MultiTenantExperiment {
   explicit MultiTenantExperiment(MultiTenantConfig config,
                                  util::ThreadPool* pool = nullptr);
 
-  /// Execute every tenant's trace to completion. Single-shot. `observer`
-  /// (optional, borrowed) is notified at every epoch boundary while the run
-  /// is still active — the checkpoint supervisor's hook; null is the plain
-  /// uninterrupted run, bit-identical to passing an observer that captures.
-  [[nodiscard]] MultiTenantResult run(EpochObserver* observer = nullptr);
+  /// Execute every tenant's trace to completion. Single-shot.
+  [[nodiscard]] MultiTenantResult run();
 
  private:
   MultiTenantConfig config_;

@@ -152,7 +152,7 @@ class MetricsCollector {
   void keep_records(bool keep) noexcept { keep_records_ = keep; }
   [[nodiscard]] const std::vector<JobRecord>& records() const noexcept { return records_; }
 
-  /// Checkpoint support (DESIGN.md §14): fold every accumulator bit-exactly.
+  /// Determinism probe (DESIGN.md §7.5): fold every accumulator bit-exactly.
   /// The workflow-span map is unordered, so it goes through the
   /// order-insensitive fold (psched-lint D2).
   void capture_digest(util::StateDigest& digest) const;

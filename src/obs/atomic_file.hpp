@@ -1,17 +1,17 @@
 #pragma once
-// Crash-safe file emission (DESIGN.md §14): write-to-temp, fsync, rename.
+// Crash-safe file emission (DESIGN.md §9.2): write-to-temp, fsync, rename.
 //
 // Every durable artifact the toolchain emits — run reports, Chrome traces,
-// SARIF, bench JSON, checkpoints — goes through write_file_atomic so a
-// crash (or SIGKILL from the chaos harness) at any instant leaves either
-// the complete previous file or the complete new file, never a torn one.
+// SARIF, bench JSON — goes through write_file_atomic so a crash (or
+// SIGKILL) at any instant leaves either the complete previous file or the
+// complete new file, never a torn one.
 // POSIX rename(2) within one directory is atomic; the fsync before it
 // makes sure the renamed bytes are the new content, not a cached prefix.
 //
 // Fault injection (validate/fault.hpp idiom): tests simulate a crash
 // mid-write via AtomicWriteFault to prove the destination survives intact,
-// and the checkpoint runner injects torn-write/bit-flip faults to prove
-// the checksum catches them.
+// and inject torn-write/bit-flip faults to show the failure modes the
+// helper prevents.
 
 #include <string>
 #include <string_view>

@@ -5,7 +5,7 @@
 //
 // A gated report carries an optional "gate" array parallel to "headers":
 // one ColumnKind per column saying how that column is compared. Columns of
-// deterministic outputs (candidate counts, memo hits, thread widths) gate
+// deterministic outputs (candidate counts, thread widths) gate
 // exactly — any drift is a correctness bug, not noise. Timing/throughput
 // columns gate within a multiplicative tolerance band: the gate is a
 // guardrail against algorithmic blowups (an accidental O(n^2), a lost

@@ -16,7 +16,6 @@ constexpr const char* kRunReportSchema = "psched-run-report/v1";
 constexpr const char* kFailuresSchema = "psched-failures/v1";
 constexpr const char* kPricingSchema = "psched-pricing/v1";
 constexpr const char* kTenantsSchema = "psched-tenants/v1";
-constexpr const char* kCheckpointSchema = "psched-checkpoint-report/v1";
 
 void append_kv(std::string& out, const char* key, const std::string& value_json,
                bool& first) {
@@ -189,7 +188,7 @@ std::string selection_json(const Recorder* recorder) {
   const auto& rounds = recorder->rounds();
   double simulated = 0.0, charged = 0.0;
   double smart = 0.0, stale = 0.0, poor = 0.0;
-  std::size_t churn = 0, memo_hits = 0;
+  std::size_t churn = 0;
   std::map<std::string, double> tie_paths;
   for (const SelectionRoundRecord& r : rounds) {
     simulated += static_cast<double>(r.simulated);
@@ -198,7 +197,6 @@ std::string selection_json(const Recorder* recorder) {
     stale += static_cast<double>(r.stale_out);
     poor += static_cast<double>(r.poor_out);
     churn += r.smart_churn;
-    memo_hits += r.memo_hits;
     tie_paths[r.tie_path] += 1.0;
   }
   const auto n = static_cast<double>(rounds.size());
@@ -207,28 +205,11 @@ std::string selection_json(const Recorder* recorder) {
   append_kv(out, "rounds", json_number(n), first);
   append_kv(out, "total_simulated", json_number(simulated), first);
   append_kv(out, "total_budget_charged", json_number(charged), first);
-  append_kv(out, "total_memo_hits", json_number(static_cast<double>(memo_hits)), first);
   append_kv(out, "mean_smart", json_number(smart / n), first);
   append_kv(out, "mean_stale", json_number(stale / n), first);
   append_kv(out, "mean_poor", json_number(poor / n), first);
   append_kv(out, "total_smart_churn", json_number(static_cast<double>(churn)), first);
   append_kv(out, "tie_paths", number_map_json(tie_paths), first);
-  out += '}';
-  return out;
-}
-
-std::string checkpoint_json(const ReportCheckpoint& c) {
-  if (!c.present) return "null";
-  std::string out = "{";
-  bool first = true;
-  append_kv(out, "schema", quoted(kCheckpointSchema), first);
-  append_kv(out, "every_epochs", json_number(static_cast<double>(c.every_epochs)),
-            first);
-  append_kv(out, "written", json_number(static_cast<double>(c.written)), first);
-  append_kv(out, "restored", json_number(static_cast<double>(c.restored)), first);
-  append_kv(out, "rejected", json_number(static_cast<double>(c.rejected)), first);
-  append_kv(out, "resumed_epoch", json_number(static_cast<double>(c.resumed_epoch)),
-            first);
   out += '}';
   return out;
 }
@@ -275,7 +256,6 @@ std::string run_report_json(const RunReportInputs& inputs, const Recorder* recor
   append_kv(out, "failures", failures_json(inputs), first);
   append_kv(out, "pricing", pricing_json(inputs), first);
   append_kv(out, "tenants", tenants_json(inputs.tenants), first);
-  append_kv(out, "checkpoint", checkpoint_json(inputs.checkpoint), first);
   append_kv(out, "portfolio", portfolio_json(inputs.portfolio), first);
   append_kv(out, "selection", selection_json(recorder), first);
   append_kv(out, "phases", phases_json(recorder), first);
@@ -462,24 +442,6 @@ ValidationResult validate_run_report(std::string_view json) {
     return fail("tenants is neither null nor an object");
   }
 
-  const JsonValue* checkpoint = root.find("checkpoint");
-  if (checkpoint == nullptr) return fail("missing key \"checkpoint\"");
-  if (checkpoint->is(JsonValue::Type::kObject)) {
-    const JsonValue* cschema = checkpoint->find("schema");
-    if (cschema == nullptr || !cschema->is(JsonValue::Type::kString))
-      return fail("checkpoint.schema missing or not a string");
-    if (cschema->string != kCheckpointSchema)
-      return fail("unexpected checkpoint schema tag \"" + cschema->string + '"');
-    for (const char* key :
-         {"every_epochs", "written", "restored", "rejected", "resumed_epoch"}) {
-      const JsonValue* field = checkpoint->find(key);
-      if (field == nullptr || !field->is(JsonValue::Type::kNumber))
-        return fail(std::string("checkpoint.") + key + " missing or not a number");
-    }
-  } else if (!checkpoint->is(JsonValue::Type::kNull)) {
-    return fail("checkpoint is neither null nor an object");
-  }
-
   const JsonValue* portfolio = root.find("portfolio");
   if (portfolio == nullptr) return fail("missing key \"portfolio\"");
   if (!portfolio->is(JsonValue::Type::kNull) &&
@@ -489,8 +451,7 @@ ValidationResult validate_run_report(std::string_view json) {
   const JsonValue* selection = root.find("selection");
   if (selection == nullptr) return fail("missing key \"selection\"");
   if (selection->is(JsonValue::Type::kObject)) {
-    for (const char* key : {"rounds", "total_simulated", "total_budget_charged",
-                            "total_memo_hits"}) {
+    for (const char* key : {"rounds", "total_simulated", "total_budget_charged"}) {
       const JsonValue* field = selection->find(key);
       if (field == nullptr || !field->is(JsonValue::Type::kNumber))
         return fail(std::string("selection.") + key + " missing or not a number");

@@ -62,20 +62,6 @@ struct ReportTenants {
   std::vector<ReportTenant> tenants;
 };
 
-/// Checkpoint supervision extras mirrored into the report (absent for runs
-/// without checkpointing: `present == false` serializes the "checkpoint" key
-/// as null). Only the CLI supervisor fills this in — reports built straight
-/// from engine results keep it null so a resumed run's report stays
-/// byte-identical to an uninterrupted one.
-struct ReportCheckpoint {
-  bool present = false;
-  std::size_t every_epochs = 0;  ///< checkpoint cadence (epochs)
-  std::size_t written = 0;       ///< checkpoints written this process
-  std::size_t restored = 0;      ///< successful restores (digest verified)
-  std::size_t rejected = 0;      ///< corrupt/stale checkpoints skipped
-  std::uint64_t resumed_epoch = 0;  ///< epoch resumed from (0 = fresh start)
-};
-
 /// Everything a run report needs beyond what the Recorder holds.
 struct RunReportInputs {
   std::string trace_name;
@@ -101,9 +87,6 @@ struct RunReportInputs {
   /// Multi-tenant section ("psched-tenants/v1"); `tenants.present == false`
   /// (the default, i.e. single-tenant mode) serializes the key as null.
   ReportTenants tenants;
-  /// Checkpoint section ("psched-checkpoint-report/v1"); null unless the CLI
-  /// supervisor ran with --checkpoint-every.
-  ReportCheckpoint checkpoint;
 };
 
 /// Serialize the "psched-run-report/v1" document. `recorder` may be null or

@@ -62,7 +62,7 @@ class Rng {
   std::size_t weighted_index(const std::vector<double>& weights) noexcept;
 
   /// Current stream position (the whole engine state is one word). Exposed
-  /// for checkpoint digests (util/state_digest.hpp): two Rngs with equal
+  /// for state digests (util/state_digest.hpp): two Rngs with equal
   /// state produce identical draw sequences forever.
   [[nodiscard]] std::uint64_t state() const noexcept { return state_; }
 

@@ -1,14 +1,14 @@
 #pragma once
-// Bit-exact state digests for the checkpoint subsystem (DESIGN.md §14).
+// Bit-exact state digests: the engine's determinism probe (DESIGN.md §7.5).
 //
 // A StateDigest is an ordered list of named 64-bit values capturing the
-// complete mutable state of a simulation at an epoch boundary: RNG stream
-// positions, event/queue counters, fleet and billing figures, selector
-// partitions, metric accumulators. Doubles are folded through their
-// IEEE-754 bit pattern (std::bit_cast, the fingerprint.hpp idiom) — never
-// through decimal formatting — so two digests compare equal iff the
-// underlying states are bit-identical, which is exactly the granularity at
-// which the engine is deterministic.
+// complete mutable state of a simulation between advance_until() steps: RNG
+// stream positions, event/queue counters, fleet and billing figures,
+// selector partitions, metric accumulators. Doubles are folded through
+// their IEEE-754 bit pattern (std::bit_cast) — never through decimal
+// formatting — so two digests compare equal iff the underlying states are
+// bit-identical, which is exactly the granularity at which the engine is
+// deterministic.
 //
 // Rules for capture code:
 //  * entries are appended in a deterministic order (capture routines run on
@@ -19,14 +19,13 @@
 //    map into order-sensitive output);
 //  * no wall-clock quantity may ever enter a digest (rule D1): measured
 //    selection costs and phase timers differ across runs of identical
-//    simulations and would make an honest resume look corrupt.
+//    simulations and would make two identical runs look divergent.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace psched::util {
@@ -37,8 +36,7 @@ namespace psched::util {
 class UnorderedFold {
  public:
   /// Finalize one item's accumulated words into the fold. Typical use:
-  /// per item, build a Fingerprint-style hash of its fields via mix(),
-  /// then absorb().
+  /// per item, hash its fields with digest_mix(), then absorb().
   void absorb(std::uint64_t item_hash) noexcept {
     sum_ += item_hash;
     xor_ ^= item_hash;
@@ -85,13 +83,8 @@ class StateDigest {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
 
-  /// Prefix prepended to every subsequently added name (multi-tenant
-  /// captures scope each tenant's entries as "t<i>.<name>").
-  void set_scope(std::string scope) { scope_ = std::move(scope); }
-  [[nodiscard]] const std::string& scope() const noexcept { return scope_; }
-
   void add_u64(std::string_view name, std::uint64_t value) {
-    entries_.push_back(Entry{scope_ + std::string(name), value});
+    entries_.push_back(Entry{std::string(name), value});
   }
   void add_double(std::string_view name, double value) {
     add_u64(name, std::bit_cast<std::uint64_t>(value));
@@ -115,7 +108,7 @@ class StateDigest {
 
   /// Human-readable first difference versus `other` (name of the first
   /// entry that differs in name or value, or a size note); empty when the
-  /// digests are bit-identical. Drives checkpoint rejection diagnostics.
+  /// digests are bit-identical.
   [[nodiscard]] std::string first_difference(const StateDigest& other) const {
     const std::size_t n = entries_.size() < other.entries_.size()
                               ? entries_.size()
@@ -137,7 +130,6 @@ class StateDigest {
   }
 
  private:
-  std::string scope_;
   std::vector<Entry> entries_;
 };
 

@@ -11,8 +11,6 @@ const char* to_string(FaultInjection fault) noexcept {
     case FaultInjection::kCandidateThrow: return "candidate-throw";
     case FaultInjection::kTenantCapOvershoot: return "tenant-cap-overshoot";
     case FaultInjection::kTenantUnfairShare: return "tenant-unfair-share";
-    case FaultInjection::kCheckpointTornWrite: return "checkpoint-torn-write";
-    case FaultInjection::kCheckpointBitFlip: return "checkpoint-bit-flip";
   }
   return "unknown";
 }
@@ -26,8 +24,6 @@ FaultInjection fault_from_string(const std::string& name, bool& ok) {
   if (name == "candidate-throw") return FaultInjection::kCandidateThrow;
   if (name == "tenant-cap-overshoot") return FaultInjection::kTenantCapOvershoot;
   if (name == "tenant-unfair-share") return FaultInjection::kTenantUnfairShare;
-  if (name == "checkpoint-torn-write") return FaultInjection::kCheckpointTornWrite;
-  if (name == "checkpoint-bit-flip") return FaultInjection::kCheckpointBitFlip;
   ok = false;
   return FaultInjection::kNone;
 }

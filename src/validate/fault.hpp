@@ -27,17 +27,13 @@ enum class FaultInjection {
                         ///< the shared global cap (tenant.global-cap)
   kTenantUnfairShare,   ///< the arbiter hands the lowest-id tenant everything
                         ///< above the other tenants' floors (tenant.fairness)
-  kCheckpointTornWrite,  ///< checkpoint writes bypass the atomic rename and
-                         ///< leave a truncated file (checkpoint.roundtrip)
-  kCheckpointBitFlip,    ///< one bit of every checkpoint flips before the
-                         ///< (otherwise clean) write (checkpoint.roundtrip)
 };
 
 [[nodiscard]] const char* to_string(FaultInjection fault) noexcept;
 
 /// Parse a CLI spelling ("none", "billing-off-by-one", "skip-boot-delay",
 /// "cap-overshoot", "candidate-throw", "tenant-cap-overshoot",
-/// "tenant-unfair-share", "checkpoint-torn-write", "checkpoint-bit-flip").
+/// "tenant-unfair-share").
 /// Sets ok=false and returns kNone on unknown input.
 [[nodiscard]] FaultInjection fault_from_string(const std::string& name, bool& ok);
 

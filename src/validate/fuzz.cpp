@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 
-#include "engine/checkpoint.hpp"
 #include "engine/experiment.hpp"
 #include "engine/tenant.hpp"
-#include "obs/report.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -28,8 +25,6 @@ struct Scenario {
   /// regardless of machine load; both knobs are fuzzed per seed.
   std::size_t selector_fixed_count = 0;
   std::size_t selector_eval_threads = 1;
-  bool selector_memoize = true;
-  bool selector_verify_memo = false;
   /// Multi-tenant scenarios (engine/tenant.hpp): the job prefix is sharded
   /// round-robin across this many tenants, each cleaned to its quota floor.
   /// 0 = single-tenant (the classic path).
@@ -37,11 +32,6 @@ struct Scenario {
   std::size_t arbitration_ticks = 1;
   std::vector<double> tenant_weights;
   std::vector<double> tenant_budgets;  ///< VM-hours; 0 = unlimited
-  /// Checkpoint pass (see FuzzConfig::fuzz_checkpoints): cadence in epochs
-  /// (0 = pass disabled for this seed) and the drawn write corruption
-  /// (kNone, or torn-write / bit-flip on the corruption seeds).
-  std::size_t checkpoint_every = 0;
-  FaultInjection checkpoint_corrupt = FaultInjection::kNone;
   std::string description;
 };
 
@@ -97,12 +87,6 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     // Drawn last so the earlier scenario-shape draws keep their streams.
     s.selector_fixed_count = static_cast<std::size_t>(rng.uniform_int(1, 24));
     s.selector_eval_threads = static_cast<std::size_t>(rng.uniform_int(1, 4));
-    // Seed-derived (not RNG-drawn) so the failure-knob draws below keep
-    // their streams: half the portfolio seeds run with the memo cache off,
-    // and the cached half cross-checks every hit against a fresh simulation
-    // (verify_memo) — the fuzzer doubles as a fingerprint-collision hunt.
-    s.selector_memoize = seed % 2 == 0;
-    s.selector_verify_memo = true;
   }
 
   if (fuzz.fuzz_failures && seed % 3 == 0) {
@@ -189,18 +173,6 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     }
   }
 
-  if (fuzz.fuzz_checkpoints && seed % 5 == 3 && s.tenant_count == 0) {
-    // Drawn after every scenario-shape, failure, pricing, and tenant draw
-    // (see FuzzConfig::fuzz_checkpoints). Single-tenant only: the tenant
-    // resume-identity matrix lives in tests/integration.
-    s.checkpoint_every = static_cast<std::size_t>(rng.uniform_int(4, 32));
-    if (seed % 3 == 0) {
-      s.checkpoint_corrupt = rng.bernoulli(0.5)
-                                 ? FaultInjection::kCheckpointTornWrite
-                                 : FaultInjection::kCheckpointBitFlip;
-    }
-  }
-
   char buf[224];
   std::snprintf(buf, sizeof(buf),
                 "%s, %zu jobs, cap=%zu, boot=%.0fs, quantum=%.0fs, %s, %s, "
@@ -237,12 +209,6 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
                   s.tenant_count, s.arbitration_ticks);
     s.description += tbuf;
   }
-  if (s.checkpoint_every > 0) {
-    char cbuf[96];
-    std::snprintf(cbuf, sizeof(cbuf), ", checkpoint(every=%zu, corrupt=%s)",
-                  s.checkpoint_every, to_string(s.checkpoint_corrupt));
-    s.description += cbuf;
-  }
   return s;
 }
 
@@ -260,8 +226,6 @@ core::PortfolioSchedulerConfig fuzz_portfolio_config(const Scenario& s) {
   pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
   pconfig.selector.fixed_count = s.selector_fixed_count;
   pconfig.selector.eval_threads = s.selector_eval_threads;
-  pconfig.selector.memoize = s.selector_memoize;
-  pconfig.selector.verify_memo = s.selector_verify_memo;
   return pconfig;
 }
 
@@ -329,91 +293,6 @@ RunOutcome run_scenario(const Scenario& s, std::size_t job_count,
                     std::move(result.run.invariant_violations)};
 }
 
-/// The checkpoint.roundtrip property (FuzzConfig::fuzz_checkpoints): a
-/// checkpointed run and a resumed run must both report byte-identically to
-/// the straight run; corrupt checkpoints must all be rejected with a clean
-/// fallback. Returns the violations (empty = property holds).
-std::vector<Violation> check_checkpoint_property(const Scenario& s,
-                                                 std::uint64_t seed,
-                                                 const policy::Portfolio& portfolio) {
-  namespace fs = std::filesystem;
-  std::vector<Violation> out;
-  const auto fail = [&](const std::string& detail) {
-    out.push_back(Violation{"checkpoint.roundtrip", detail, 0.0});
-  };
-  const workload::Trace trace("fuzz", static_cast<int>(s.config.provider.max_vms),
-                              std::vector<workload::Job>(s.jobs));
-  const auto report_of = [&](const engine::ScenarioResult& r) {
-    return obs::run_report_json(engine::report_inputs(r, s.config), nullptr);
-  };
-  const auto run_checkpointed = [&](const engine::CheckpointConfig& ckpt,
-                                    engine::CheckpointStats& stats) {
-    return s.portfolio
-               ? engine::run_portfolio_checkpointed(s.config, trace, portfolio,
-                                                    fuzz_portfolio_config(s),
-                                                    s.predictor, ckpt, stats)
-               : engine::run_single_policy_checkpointed(s.config, trace, s.triple,
-                                                        s.predictor, ckpt, stats);
-  };
-
-  const engine::ScenarioResult base =
-      s.portfolio
-          ? engine::run_portfolio(s.config, trace, portfolio,
-                                  fuzz_portfolio_config(s), s.predictor)
-          : engine::run_single_policy(s.config, trace, s.triple, s.predictor);
-  const std::string base_report = report_of(base);
-
-  // Per-seed scratch directory (address tag keeps concurrent processes on
-  // the same seed apart; the name never feeds any digest or metric).
-  std::error_code ec;
-  const fs::path dir =
-      fs::temp_directory_path(ec) /
-      ("psched-fuzz-ckpt-" + std::to_string(seed) + "-" +
-       std::to_string(reinterpret_cast<std::uintptr_t>(&out) & 0xffffffu));
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
-
-  engine::CheckpointConfig ckpt;
-  ckpt.every_epochs = s.checkpoint_every;
-  ckpt.directory = dir.string();
-  ckpt.prefix = "fuzz";
-  ckpt.keep = 3;
-  const bool corrupt = s.checkpoint_corrupt != FaultInjection::kNone;
-  if (corrupt) {
-    // Leave the corrupt files on disk (no read-back verification) so the
-    // resume scan below has to detect and reject them itself.
-    ckpt.inject_fault = s.checkpoint_corrupt;
-    ckpt.verify_roundtrip = false;
-  }
-  engine::CheckpointStats write_stats;
-  const engine::ScenarioResult checkpointed = run_checkpointed(ckpt, write_stats);
-  if (report_of(checkpointed) != base_report)
-    fail("checkpointed run diverged from the straight run");
-
-  engine::CheckpointConfig resume = ckpt;
-  resume.resume_from = "auto";
-  resume.inject_fault = FaultInjection::kNone;
-  resume.verify_roundtrip = true;
-  engine::CheckpointStats resume_stats;
-  const engine::ScenarioResult resumed = run_checkpointed(resume, resume_stats);
-  if (report_of(resumed) != base_report)
-    fail("resumed run diverged from the straight run");
-  if (write_stats.written > 0) {
-    if (corrupt) {
-      if (resume_stats.rejected == 0)
-        fail("corrupt checkpoints were not rejected on resume");
-      if (resume_stats.resumed_epoch != 0)
-        fail("resume trusted a corrupt checkpoint instead of a fresh start");
-    } else {
-      if (resume_stats.restored != 1)
-        fail("no restore happened despite valid checkpoints on disk");
-      if (resume_stats.resumed_epoch == 0) fail("restored at epoch 0");
-    }
-  }
-  fs::remove_all(dir, ec);
-  return out;
-}
-
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzConfig& config) {
@@ -446,25 +325,6 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
     RunOutcome outcome = run_scenario(scenario, scenario.jobs.size(), run_portfolio);
     report.total_checks += outcome.checks;
     ++report.seeds_run;
-    if (outcome.violations.empty() && scenario.checkpoint_every > 0) {
-      // Only clean scenarios run the checkpoint pass: a violating seed's
-      // report already carries the more fundamental failure.
-      std::vector<Violation> ckpt_violations =
-          check_checkpoint_property(scenario, seed, run_portfolio);
-      ++report.total_checks;
-      if (!ckpt_violations.empty()) {
-        // Not shrunk: the checkpoint property is about the whole-run replay,
-        // and a shorter prefix checkpoints at different epochs entirely.
-        FuzzFailure failure;
-        failure.seed = seed;
-        failure.jobs = scenario.jobs.size();
-        failure.original_jobs = scenario.jobs.size();
-        failure.scenario = scenario.description;
-        failure.violations = std::move(ckpt_violations);
-        report.failure = std::move(failure);
-        break;
-      }
-    }
     if (outcome.violations.empty()) continue;
 
     // First failure: report it, optionally shrunk to a smaller prefix.

@@ -62,17 +62,6 @@ struct FuzzConfig {
   /// pre-tenant scenarios. A tenant FaultInjection forces every seed
   /// multi-tenant regardless.
   bool fuzz_tenants = true;
-  /// Also fuzz checkpoint/restore (DESIGN.md §14): every fifth seed (offset
-  /// 3, single-tenant scenarios) re-runs its workload under checkpoint
-  /// supervision with a drawn cadence, then once more resuming from the
-  /// newest checkpoint, and asserts both runs' reports are byte-identical
-  /// to the straight run's (violation "checkpoint.roundtrip" otherwise).
-  /// Every third such seed additionally corrupts every checkpoint write
-  /// (torn trailer or bit flip, drawn) with read-back verification off, and
-  /// asserts the resume scan rejects every corrupt file and falls back to a
-  /// fresh — still bit-identical — start. Draws happen after every other
-  /// draw, so disabling this reproduces the exact pre-checkpoint scenarios.
-  bool fuzz_checkpoints = true;
 };
 
 /// The first violating seed, with its (possibly shrunk) instance size and

@@ -1,8 +1,5 @@
-// Selector hot path (DESIGN.md §11): round-snapshot fingerprinting, the
-// arena fast path vs the convenience wrapper, arena reuse across rounds,
-// and cross-round memoization — hits must be bit-identical to fresh
-// simulation, invalidate on any input change, and leave selection output
-// unchanged across memo on/off and eval_threads widths.
+// Selector hot path (DESIGN.md §11): round-snapshot rebuilds, the arena
+// fast path vs the convenience wrapper, and arena reuse across rounds.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,7 +8,6 @@
 
 #include "core/online_sim.hpp"
 #include "core/round_snapshot.hpp"
-#include "core/selector.hpp"
 #include "core/sim_arena.hpp"
 #include "util/rng.hpp"
 
@@ -59,7 +55,7 @@ cloud::CloudProfile make_profile(std::size_t vms, std::uint64_t seed) {
   return profile;
 }
 
-/// Field-by-field bit equality of two SimOutcomes (the memo contract).
+/// Field-by-field bit equality of two SimOutcomes.
 void expect_bit_identical(const SimOutcome& a, const SimOutcome& b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.utility), std::bit_cast<std::uint64_t>(b.utility));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.avg_bounded_slowdown),
@@ -73,69 +69,25 @@ void expect_bit_identical(const SimOutcome& a, const SimOutcome& b) {
   EXPECT_EQ(a.decisions, b.decisions);
 }
 
-TEST(RoundSnapshot, FingerprintStableAcrossRebuilds) {
+TEST(RoundSnapshot, StableAcrossRebuilds) {
   const auto queue = make_queue(12, 11);
   const auto profile = make_profile(8, 13);
   RoundSnapshot a;
   RoundSnapshot b;
   a.build(queue, profile);
+  b.build(make_queue(30, 17), make_profile(20, 19));
+  // Rebuilding an instance that held a bigger round (the capacity reuse
+  // path) must leave exactly the new round's rows behind.
   b.build(queue, profile);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  // Rebuilding the same instance (capacity reuse path) must not change it.
-  a.build(queue, profile);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.job_count(), queue.size());
   EXPECT_EQ(a.vm_count(), profile.vms.size());
-}
-
-TEST(RoundSnapshot, FingerprintSensitiveToEveryInput) {
-  const auto queue = make_queue(6, 21);
-  const auto profile = make_profile(4, 23);
-  RoundSnapshot base;
-  base.build(queue, profile);
-
-  {  // Any queue perturbation: predicted runtime off by one ULP-ish amount.
-    auto q = queue;
-    q[3].predicted_runtime += 1e-9;
-    RoundSnapshot s;
-    s.build(q, profile);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
-  {  // Queue length.
-    auto q = queue;
-    q.pop_back();
-    RoundSnapshot s;
-    s.build(q, profile);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
-  {  // The snapshot instant.
-    auto p = profile;
-    p.now += 20.0;
-    RoundSnapshot s;
-    s.build(queue, p);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
-  {  // VM state: a busy flag flip (e.g. a failure freed the VM).
-    auto p = profile;
-    p.vms[1].busy = !p.vms[1].busy;
-    RoundSnapshot s;
-    s.build(queue, p);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
-  {  // VM count (a crash removed one).
-    auto p = profile;
-    p.vms.pop_back();
-    RoundSnapshot s;
-    s.build(queue, p);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
-  {  // Capacity / boot scalars.
-    auto p = profile;
-    p.max_vms += 1;
-    RoundSnapshot s;
-    s.build(queue, p);
-    EXPECT_NE(s.fingerprint, base.fingerprint);
-  }
+  EXPECT_EQ(a.job_id, b.job_id);
+  EXPECT_EQ(a.job_submit, b.job_submit);
+  EXPECT_EQ(a.job_procs, b.job_procs);
+  EXPECT_EQ(a.job_predicted, b.job_predicted);
+  EXPECT_EQ(a.vm_lease, b.vm_lease);
+  EXPECT_EQ(a.vm_available, b.vm_available);
+  EXPECT_EQ(a.vm_busy, b.vm_busy);
 }
 
 TEST(OnlineSimHotPath, FastPathMatchesWrapperApi) {
@@ -170,187 +122,6 @@ TEST(OnlineSimHotPath, ArenaReuseAcrossRoundsIsClean) {
     SimArena fresh;
     expect_bit_identical(sim.simulate(snapshot, policy, fresh),
                          sim.simulate(snapshot, policy, reused));
-  }
-}
-
-SelectorConfig deterministic_config() {
-  SelectorConfig config;
-  config.time_constraint_ms = 0.0;  // unbounded
-  config.use_measured_cost = false;
-  config.synthetic_overhead_ms = 0.0;
-  config.tie_break = TieBreak::kFirstIndex;
-  return config;
-}
-
-void expect_identical(const SelectionResult& a, const SelectionResult& b) {
-  ASSERT_EQ(a.simulated(), b.simulated());
-  EXPECT_EQ(a.best_index, b.best_index);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.best_utility),
-            std::bit_cast<std::uint64_t>(b.best_utility));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_cost_ms),
-            std::bit_cast<std::uint64_t>(b.total_cost_ms));
-  EXPECT_EQ(a.quarantined, b.quarantined);
-  for (std::size_t i = 0; i < a.scores.size(); ++i) {
-    EXPECT_EQ(a.scores[i].index, b.scores[i].index);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.scores[i].utility),
-              std::bit_cast<std::uint64_t>(b.scores[i].utility));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.scores[i].cost_ms),
-              std::bit_cast<std::uint64_t>(b.scores[i].cost_ms));
-  }
-}
-
-TEST(SelectorMemo, HitIsBitIdenticalToFreshSimulation) {
-  // Replaying the identical round must hit the memo for every candidate and
-  // return exactly what a memo-off selector returns.
-  const auto queue = make_queue(8, 41);
-  const auto profile = make_profile(6, 43);
-
-  SelectorConfig on = deterministic_config();
-  SelectorConfig off = on;
-  off.memoize = false;
-
-  TimeConstrainedSelector with_memo(portfolio(), OnlineSimulator(sim_config()), on);
-  TimeConstrainedSelector without(portfolio(), OnlineSimulator(sim_config()), off);
-
-  const SelectionResult cold = with_memo.select(queue, profile);
-  const SelectionResult warm = with_memo.select(queue, profile);
-  const SelectionResult fresh1 = without.select(queue, profile);
-  const SelectionResult fresh2 = without.select(queue, profile);
-
-  EXPECT_EQ(cold.memo_hits, 0u);
-  EXPECT_EQ(warm.memo_hits, portfolio().size());
-  EXPECT_EQ(fresh1.memo_hits, 0u);
-  EXPECT_EQ(fresh2.memo_hits, 0u);
-  expect_identical(cold, fresh1);
-  expect_identical(warm, fresh2);
-}
-
-TEST(SelectorMemo, InvalidatesOnAnyRoundInputChange) {
-  const auto queue = make_queue(8, 51);
-  const auto profile = make_profile(6, 53);
-  TimeConstrainedSelector selector(portfolio(), OnlineSimulator(sim_config()),
-                                   deterministic_config());
-  (void)selector.select(queue, profile);
-
-  // A perturbed queue must miss...
-  auto changed_queue = queue;
-  changed_queue[0].predicted_runtime *= 1.5;
-  EXPECT_EQ(selector.select(changed_queue, profile).memo_hits, 0u);
-  // ...a perturbed profile (VM failed and was removed) must miss...
-  auto changed_profile = profile;
-  changed_profile.vms.pop_back();
-  EXPECT_EQ(selector.select(queue, changed_profile).memo_hits, 0u);
-  // ...and the memo keys on the latest round only: replaying the original
-  // inputs after those intervening rounds misses too (one slot per policy,
-  // not a history) — then the replayed round itself becomes hot.
-  EXPECT_EQ(selector.select(queue, profile).memo_hits, 0u);
-  EXPECT_EQ(selector.select(queue, profile).memo_hits, portfolio().size());
-  // reset() drops the cache with the Smart/Stale/Poor state.
-  selector.reset();
-  EXPECT_EQ(selector.select(queue, profile).memo_hits, 0u);
-}
-
-TEST(SelectorMemo, FixedCountBudgetChargesHitsLikeMisses) {
-  // In kFixedCount mode a hit charges exactly one unit, like a miss — the
-  // candidate sets and budget math stay bit-identical memo on/off even when
-  // the budget binds.
-  const auto queue = make_queue(8, 61);
-  const auto profile = make_profile(4, 63);
-  SelectorConfig on = deterministic_config();
-  on.budget_mode = BudgetMode::kFixedCount;
-  on.fixed_count = 17;
-  SelectorConfig off = on;
-  off.memoize = false;
-
-  TimeConstrainedSelector with_memo(portfolio(), OnlineSimulator(sim_config()), on);
-  TimeConstrainedSelector without(portfolio(), OnlineSimulator(sim_config()), off);
-  for (int round = 0; round < 4; ++round) {
-    SCOPED_TRACE("round=" + std::to_string(round));
-    const SelectionResult a = with_memo.select(queue, profile);
-    const SelectionResult b = without.select(queue, profile);
-    // The whole round — candidate subset, score order, budget charges — is
-    // bit-identical with the memo on or off. (The Smart/Stale/Poor rotation
-    // picks a different subset each round, so later rounds are a mix of
-    // hits and first-time candidates rather than all-hits.)
-    expect_identical(a, b);
-    EXPECT_EQ(b.memo_hits, 0u);
-    if (round > 0) {
-      EXPECT_GT(a.memo_hits, 0u);
-    }
-  }
-}
-
-TEST(SelectorMemo, DeterministicAcrossEvalThreadsWithRepeats) {
-  // A replay containing repeated rounds (the memo-hot case) must be
-  // bit-identical across eval_threads widths, memo on or off.
-  const auto queue_a = make_queue(6, 71);
-  const auto queue_b = make_queue(9, 73);
-  const auto profile_a = make_profile(5, 75);
-  const auto profile_b = make_profile(8, 77);
-
-  const auto replay = [&](std::size_t threads, bool memo) {
-    SelectorConfig config = deterministic_config();
-    config.eval_threads = threads;
-    config.memoize = memo;
-    TimeConstrainedSelector selector(portfolio(), OnlineSimulator(sim_config()),
-                                     config);
-    std::vector<SelectionResult> results;
-    for (int i = 0; i < 3; ++i) {
-      results.push_back(selector.select(queue_a, profile_a));
-      results.push_back(selector.select(queue_b, profile_b));
-      results.push_back(selector.select(queue_a, profile_a));
-    }
-    return results;
-  };
-
-  const auto baseline = replay(1, false);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const bool memo : {false, true}) {
-      const auto got = replay(threads, memo);
-      ASSERT_EQ(got.size(), baseline.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " memo=" + std::to_string(memo) + " event=" + std::to_string(i));
-        expect_identical(baseline[i], got[i]);
-      }
-    }
-  }
-}
-
-TEST(SelectorMemo, VerifyMemoReSimulatesWithoutChangingResults) {
-  // The paranoia switch re-simulates every hit and cross-checks; results
-  // and hit counts are unchanged (it is purely an assertion).
-  const auto queue = make_queue(7, 81);
-  const auto profile = make_profile(5, 83);
-  SelectorConfig verify = deterministic_config();
-  verify.verify_memo = true;
-  verify.eval_threads = 2;
-  SelectorConfig plain = deterministic_config();
-  plain.eval_threads = 2;
-
-  TimeConstrainedSelector checked(portfolio(), OnlineSimulator(sim_config()), verify);
-  TimeConstrainedSelector unchecked(portfolio(), OnlineSimulator(sim_config()), plain);
-  for (int i = 0; i < 3; ++i) {
-    const SelectionResult a = checked.select(queue, profile);
-    const SelectionResult b = unchecked.select(queue, profile);
-    expect_identical(a, b);
-    EXPECT_EQ(a.memo_hits, b.memo_hits);
-  }
-}
-
-TEST(SelectorMemo, DisabledUnderFaultInjection) {
-  // With candidate-throw injection active the memo must stay cold — serving
-  // cached outcomes would skip the failure path under test.
-  const auto queue = make_queue(5, 91);
-  const auto profile = make_profile(3, 93);
-  OnlineSimConfig faulty = sim_config();
-  faulty.inject_fault = validate::FaultInjection::kCandidateThrow;
-  TimeConstrainedSelector selector(portfolio(), OnlineSimulator(faulty),
-                                   deterministic_config());
-  for (int i = 0; i < 2; ++i) {
-    const SelectionResult result = selector.select(queue, profile);
-    EXPECT_TRUE(result.degraded);
-    EXPECT_EQ(result.memo_hits, 0u);
   }
 }
 

@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <set>
 
+#include "engine/experiment.hpp"
+#include "obs/obs.hpp"
+#include "workload/generator.hpp"
+
 namespace psched::core {
 namespace {
 
@@ -377,6 +381,52 @@ TEST(SelectorDegradation, ParallelWavesQuarantineDeterministically) {
   EXPECT_EQ(ra.quarantined, rb.quarantined);
   EXPECT_EQ(ra.best_index, rb.best_index);
   EXPECT_EQ(a.poor().size(), b.poor().size());
+}
+
+TEST(SelectorDegradation, IterationCapQuarantinesEveryCandidate) {
+  // One decision-loop iteration cannot drain a queue that waits for VMs to
+  // boot, so every candidate reaches the cap. Each one throws
+  // OnlineSimError and is quarantined; the round degrades instead of
+  // aborting, at any wave width.
+  OnlineSimConfig capped = sim_config();
+  capped.max_iterations = 1;
+  const auto queue = small_queue();
+  EXPECT_THROW((void)OnlineSimulator(capped).simulate(queue, empty_cloud(),
+                                                      portfolio().policies()[0]),
+               OnlineSimError);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("eval_threads=" + std::to_string(threads));
+    SelectorConfig config = unbounded();
+    config.eval_threads = threads;
+    TimeConstrainedSelector s(portfolio(), OnlineSimulator(capped), config);
+    const SelectionResult result = s.select(queue, empty_cloud(), 7);
+    EXPECT_TRUE(result.degraded);
+    EXPECT_EQ(result.quarantined, portfolio().size());
+    EXPECT_TRUE(result.scores.empty());
+    EXPECT_EQ(result.best_index, 7u);
+    expect_partition(s, portfolio().size());
+  }
+}
+
+TEST(SelectorDegradation, EngineRunFinishesWhenEveryCandidateHitsTheIterationCap) {
+  // A zero cap fails every candidate on its first decision, whatever the
+  // engine's queue and fleet look like, so every selection round of the
+  // run degrades to the last-known-good policy and the run still finishes.
+  const workload::Trace trace =
+      workload::TraceGenerator(workload::kth_sp2_like(0.1)).generate(3).cleaned(64);
+  ASSERT_FALSE(trace.empty());
+  const engine::EngineConfig config = engine::paper_engine_config();
+  auto pconfig = engine::paper_portfolio_config(config);
+  pconfig.online_sim.max_iterations = 0;
+  obs::Recorder recorder(obs::ObsConfig{obs::ObsLevel::kCounters});
+  const engine::ScenarioResult result =
+      engine::run_portfolio(config, trace, portfolio(), pconfig,
+                            engine::PredictorKind::kPerfect, nullptr, &recorder);
+  EXPECT_EQ(result.run.metrics.jobs, trace.size());
+  EXPECT_GT(result.portfolio.invocations, 0u);
+  const auto& counters = recorder.counters();
+  ASSERT_EQ(counters.count("selector.degraded_rounds"), 1u);
+  EXPECT_EQ(counters.at("selector.degraded_rounds"), counters.at("selector.rounds"));
 }
 
 }  // namespace

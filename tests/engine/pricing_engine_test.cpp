@@ -1,6 +1,5 @@
 // Engine-level pricing coverage: the pricing-off no-op guarantee, bit-exact
-// determinism of pricing-enabled portfolio runs across eval-thread counts and
-// memo modes (verify_memo re-simulating hits under a moving price schedule),
+// determinism of pricing-enabled portfolio runs across eval-thread counts,
 // spot revocations flowing through the PR 5 kill/resubmit machinery, and the
 // up-front reserved-commitment bill — all with the invariant checker attached
 // in abort mode so a passing test doubles as an invariant proof.
@@ -142,34 +141,28 @@ TEST(PricingEngine, TierAwarePoliciesDegradeToOdaWithPricingOff) {
 
 // ---------------------------------------------------------------------------
 // Pricing-enabled runs stay deterministic: fixed seed, fixed-count selector
-// budget, any eval-thread count, memo on or off. paper_portfolio_config turns
-// verify_memo on for checked configs, so the memoized runs also re-simulate
-// every memo hit under the moving price schedule (fingerprint tripwire).
+// budget, any eval-thread count, under a moving price schedule.
 
-TEST(PricingEngine, MixedMarketDeterministicAcrossThreadsAndMemo) {
+TEST(PricingEngine, MixedMarketDeterministicAcrossThreads) {
   const workload::Trace trace("t", 64, mixed_jobs());
   EngineConfig config = checked_config();
   config.pricing = mixed_market();
 
-  auto run_with = [&](std::size_t threads, bool memoize) {
+  auto run_with = [&](std::size_t threads) {
     core::PortfolioSchedulerConfig pconfig = paper_portfolio_config(config);
     pconfig.selection_period_ticks = 8;
     pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
     pconfig.selector.fixed_count = 12;
     pconfig.selector.eval_threads = threads;
-    pconfig.selector.memoize = memoize;
-    EXPECT_TRUE(pconfig.selector.verify_memo);
     return run_portfolio(config, trace, pricing_portfolio(), pconfig,
                          PredictorKind::kPerfect).run;
   };
 
-  const RunResult one = run_with(1, true);
-  expect_identical(one, run_with(2, true));
-  expect_identical(one, run_with(4, true));
-  expect_identical(one, run_with(1, false));
-  expect_identical(one, run_with(4, false));
+  const RunResult one = run_with(1);
+  expect_identical(one, run_with(2));
+  expect_identical(one, run_with(4));
   // And across repeated identical runs.
-  expect_identical(one, run_with(1, true));
+  expect_identical(one, run_with(1));
 }
 
 // ---------------------------------------------------------------------------

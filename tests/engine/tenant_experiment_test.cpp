@@ -235,11 +235,10 @@ std::string report_fingerprint(const MultiTenantConfig& config,
                               nullptr);
 }
 
-TEST(MultiTenantDeterminism, BitIdenticalAcrossEvalThreadsAndMemo) {
+TEST(MultiTenantDeterminism, BitIdenticalAcrossEvalThreads) {
   // N=8 tenants under the portfolio scheduler in fixed-count budget mode:
-  // the run report must be byte-identical with no pool, pools of 2 and 4
-  // workers (which host both tenant waves and nested selector waves), and
-  // with the selector memo cache disabled.
+  // the run report must be byte-identical with no pool and with pools of 2
+  // and 4 workers (which host both tenant waves and nested selector waves).
   constexpr std::size_t kTenants = 8;
   std::vector<workload::Trace> traces;
   traces.reserve(kTenants);
@@ -271,11 +270,6 @@ TEST(MultiTenantDeterminism, BitIdenticalAcrossEvalThreadsAndMemo) {
     EXPECT_EQ(serial, report_fingerprint(config, &pool))
         << "diverged at pool width " << threads;
   }
-  MultiTenantConfig no_memo = config;
-  no_memo.scheduler.selector.memoize = false;
-  EXPECT_EQ(serial, report_fingerprint(no_memo, nullptr)) << "memo off, serial";
-  util::ThreadPool pool(4);
-  EXPECT_EQ(serial, report_fingerprint(no_memo, &pool)) << "memo off, pool 4";
 }
 
 TEST(MultiTenantEquivalence, SingleTenantMatchesStandalonePortfolio) {

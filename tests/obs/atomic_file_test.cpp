@@ -1,4 +1,4 @@
-// Crash-safe emission tests (DESIGN.md §14): write_file_atomic must leave
+// Crash-safe emission tests (DESIGN.md §9.2): write_file_atomic must leave
 // either the complete previous file or the complete new file — a simulated
 // crash mid-write (kCrashBeforeRename) keeps the previous content intact,
 // while the deliberately broken kTornDestination path shows what the helper
@@ -58,7 +58,7 @@ TEST_F(AtomicFileTest, ReplacesPreviousContentCompletely) {
 }
 
 TEST_F(AtomicFileTest, CrashMidWriteLeavesThePreviousFileIntact) {
-  // The property every report/trace/SARIF/bench/checkpoint emission relies
+  // The property every report/trace/SARIF/bench emission relies
   // on: a crash after the temp write starts but before the rename must
   // leave the destination byte-identical to its previous content.
   const std::string previous = "{\"schema\":\"psched-run-report/v1\"}\n";
@@ -76,8 +76,8 @@ TEST_F(AtomicFileTest, CrashMidWriteOnAFreshPathLeavesNoDestination) {
 
 TEST_F(AtomicFileTest, TornDestinationFaultShowsTheFailureModePrevented) {
   // kTornDestination bypasses temp+rename on purpose: the destination ends
-  // up a truncated prefix — exactly what downstream checksum validation
-  // (checkpoint trailers, report schemas) must catch.
+  // up a truncated prefix — exactly what downstream validation (report
+  // schemas) must catch.
   const std::string full = "0123456789abcdef0123456789abcdef";
   EXPECT_TRUE(write_file_atomic(path_, full, AtomicWriteFault::kTornDestination));
   const std::string torn = contents();

@@ -87,10 +87,6 @@ INSTANTIATE_TEST_SUITE_P(
         // checkers never see it, so it has no place in this provider-fault
         // suite (the selector degradation tests cover it).
         case FaultInjection::kCandidateThrow: break;
-        // Checkpoint faults live at the checkpoint-writer level; the
-        // checkpoint fuzz pass covers them (validate/fuzz.cpp).
-        case FaultInjection::kCheckpointTornWrite: break;
-        case FaultInjection::kCheckpointBitFlip: break;
         case FaultInjection::kNone: break;
       }
       return "None";

@@ -45,7 +45,6 @@ check_config_fields PricingConfig src/cloud/pricing.hpp
 check_config_fields VmFamily src/cloud/pricing.hpp
 check_config_fields TenantConfig src/engine/tenant.hpp
 check_config_fields MultiTenantConfig src/engine/tenant.hpp
-check_config_fields CheckpointConfig src/engine/checkpoint.hpp
 
 # --- 2. --flags mentioned in docs must exist in the sources ----------------
 # Flags of external tools (cmake/ctest/gtest themselves) are allowlisted.
@@ -98,7 +97,7 @@ done
 # --- 3b. Emitted schema tags must be documented in DESIGN.md ---------------
 # Source of truth: every "psched-<name>/vK" schema constant in src/. A
 # schema a consumer can encounter (run reports and their sections, bench
-# reports, checkpoints) must be described somewhere in DESIGN.md.
+# reports) must be described somewhere in DESIGN.md.
 schemas=$(grep -rhoE '"psched-[a-z-]+/v[0-9]+"' src | tr -d '"' | sort -u)
 if [ -z "$schemas" ]; then
   echo "docs-lint: could not extract schema tags from src/" >&2

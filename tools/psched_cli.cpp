@@ -12,7 +12,7 @@
 //        [--scheduler portfolio|POLICY-NAME] [--predictor accurate|predicted|
 //         user-estimate|last-runtime|running-mean|ewma]
 //        [--delta MS] [--budget-mode wallclock|fixed-count] [--fixed-count N]
-//        [--eval-threads N] [--period TICKS] [--backfill] [--no-memo]
+//        [--eval-threads N] [--period TICKS] [--backfill]
 //        [--on-change] [--reflection] [--quantum SECONDS] [--csv FILE]
 //        [--check-invariants] [--inject-fault NAME] [--differential]
 //        [--obs-level off|counters|trace] [--report-out FILE.json]
@@ -25,8 +25,6 @@
 //        [--pricing-seed S]
 //        [--tenants N] [--tenant-weights W1,...,WN] [--tenant-budget HOURS]
 //        [--arbitration-ticks T]
-//        [--checkpoint-every N] [--checkpoint-dir DIR] [--checkpoint-keep K]
-//        [--resume-from FILE|auto]
 //       Run one scenario and print the paper's metrics. --eval-threads N
 //       simulates selector candidates in parallel waves of N (0 = hardware
 //       concurrency; default 1 = the sequential algorithm).
@@ -77,18 +75,6 @@
 //       VM-hour budget (0 = unlimited). The run report gains the
 //       "psched-tenants/v1" section; --trace-out and --differential are
 //       not supported in this mode.
-//       Checkpoint/restore (DESIGN.md §14): --checkpoint-every N writes a
-//       "psched-checkpoint/v1" file every N epochs (scheduling periods, or
-//       arbitration epochs with --tenants) into --checkpoint-dir (default
-//       "."), keeping the newest --checkpoint-keep files (default 2);
-//       --resume-from FILE resumes from a checkpoint file and
-//       --resume-from auto from the newest valid checkpoint in the
-//       directory. A resumed run's report is byte-identical to an
-//       uninterrupted one; corrupt or mismatched checkpoints are rejected
-//       (counted in the report's "checkpoint" section) with fallback to
-//       the next older checkpoint, then to a fresh start. --inject-fault
-//       checkpoint-torn-write / checkpoint-bit-flip corrupt every
-//       checkpoint write to prove the detection path fires.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime error.
 #include <algorithm>
@@ -99,7 +85,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/checkpoint.hpp"
 #include "engine/experiment.hpp"
 #include "engine/tenant.hpp"
 #include "obs/report.hpp"
@@ -359,30 +344,15 @@ std::vector<workload::Trace> tenant_traces_from_args(
   return traces;
 }
 
-/// The report's "checkpoint" section from a finished supervised run.
-obs::ReportCheckpoint checkpoint_report(const engine::CheckpointConfig& config,
-                                        const engine::CheckpointStats& stats) {
-  obs::ReportCheckpoint section;
-  section.present = true;
-  section.every_epochs = config.every_epochs;
-  section.written = stats.written;
-  section.restored = stats.restored;
-  section.rejected = stats.rejected;
-  section.resumed_epoch = stats.resumed_epoch;
-  return section;
-}
-
 /// `run --tenants N`: the multi-tenant service mode (DESIGN.md §13).
 /// `portfolio` is null in fixed-policy mode (then `triple` is the policy).
-/// `checkpoint` is null unless checkpoint supervision was requested.
 int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& config,
                     const workload::Trace& trace,
                     const policy::Portfolio* portfolio,
                     const core::PortfolioSchedulerConfig& pconfig,
                     const policy::PolicyTriple* triple,
                     engine::PredictorKind predictor, obs::Recorder* rec,
-                    const std::string& report_out, std::size_t count,
-                    const engine::CheckpointConfig* checkpoint) {
+                    const std::string& report_out, std::size_t count) {
   const std::int64_t ticks = args.get_int("arbitration-ticks", 1);
   if (ticks < 1) {
     std::fputs("error: --arbitration-ticks must be >= 1\n", stderr);
@@ -455,14 +425,8 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   const auto eval_threads = static_cast<std::size_t>(args.get_int("eval-threads", 1));
   std::unique_ptr<util::ThreadPool> pool;
   if (eval_threads != 1) pool = std::make_unique<util::ThreadPool>(eval_threads);
-  engine::MultiTenantResult result;
-  engine::CheckpointStats ckpt_stats;
-  if (checkpoint != nullptr) {
-    result = engine::run_tenants_checkpointed(mt, *checkpoint, ckpt_stats, pool.get());
-  } else {
-    engine::MultiTenantExperiment experiment(mt, pool.get());
-    result = experiment.run();
-  }
+  engine::MultiTenantExperiment experiment(mt, pool.get());
+  const engine::MultiTenantResult result = experiment.run();
 
   const auto& m = result.metrics;
   util::Table table({"Metric", "Value"});
@@ -489,13 +453,6 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   if (config.validation.check_invariants) {
     table.add_row({"invariant checks", result.invariant_checks});
     table.add_row({"invariant violations", result.invariant_violations.size()});
-  }
-  if (checkpoint != nullptr) {
-    table.add_row({"checkpoints written/restored/rejected",
-                   std::to_string(ckpt_stats.written) + "/" +
-                       std::to_string(ckpt_stats.restored) + "/" +
-                       std::to_string(ckpt_stats.rejected)});
-    table.add_row({"resumed from epoch", ckpt_stats.resumed_epoch});
   }
   std::fputs(table.render("psched run --tenants").c_str(), stdout);
 
@@ -530,8 +487,7 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
     return 2;
   }
   if (!report_out.empty()) {
-    obs::RunReportInputs inputs = engine::multi_tenant_report_inputs(result, mt);
-    if (checkpoint != nullptr) inputs.checkpoint = checkpoint_report(*checkpoint, ckpt_stats);
+    const obs::RunReportInputs inputs = engine::multi_tenant_report_inputs(result, mt);
     if (!obs::write_text_file(report_out, obs::run_report_json(inputs, rec))) {
       std::fputs("error: cannot write --report-out file\n", stderr);
       return 2;
@@ -633,42 +589,8 @@ int cmd_run(const util::ArgParser& args) {
     std::fputs(
         "error: unknown --inject-fault (none, billing-off-by-one, "
         "skip-boot-delay, cap-overshoot, candidate-throw, "
-        "tenant-cap-overshoot, tenant-unfair-share, checkpoint-torn-write, "
-        "checkpoint-bit-flip)\n",
+        "tenant-cap-overshoot, tenant-unfair-share)\n",
         stderr);
-    return 1;
-  }
-
-  // Checkpoint supervision (DESIGN.md §14). The checkpoint faults corrupt
-  // checkpoint *writes*, not provider behavior, so they route to the
-  // supervisor and stay out of the invariant checker's fault plumbing.
-  engine::CheckpointConfig ckpt;
-  const bool ckpt_fault =
-      config.validation.inject_fault ==
-          validate::FaultInjection::kCheckpointTornWrite ||
-      config.validation.inject_fault == validate::FaultInjection::kCheckpointBitFlip;
-  if (ckpt_fault) {
-    ckpt.inject_fault = config.validation.inject_fault;
-    config.validation.inject_fault = validate::FaultInjection::kNone;
-  }
-  const std::int64_t ckpt_every = args.get_int("checkpoint-every", 0);
-  const std::int64_t ckpt_keep = args.get_int("checkpoint-keep", 2);
-  if (ckpt_every < 0 || ckpt_keep < 1) {
-    std::fputs("error: --checkpoint-every wants N >= 0 epochs and "
-               "--checkpoint-keep wants K >= 1 files\n",
-               stderr);
-    return 1;
-  }
-  ckpt.every_epochs = static_cast<std::size_t>(ckpt_every);
-  ckpt.keep = static_cast<std::size_t>(ckpt_keep);
-  ckpt.directory = args.get("checkpoint-dir", ".");
-  ckpt.resume_from = args.get("resume-from", "");
-  const bool checkpointed =
-      ckpt.every_epochs > 0 || !ckpt.resume_from.empty() || ckpt_fault;
-  if (checkpointed && args.get_bool("differential")) {
-    std::fputs("error: --checkpoint-every/--resume-from are not supported "
-               "with --differential\n",
-               stderr);
     return 1;
   }
 
@@ -720,7 +642,6 @@ int cmd_run(const util::ArgParser& args) {
   const std::string scheduler = args.get("scheduler", "portfolio");
 
   engine::ScenarioResult result;
-  engine::CheckpointStats ckpt_stats;
   if (scheduler == "portfolio") {
     auto pconfig = engine::paper_portfolio_config(config);
     pconfig.selector.time_constraint_ms = args.get_double("delta", 0.0);
@@ -740,9 +661,6 @@ int cmd_run(const util::ArgParser& args) {
         static_cast<std::uint64_t>(args.get_int("period", 1));
     if (args.get_bool("on-change")) pconfig.trigger = core::SelectionTrigger::kOnChange;
     pconfig.use_reflection_hints = args.get_bool("reflection");
-    // --no-memo disables the cross-round memo cache (identical results in
-    // the deterministic budget modes; use for A/B perf comparisons).
-    if (args.get_bool("no-memo")) pconfig.selector.memoize = false;
     // candidate-throw lives in the selector, not the provider: every online
     // candidate simulation throws and the run must still complete (graceful
     // degradation), exiting 0 with zero invariant violations.
@@ -751,15 +669,9 @@ int cmd_run(const util::ArgParser& args) {
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, &portfolio, pconfig,
                              /*triple=*/nullptr, predictor, rec, report_out,
-                             tenant_count, checkpointed ? &ckpt : nullptr);
-    if (checkpointed)
-      result = engine::run_portfolio_checkpointed(config, trace, portfolio,
-                                                  pconfig, predictor, ckpt,
-                                                  ckpt_stats,
-                                                  /*eval_pool=*/nullptr, rec);
-    else
-      result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor,
-                                     /*eval_pool=*/nullptr, rec);
+                             tenant_count);
+    result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor,
+                                   /*eval_pool=*/nullptr, rec);
   } else {
     const policy::PolicyTriple* triple = portfolio.find(scheduler);
     if (triple == nullptr) {
@@ -770,14 +682,8 @@ int cmd_run(const util::ArgParser& args) {
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, /*portfolio=*/nullptr,
                              core::PortfolioSchedulerConfig{}, triple, predictor,
-                             rec, report_out, tenant_count,
-                             checkpointed ? &ckpt : nullptr);
-    if (checkpointed)
-      result = engine::run_single_policy_checkpointed(config, trace, *triple,
-                                                      predictor, ckpt, ckpt_stats,
-                                                      rec);
-    else
-      result = engine::run_single_policy(config, trace, *triple, predictor, rec);
+                             rec, report_out, tenant_count);
+    result = engine::run_single_policy(config, trace, *triple, predictor, rec);
   }
 
   const auto& m = result.run.metrics;
@@ -840,13 +746,6 @@ int cmd_run(const util::ArgParser& args) {
     table.add_row({"invariant checks", result.run.invariant_checks});
     table.add_row({"invariant violations", result.run.invariant_violations.size()});
   }
-  if (checkpointed) {
-    table.add_row({"checkpoints written/restored/rejected",
-                   std::to_string(ckpt_stats.written) + "/" +
-                       std::to_string(ckpt_stats.restored) + "/" +
-                       std::to_string(ckpt_stats.rejected)});
-    table.add_row({"resumed from epoch", ckpt_stats.resumed_epoch});
-  }
   std::fputs(table.render("psched run").c_str(), stdout);
 
   for (const validate::Violation& v : result.run.invariant_violations)
@@ -858,10 +757,8 @@ int cmd_run(const util::ArgParser& args) {
     std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
     return 2;
   }
-  const obs::ReportCheckpoint ckpt_section = checkpoint_report(ckpt, ckpt_stats);
   if (!engine::write_observability_outputs(result, config, rec, report_out,
-                                           trace_out,
-                                           checkpointed ? &ckpt_section : nullptr)) {
+                                           trace_out)) {
     std::fputs("error: cannot write --report-out/--trace-out file\n", stderr);
     return 2;
   }

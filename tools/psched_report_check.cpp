@@ -2,7 +2,6 @@
 //
 // usage: psched-report-check [--report FILE.json] [--trace FILE.json]
 //                            [--bench FILE.json] [--sarif FILE.sarif]
-//                            [--checkpoint FILE.ckpt]
 //
 // Checks the same schemas the unit tests pin, via the shared validators in
 // src/obs/report.hpp: a --report file must be a well-formed
@@ -11,10 +10,7 @@
 // pairs; a --bench file must be a rectangular "psched-bench-report/v1"
 // table (bench harness `--report` output); a --sarif file must be a SARIF
 // v2.1.0 document with the result/location plumbing GitHub code scanning
-// ingests (psched-lint --sarif output); a --checkpoint file must be a
-// well-formed "psched-checkpoint/v1" snapshot whose trailer checksum
-// matches its body (src/engine/checkpoint.hpp — catches torn writes and
-// bit flips without starting a replay). CI runs this against the artifacts
+// ingests (psched-lint --sarif output). CI runs this against the artifacts
 // `psched run --report-out --trace-out` and `psched_lint --sarif` emit, so
 // a schema drift fails the build rather than the first downstream consumer.
 //
@@ -24,7 +20,6 @@
 #include <sstream>
 #include <string>
 
-#include "engine/checkpoint.hpp"
 #include "obs/report.hpp"
 #include "util/argparse.hpp"
 
@@ -57,24 +52,6 @@ bool check(const std::string& path, const char* what,
   return true;
 }
 
-/// Decode + checksum-verify one checkpoint file (no replay: config/digest
-/// agreement needs the producing run, this checks integrity and schema).
-bool check_checkpoint(const std::string& path) {
-  const psched::engine::CheckpointDecodeResult decoded =
-      psched::engine::load_checkpoint_file(path);
-  if (decoded.error != psched::engine::CheckpointError::kNone) {
-    std::fprintf(stderr, "psched-report-check: checkpoint %s: %s (%s)\n",
-                 path.c_str(), psched::engine::to_string(decoded.error),
-                 decoded.detail.c_str());
-    return false;
-  }
-  std::printf("psched-report-check: checkpoint %s: ok (epoch %llu, %zu entries)\n",
-              path.c_str(),
-              static_cast<unsigned long long>(decoded.doc.epoch),
-              decoded.doc.digest.entries().size());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,12 +60,10 @@ int main(int argc, char** argv) {
   const std::string trace = args.get("trace", "");
   const std::string bench = args.get("bench", "");
   const std::string sarif = args.get("sarif", "");
-  const std::string checkpoint = args.get("checkpoint", "");
-  if (report.empty() && trace.empty() && bench.empty() && sarif.empty() &&
-      checkpoint.empty()) {
+  if (report.empty() && trace.empty() && bench.empty() && sarif.empty()) {
     std::fputs(
         "usage: psched-report-check [--report FILE.json] [--trace FILE.json]"
-        " [--bench FILE.json] [--sarif FILE.sarif] [--checkpoint FILE.ckpt]\n",
+        " [--bench FILE.json] [--sarif FILE.sarif]\n",
         stderr);
     return 1;
   }
@@ -97,6 +72,5 @@ int main(int argc, char** argv) {
   if (!trace.empty()) ok = check(trace, "trace", psched::obs::validate_chrome_trace) && ok;
   if (!bench.empty()) ok = check(bench, "bench report", psched::obs::validate_bench_report) && ok;
   if (!sarif.empty()) ok = check(sarif, "sarif", psched::obs::validate_sarif) && ok;
-  if (!checkpoint.empty()) ok = check_checkpoint(checkpoint) && ok;
   return ok ? 0 : 2;
 }
