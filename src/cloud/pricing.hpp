@@ -18,9 +18,12 @@
 // signal: the engine reuses the PR 5 kill/resubmit machinery, so the
 // determinism argument for crashes (DESIGN.md §10) transfers verbatim.
 //
-// With the default config `PricingConfig::enabled()` is false and the
-// engine never constructs a model — pricing-off runs are provably
-// bit-identical to a build without this header.
+// With the default config `PricingConfig::enabled()` is false: the engine
+// constructs no model and the run report has no pricing section. Pricing
+// off is still a market, the degenerate one — a single on-demand family at
+// price 1.0 with the provider's boot delay and no cap — so the engine and
+// the online simulator keep one provisioning and pricing path (DESIGN.md
+// §12), and pricing-off runs are bit-identical to the paper's cloud.
 
 #include <cstddef>
 #include <cstdint>
@@ -102,9 +105,9 @@ struct PricingConfig {
   /// Root seed for the named pricing streams ("spot", "walk").
   std::uint64_t seed = 0x951ce;
 
-  /// True when any pricing feature is active. False (the default) makes
-  /// the whole layer a no-op: the engine skips model construction and the
-  /// profile carries no pricing view.
+  /// True when any pricing feature is active. False (the default) is the
+  /// degenerate market: the engine skips model construction, the profile's
+  /// view stays disabled, and the report omits its pricing section.
   [[nodiscard]] bool enabled() const noexcept {
     return !families.empty() || spot_price_fraction > 0.0 ||
            !schedule.empty() || walk_step > 0.0 || reserved_count > 0;
@@ -122,7 +125,9 @@ struct LeaseRequest {
 
 /// Read-only pricing snapshot for one scheduling instant, embedded in
 /// CloudProfile (and copied into RoundSnapshot for the selector fast
-/// path). Prices are effective — base price × current multiplier.
+/// path). Prices are effective — base price × current multiplier. With
+/// pricing off `enabled` is false and RoundSnapshot fills in the one-family
+/// degenerate market (price 1.0, the provider's boot delay, cap 0).
 struct PricingView {
   struct Family {
     double price = 1.0;           ///< on-demand $/quantum at current multiplier

@@ -55,16 +55,17 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   const SimTime t0 = snapshot.t0;
 
   arena.reset();
-  // Pricing (DESIGN.md §12): the arena keeps a mutable copy of the round's
-  // pricing view — occupancy (family in_use, reserved_in_use) tracks the
-  // inner fleet live so tier-aware policies see real headroom, while the
-  // market itself stays frozen at the snapshot's multiplier. Spot
-  // revocations are NOT simulated inside a candidate (like crashes: the
-  // inner sim is the scheduler's optimistic plan, not the adversary).
-  const bool pricing_on = snapshot.pricing.enabled;
-  if (pricing_on) arena.pricing = snapshot.pricing;
+  // The arena keeps a mutable copy of the round's market (DESIGN.md §12):
+  // occupancy (family in_use, reserved_in_use) tracks the inner fleet live
+  // so tier-aware policies see real headroom, while the market itself stays
+  // frozen at the snapshot's multiplier. With pricing off the snapshot's
+  // market is one family at price 1.0, so every price weight below is
+  // exactly 1.0 and this one path is the paper's cloud. Spot revocations
+  // are NOT simulated inside a candidate (like crashes: the inner sim is
+  // the scheduler's optimistic plan, not the adversary).
+  arena.pricing = snapshot.pricing;
   /// Price weight of one VM row: effective $/quantum at the frozen market,
-  /// as a multiplier on charged seconds (1.0 everywhere with pricing off).
+  /// as a multiplier on charged seconds.
   const auto price_weight = [&arena](std::size_t row) -> double {
     const cloud::PricingView& pv = arena.pricing;
     double fraction = 1.0;
@@ -77,9 +78,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   for (std::size_t i = 0; i < snapshot.vm_count(); ++i) {
     // Snapshot availability is already clamped to t0.
     arena.push_vm(next_vm_id++, snapshot.vm_lease[i], snapshot.vm_available[i],
-                  /*fresh=*/false, snapshot.vm_busy[i] != 0,
-                  pricing_on ? snapshot.vm_family[i] : 0,
-                  pricing_on ? snapshot.vm_tier[i] : 0);
+                  /*fresh=*/false, snapshot.vm_busy[i] != 0, snapshot.vm_family[i],
+                  snapshot.vm_tier[i]);
   }
 
   snapshot.fill_pending(arena.pending);
@@ -92,60 +92,52 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   const std::size_t total_jobs = pending.size();
   SimTime last_completion = t0;
 
+  policy::SchedContext ctx;
+  ctx.max_vms = snapshot.max_vms;
+  ctx.pricing = &arena.pricing;
+  /// Point the context at the current queue and fleet.
+  const auto observe = [&] {
+    ctx.now = now;
+    ctx.queue = pending;
+    ctx.idle_vms = 0;
+    ctx.booting_vms = 0;
+    for (std::size_t i = 0; i < arena.vm_count(); ++i) {
+      if (arena.vm_avail[i] <= now) ++ctx.idle_vms;
+      else if (!arena.vm_busy[i]) ++ctx.booting_vms;
+    }
+    ctx.total_vms = arena.vm_count();
+  };
+
   while (!pending.empty()) {
     if (++out.decisions > config_.max_iterations)
       throw OnlineSimError("online simulation exceeded the iteration cap");
-
-    // --- scheduling context -------------------------------------------------
-    std::size_t idle = 0, booting = 0;
-    for (std::size_t i = 0; i < arena.vm_count(); ++i) {
-      if (arena.vm_avail[i] <= now) ++idle;
-      else if (!arena.vm_busy[i]) ++booting;
-    }
-    policy::SchedContext ctx;
-    ctx.now = now;
-    ctx.queue = pending;
-    ctx.idle_vms = idle;
-    ctx.booting_vms = booting;
-    ctx.total_vms = arena.vm_count();
-    ctx.max_vms = snapshot.max_vms;
-    if (pricing_on) ctx.pricing = &arena.pricing;
+    observe();
 
     // --- 1. provisioning -----------------------------------------------------
+    // The policy's lease plan, granted request by request under the same
+    // caps the provider enforces — global headroom, per-family caps, and the
+    // reserved commitment.
     std::size_t headroom =
         arena.vm_count() >= snapshot.max_vms ? 0 : snapshot.max_vms - arena.vm_count();
     std::size_t to_lease = 0;
-    if (!pricing_on) {
-      to_lease = std::min(policy.provisioning->vms_to_lease(ctx), headroom);
-      for (std::size_t i = 0; i < to_lease; ++i) {
-        arena.push_vm(next_vm_id++, now, now + snapshot.boot_delay,
-                      /*fresh=*/true, /*busy=*/false);
+    policy.provisioning->lease_plan(ctx, arena.lease_requests);
+    for (const cloud::LeaseRequest& req : arena.lease_requests) {
+      PSCHED_ASSERT_MSG(req.family < arena.pricing.families.size(),
+                        "lease plan names an unknown VM family");
+      std::size_t grant = std::min(req.count, headroom);
+      grant = std::min(grant, arena.pricing.family_free(req.family));
+      if (req.tier == cloud::PurchaseTier::kReserved)
+        grant = std::min(grant, arena.pricing.reserved_free());
+      const SimDuration boot = arena.pricing.families[req.family].boot_delay;
+      for (std::size_t i = 0; i < grant; ++i) {
+        arena.push_vm(next_vm_id++, now, now + boot, /*fresh=*/true,
+                      /*busy=*/false, req.family, static_cast<unsigned char>(req.tier));
       }
-    } else {
-      // Tier-aware path: the policy's lease plan, granted request by
-      // request under the same caps the provider enforces — global
-      // headroom, per-family caps, and the reserved commitment.
-      policy.provisioning->lease_plan(ctx, arena.lease_requests);
-      for (const cloud::LeaseRequest& req : arena.lease_requests) {
-        PSCHED_ASSERT_MSG(req.family < arena.pricing.families.size(),
-                          "lease plan names an unknown VM family");
-        std::size_t grant = std::min(req.count, headroom);
-        grant = std::min(grant, arena.pricing.family_free(req.family));
-        if (req.tier == cloud::PurchaseTier::kReserved)
-          grant = std::min(grant, arena.pricing.reserved_free());
-        const SimDuration boot =
-            arena.pricing.families[req.family].boot_delay;
-        for (std::size_t i = 0; i < grant; ++i) {
-          arena.push_vm(next_vm_id++, now, now + boot, /*fresh=*/true,
-                        /*busy=*/false, req.family,
-                        static_cast<unsigned char>(req.tier));
-        }
-        arena.pricing.families[req.family].in_use += grant;
-        if (req.tier == cloud::PurchaseTier::kReserved)
-          arena.pricing.reserved_in_use += grant;
-        headroom -= grant;
-        to_lease += grant;
-      }
+      arena.pricing.families[req.family].in_use += grant;
+      if (req.tier == cloud::PurchaseTier::kReserved)
+        arena.pricing.reserved_in_use += grant;
+      headroom -= grant;
+      to_lease += grant;
     }
 
     // --- 2. allocation (shared planner; head-of-line or EASY backfill) -------
@@ -203,16 +195,13 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
           double seconds =
               charge_seconds(arena.vm_lease[i], arena.vm_fresh[i] != 0, now, t0,
                              config_.cost_model, snapshot.billing_quantum);
-          if (pricing_on) {
-            seconds *= price_weight(i);
-            cloud::PricingView::Family& fam =
-                arena.pricing.families[arena.vm_family[i]];
-            if (fam.in_use > 0) --fam.in_use;
-            if (arena.vm_tier[i] ==
-                    static_cast<unsigned char>(cloud::PurchaseTier::kReserved) &&
-                arena.pricing.reserved_in_use > 0)
-              --arena.pricing.reserved_in_use;
-          }
+          seconds *= price_weight(i);
+          cloud::PricingView::Family& fam = arena.pricing.families[arena.vm_family[i]];
+          if (fam.in_use > 0) --fam.in_use;
+          if (arena.vm_tier[i] ==
+                  static_cast<unsigned char>(cloud::PurchaseTier::kReserved) &&
+              arena.pricing.reserved_in_use > 0)
+            --arena.pricing.reserved_in_use;
           out.rv_charged_seconds += seconds;
           arena.remove_vm(i);
         } else {
@@ -234,17 +223,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     SimTime next_avail = kTimeNever;
     for (std::size_t i = 0; i < arena.vm_count(); ++i)
       if (arena.vm_avail[i] > now) next_avail = std::min(next_avail, arena.vm_avail[i]);
-    // Rebuild the context: provisioning/allocation above changed the state.
-    std::size_t idle2 = 0, booting2 = 0;
-    for (std::size_t i = 0; i < arena.vm_count(); ++i) {
-      if (arena.vm_avail[i] <= now) ++idle2;
-      else if (!arena.vm_busy[i]) ++booting2;
-    }
-    ctx.queue = pending;
-    ctx.idle_vms = idle2;
-    ctx.booting_vms = booting2;
-    ctx.total_vms = arena.vm_count();
-    if (pricing_on) ctx.pricing = &arena.pricing;
+    // Re-observe: provisioning/allocation above changed the state.
+    observe();
     const SimTime next_policy = policy.provisioning->next_change(ctx);
     SimTime next = std::min(next_avail, next_policy);
     if (changed) next = std::min(next, now + config_.schedule_period);
@@ -269,7 +249,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     double seconds =
         charge_seconds(arena.vm_lease[i], arena.vm_fresh[i] != 0, release, t0,
                        config_.cost_model, snapshot.billing_quantum);
-    if (pricing_on) seconds *= price_weight(i);
+    seconds *= price_weight(i);
     out.rv_charged_seconds += seconds;
   }
 

@@ -8,7 +8,6 @@ void RoundSnapshot::build(std::span<const policy::QueuedJob> queue,
                           const cloud::CloudProfile& profile) {
   t0 = profile.now;
   max_vms = profile.max_vms;
-  boot_delay = profile.boot_delay;
   billing_quantum = profile.billing_quantum;
 
   job_id.clear();
@@ -29,28 +28,28 @@ void RoundSnapshot::build(std::span<const policy::QueuedJob> queue,
   vm_lease.clear();
   vm_available.clear();
   vm_busy.clear();
+  vm_family.clear();
+  vm_tier.clear();
   vm_lease.reserve(profile.vms.size());
   vm_available.reserve(profile.vms.size());
   vm_busy.reserve(profile.vms.size());
+  vm_family.reserve(profile.vms.size());
+  vm_tier.reserve(profile.vms.size());
   for (const cloud::VmView& view : profile.vms) {
     vm_lease.push_back(view.lease_time);
     vm_available.push_back(std::max(view.available_at, t0));
     vm_busy.push_back(view.busy ? 1 : 0);
+    vm_family.push_back(view.family);
+    vm_tier.push_back(static_cast<unsigned char>(view.tier));
   }
 
-  // Pricing columns exist only when pricing is on, so pricing-off
-  // snapshots stay byte-identical to the pre-pricing layout.
+  // The snapshot always carries a market. With pricing off it is the
+  // paper's cloud: one on-demand family at price 1.0 with the provider's
+  // boot delay and no family cap. `enabled` stays false, so tier-aware
+  // policies still plan exactly like ODA.
   pricing = profile.pricing;
-  vm_family.clear();
-  vm_tier.clear();
-  if (pricing.enabled) {
-    vm_family.reserve(profile.vms.size());
-    vm_tier.reserve(profile.vms.size());
-    for (const cloud::VmView& view : profile.vms) {
-      vm_family.push_back(view.family);
-      vm_tier.push_back(static_cast<unsigned char>(view.tier));
-    }
-  }
+  if (!pricing.enabled)
+    pricing.families.assign(1, cloud::PricingView::Family{1.0, profile.boot_delay, 0, 0});
 }
 
 void RoundSnapshot::fill_pending(std::vector<policy::QueuedJob>& out) const {

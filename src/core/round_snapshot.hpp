@@ -30,7 +30,6 @@ struct RoundSnapshot {
   // Scalars (copied from the CloudProfile).
   SimTime t0 = 0.0;
   std::size_t max_vms = 0;
-  SimDuration boot_delay = 0.0;
   SimDuration billing_quantum = 0.0;
 
   // Queue columns (one row per queued job, queue order preserved).
@@ -42,18 +41,20 @@ struct RoundSnapshot {
   // VM columns (one row per leased VM, profile order preserved);
   // vm_available is already clamped to t0 (an idle VM's available_at may
   // predate the snapshot instant; the inner sim only cares "usable now").
+  // vm_family/vm_tier are 0 (family 0, on-demand) with pricing off.
   std::vector<SimTime> vm_lease;
   std::vector<SimTime> vm_available;
   std::vector<unsigned char> vm_busy;
-
-  // Pricing block (DESIGN.md §12), populated only when the profile carries
-  // an enabled pricing view, so pricing-off snapshots stay byte-identical
-  // to the pre-pricing layout. The view freezes the market at t0
-  // (multiplier + epoch); candidate inner sims price everything at that
-  // frozen multiplier.
-  cloud::PricingView pricing;
   std::vector<std::uint32_t> vm_family;
   std::vector<unsigned char> vm_tier;
+
+  // The round's market (DESIGN.md §12), always present. With pricing on it
+  // is the profile's view, frozen at t0 (multiplier + epoch); candidate
+  // inner sims price everything at that frozen multiplier. With pricing
+  // off it is the degenerate market — one family at price 1.0 with the
+  // profile's boot delay and no cap, `enabled` false — under which the
+  // inner sim's single provisioning path reproduces the paper's cloud.
+  cloud::PricingView pricing;
 
   /// Derive the snapshot from the raw selection inputs. Reuses column
   /// capacity; safe to call once per round on a long-lived instance.

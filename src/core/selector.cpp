@@ -43,8 +43,10 @@ TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfo
       pool_ = owned_pool_.get();
     }
   }
-  // One arena per wave slot (slot k of every wave simulates in arenas_[k]).
+  // One arena and one result slot per wave slot (slot k of every wave
+  // simulates in arenas_[k] and reports into slots_[k]).
   arenas_.resize(wave_width_);
+  slots_.resize(wave_width_);
   reset();
 }
 
@@ -76,162 +78,77 @@ void TimeConstrainedSelector::capture_state(util::StateDigest& digest) const {
   digest.add_size("selector.poor_len", poor_.size());
 }
 
-double TimeConstrainedSelector::simulate_one(std::size_t index,
-                                             std::vector<PolicyScore>& scores,
-                                             std::vector<std::size_t>& quarantined) {
-  // Candidate trace spans use the recorder's clock (obs.cpp), independent of
-  // the budget clock below, so tracing can never perturb budget accounting.
-  const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  if (tracing)
-    recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B',
-                                            recorder_->now_us(), 0,
-                                            candidate_args(index)});
-  if (config_.budget_mode == BudgetMode::kFixedCount) {
-    // Deterministic accounting: one unit per candidate, no clock read. A
-    // throwing candidate still consumed its budget slot, so the unit is
-    // charged either way.
-    SimOutcome outcome;
-    bool failed = false;
-    try {
-      outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-    } catch (const std::exception&) {
-      failed = true;
-    }
-    if (failed)
-      quarantined.push_back(index);
-    else
-      scores.push_back(PolicyScore{index, outcome.utility, 1.0});
-    if (tracing)
-      recorder_->append_event(
-          obs::TraceEvent{"selector.candidate", 'E', recorder_->now_us(), 0, {}});
-    return 1.0;
-  }
-  SimOutcome outcome;
-  bool failed = false;
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    outcome = simulator_.simulate(snapshot_, portfolio_.policies()[index], arenas_[0]);
-  } catch (const std::exception&) {
-    failed = true;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const double measured_ms = std::chrono::duration<double, std::milli>(elapsed).count();
-  double cost = config_.synthetic_overhead_ms;
-  if (config_.use_measured_cost) cost += measured_ms;
-  // Per-candidate budget blow-out: the time was spent (cost is charged),
-  // but the result is not trusted into the ranking.
-  if (!failed && config_.candidate_timeout_ms > 0.0 &&
-      cost > config_.candidate_timeout_ms)
-    failed = true;
-  if (failed)
-    quarantined.push_back(index);
-  else
-    scores.push_back(PolicyScore{index, outcome.utility, cost});
-  if (tracing)
-    recorder_->append_event(
-        obs::TraceEvent{"selector.candidate", 'E', recorder_->now_us(), 0, {}});
-  return cost;
-}
-
 double TimeConstrainedSelector::run_wave(std::span<const std::size_t> wave,
                                          std::vector<PolicyScore>& scores,
                                          std::vector<std::size_t>& quarantined) {
-  PSCHED_ASSERT(!wave.empty());
-  // A singleton wave runs inline on the coordinating thread — this is the
-  // whole story when eval_threads = 1, which keeps that path bit-identical
-  // to the sequential algorithm (no pool, no extra timing scopes).
-  if (wave.size() == 1)
-    return simulate_one(wave.front(), scores, quarantined);
-
-  PSCHED_ASSERT(pool_ != nullptr);
-  // Wave candidate tracing writes into per-slot buffers (lane 1 + slot),
-  // merged in slot order after the batch barrier: workers never touch the
-  // shared sink directly, so the trace stream is deterministic for a fixed
-  // eval_threads even though workers finish in any order.
+  PSCHED_ASSERT(!wave.empty() && wave.size() <= wave_width_);
+  const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
+  // Candidate trace spans use the recorder's clock (obs.cpp), independent of
+  // the budget clock, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  std::vector<std::vector<obs::TraceEvent>> slot_events(tracing ? wave.size() : 0);
-  const auto trace_slot = [&](std::size_t k, std::int64_t b_us, std::int64_t e_us) {
-    slot_events[k].push_back(obs::TraceEvent{"selector.candidate", 'B', b_us,
-                                             static_cast<std::uint32_t>(1 + k),
-                                             candidate_args(wave[k])});
-    slot_events[k].push_back(obs::TraceEvent{
-        "selector.candidate", 'E', e_us, static_cast<std::uint32_t>(1 + k), {}});
-  };
-  const auto merge_slots = [&] {
-    if (!tracing) return;
-    for (std::vector<obs::TraceEvent>& buffer : slot_events)
-      recorder_->merge_events(std::move(buffer));
-  };
-
-  std::vector<SimOutcome> outcomes(wave.size());
-  if (config_.budget_mode == BudgetMode::kFixedCount) {
-    // Deterministic accounting: workers fill disjoint outcome slots without
-    // touching a budget clock; each candidate charges one unit, so a wave
-    // costs its size and the budget drains exactly as in the sequential run —
-    // that (plus the quota-capped wave fill in select()) is what makes the
-    // candidate set identical across eval_threads widths. (Trace timestamps
-    // come from the recorder's own clock and feed reporting only.)
-    // Worker exceptions must not escape run_batch (it rethrows the first
-    // onto the coordinating thread): each slot traps its own failure into a
-    // disjoint flag byte (unsigned char, not vector<bool> — slots must be
-    // independently writable).
-    std::vector<unsigned char> wave_failed(wave.size(), 0);
-    pool_->run_batch(wave.size(), [&](std::size_t k) {
-      const std::int64_t b_us = tracing ? recorder_->now_us() : 0;
-      try {
-        outcomes[k] =
-            simulator_.simulate(snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
-      } catch (const std::exception&) {
-        wave_failed[k] = 1;
-      }
-      if (tracing) trace_slot(k, b_us, recorder_->now_us());
-    });
-    merge_slots();
-    for (std::size_t k = 0; k < wave.size(); ++k) {
-      if (wave_failed[k] != 0)
-        quarantined.push_back(wave[k]);
-      else
-        scores.push_back(PolicyScore{wave[k], outcomes[k].utility, 1.0});
-    }
-    return static_cast<double>(wave.size());
-  }
-  std::vector<double> measured_ms(wave.size(), 0.0);
-  std::vector<unsigned char> wave_failed(wave.size(), 0);
-  pool_->run_batch(wave.size(), [&](std::size_t k) {
-    const std::int64_t b_us = tracing ? recorder_->now_us() : 0;
-    const auto start = std::chrono::steady_clock::now();
+  // Slot k writes only slots_[k] and arenas_[k]. Exceptions are trapped per
+  // slot: one must not escape run_batch, which would rethrow it onto the
+  // coordinating thread. kFixedCount reads no budget clock at all.
+  const auto evaluate = [&](std::size_t k) {
+    SlotResult& slot = slots_[k];
+    slot.begin_us = tracing ? recorder_->now_us() : 0;
+    slot.failed = false;
+    std::chrono::steady_clock::time_point start;
+    if (!fixed) start = std::chrono::steady_clock::now();
     try {
-      outcomes[k] =
+      slot.outcome =
           simulator_.simulate(snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
     } catch (const std::exception&) {
-      wave_failed[k] = 1;
+      slot.failed = true;
     }
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    measured_ms[k] = std::chrono::duration<double, std::milli>(elapsed).count();
-    if (tracing) trace_slot(k, b_us, recorder_->now_us());
-  });
-  merge_slots();
+    slot.measured_ms =
+        fixed ? 0.0
+              : std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    slot.end_us = tracing ? recorder_->now_us() : 0;
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t k = 0; k < wave.size(); ++k) evaluate(k);
+  } else {
+    pool_->run_batch(wave.size(), evaluate);
+  }
 
-  // Scores append in wave (= submission) order, so the ranking input is
-  // independent of which worker finished first. The wave's budget charge is
-  // the slowest member (they ran concurrently) plus one synthetic overhead;
-  // failed members spent that wall time too, so they count toward it.
+  // Charge in wave (= submission) order, so the ranking input and the trace
+  // stream are independent of which worker finished first. A candidate
+  // costs one unit (kFixedCount) or synthetic + measured ms; a failed one
+  // spent its time too, so it is charged either way. The wave costs its
+  // size, or one synthetic overhead plus its slowest member: concurrent
+  // members overlap in wall time.
   double slowest_ms = 0.0;
   for (std::size_t k = 0; k < wave.size(); ++k) {
-    double cost = config_.synthetic_overhead_ms;
-    if (config_.use_measured_cost) {
-      cost += measured_ms[k];
-      slowest_ms = std::max(slowest_ms, measured_ms[k]);
+    SlotResult& slot = slots_[k];
+    double cost = 1.0;
+    if (!fixed) {
+      cost = config_.synthetic_overhead_ms;
+      if (config_.use_measured_cost) {
+        cost += slot.measured_ms;
+        slowest_ms = std::max(slowest_ms, slot.measured_ms);
+      }
+      // Per-candidate budget blow-out: the time was spent (cost is charged),
+      // but the result is not trusted into the ranking.
+      if (config_.candidate_timeout_ms > 0.0 && cost > config_.candidate_timeout_ms)
+        slot.failed = true;
     }
-    if (wave_failed[k] == 0 && config_.candidate_timeout_ms > 0.0 &&
-        cost > config_.candidate_timeout_ms)
-      wave_failed[k] = 1;
-    if (wave_failed[k] != 0)
+    if (slot.failed)
       quarantined.push_back(wave[k]);
     else
-      scores.push_back(PolicyScore{wave[k], outcomes[k].utility, cost});
+      scores.push_back(PolicyScore{wave[k], slot.outcome.utility, cost});
+    if (tracing) {
+      const auto lane = static_cast<std::uint32_t>(1 + k);
+      recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B', slot.begin_us,
+                                              lane, candidate_args(wave[k])});
+      recorder_->append_event(
+          obs::TraceEvent{"selector.candidate", 'E', slot.end_us, lane, {}});
+    }
   }
-  return config_.synthetic_overhead_ms + slowest_ms;
+  return fixed ? static_cast<double>(wave.size())
+               : config_.synthetic_overhead_ms + slowest_ms;
 }
 
 SelectionResult TimeConstrainedSelector::select(
@@ -353,86 +270,58 @@ SelectionResult TimeConstrainedSelector::select(
 
   PSCHED_ASSERT_MSG(!scores.empty() || !quarantined.empty(),
                     "budget did not allow a single simulation");
+  SelectionResult result;
+  result.total_cost_ms = charged_ms;
+  result.quarantined = quarantined.size();
+  std::size_t tied = 0;
   if (scores.empty()) {
     // Graceful degradation: every attempted candidate threw or blew its
     // per-candidate budget. Apply the last-known-good policy instead of
     // aborting the run; next round re-samples the quarantined set.
-    SelectionResult result;
     result.degraded = true;
-    result.quarantined = quarantined.size();
-    result.best_index =
-        preferred_index < portfolio_.size() ? preferred_index : 0;
-    result.best_utility = 0.0;
-    result.total_cost_ms = charged_ms;
-    if (obs_on) {
-      obs::SelectionRoundRecord record;
-      record.sim_now = profile.now;
-      record.simulated = 0;
-      record.budget_delta = bounded ? delta : 0.0;
-      record.budget_charged = charged_ms;
-      record.smart_in = smart_in;
-      record.stale_in = stale_in;
-      record.poor_in = poor_in;
-      record.smart_out = smart_.size();
-      record.stale_out = stale_.size();
-      record.poor_out = poor_.size();
-      record.quarantined = quarantined.size();
-      record.chosen = result.best_index;
-      record.chosen_utility = 0.0;
-      record.tie_set = 0;
-      record.tie_path = "degraded";
-      recorder_->record_round(record);
-      recorder_->counter_add("selector.rounds", 1.0);
-      recorder_->counter_add("selector.quarantined",
-                             static_cast<double>(quarantined.size()));
-      recorder_->counter_add("selector.degraded_rounds", 1.0);
-    }
-    return result;
-  }
-  std::stable_sort(scores.begin(), scores.end(),
-                   [](const PolicyScore& a, const PolicyScore& b) {
-                     if (a.utility != b.utility) return a.utility > b.utility;
-                     return a.index < b.index;
-                   });
-  // Resolve exact ties at the head of the ranking (see TieBreak). The tie
-  // set is the run of scores equal to the best within absolute epsilon.
-  std::size_t tied = 1;
-  while (tied < scores.size() &&
-         scores[tied].utility >= scores.front().utility - 1e-9)
-    ++tied;
-  std::size_t winner = 0;
-  switch (config_.tie_break) {
-    case TieBreak::kFirstIndex:
-      break;
-    case TieBreak::kRandom:
-      winner = static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(tied) - 1));
-      break;
-    case TieBreak::kSticky:
-      for (std::size_t i = 0; i < tied; ++i) {
-        if (scores[i].index == preferred_index) {
-          winner = i;
-          break;
+    result.best_index = preferred_index < portfolio_.size() ? preferred_index : 0;
+  } else {
+    std::stable_sort(scores.begin(), scores.end(),
+                     [](const PolicyScore& a, const PolicyScore& b) {
+                       if (a.utility != b.utility) return a.utility > b.utility;
+                       return a.index < b.index;
+                     });
+    // Resolve exact ties at the head of the ranking (see TieBreak). The tie
+    // set is the run of scores equal to the best within absolute epsilon.
+    tied = 1;
+    while (tied < scores.size() &&
+           scores[tied].utility >= scores.front().utility - 1e-9)
+      ++tied;
+    std::size_t winner = 0;
+    switch (config_.tie_break) {
+      case TieBreak::kFirstIndex:
+        break;
+      case TieBreak::kRandom:
+        winner = static_cast<std::size_t>(
+            rng_.uniform_int(0, static_cast<std::int64_t>(tied) - 1));
+        break;
+      case TieBreak::kSticky:
+        for (std::size_t i = 0; i < tied; ++i) {
+          if (scores[i].index == preferred_index) {
+            winner = i;
+            break;
+          }
         }
-      }
-      break;
-  }
-  if (winner != 0) std::swap(scores[0], scores[winner]);
+        break;
+    }
+    if (winner != 0) std::swap(scores[0], scores[winner]);
 
-  const auto top = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(config_.lambda * static_cast<double>(scores.size()))));
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (i < top) smart_.push_back(scores[i].index);
-    else poor_.push_back(scores[i].index);
+    const auto top = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::llround(config_.lambda * static_cast<double>(scores.size()))));
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      if (i < top) smart_.push_back(scores[i].index);
+      else poor_.push_back(scores[i].index);
+    }
+    result.best_index = scores.front().index;
+    result.best_utility = scores.front().utility;
+    result.scores = std::move(scores);
   }
-
-  SelectionResult result;
-  result.best_index = scores.front().index;
-  result.best_utility = scores.front().utility;
-  result.total_cost_ms = charged_ms;
-  result.quarantined = quarantined.size();
-  result.scores = std::move(scores);
 
   if (obs_on) {
     obs::SelectionRoundRecord record;
@@ -455,7 +344,9 @@ SelectionResult TimeConstrainedSelector::select(
     record.chosen = result.best_index;
     record.chosen_utility = result.best_utility;
     record.tie_set = tied;
-    if (tied <= 1) {
+    if (result.degraded) {
+      record.tie_path = "degraded";
+    } else if (tied <= 1) {
       record.tie_path = "unique";
     } else {
       switch (config_.tie_break) {
@@ -472,6 +363,7 @@ SelectionResult TimeConstrainedSelector::select(
     if (result.quarantined > 0)
       recorder_->counter_add("selector.quarantined",
                              static_cast<double>(result.quarantined));
+    if (result.degraded) recorder_->counter_add("selector.degraded_rounds", 1.0);
   }
   return result;
 }

@@ -18,16 +18,17 @@
 // clock read from the selection path and makes a round reproducible
 // bit-for-bit across machines and eval_threads widths.
 //
-// Candidate evaluation can run in parallel waves (SelectorConfig::
-// eval_threads): each set is drained in deterministic groups of up to
-// eval_threads candidates simulated concurrently on a util::ThreadPool,
-// and a wave is charged against the budget as the maximum of its members'
-// measured costs plus one synthetic overhead — concurrent simulations
-// overlap in wall time, so Delta buys up to eval_threads× more candidates.
-// All sequencing decisions (which candidates form a wave, Poor-set RNG
-// draws, score order) happen on the coordinating thread, so results are
-// deterministic for a fixed eval_threads, and eval_threads = 1 is
-// bit-identical to the original sequential algorithm.
+// Every candidate goes through one evaluation routine that simulates a
+// wave (SelectorConfig::eval_threads): each set is drained in deterministic
+// groups of up to eval_threads candidates, simulated concurrently on a
+// util::ThreadPool when there is more than one slot, and a wave is charged
+// against the budget as the maximum of its members' measured costs plus
+// one synthetic overhead — concurrent simulations overlap in wall time, so
+// Delta buys up to eval_threads× more candidates. A wave of one is the
+// sequential algorithm. All sequencing decisions (which candidates form a
+// wave, Poor-set RNG draws, score order) happen on the coordinating thread,
+// so results are deterministic for a fixed eval_threads, and
+// eval_threads = 1 is bit-identical to the original sequential algorithm.
 //
 // Graceful degradation (DESIGN.md §10): a candidate whose online simulation
 // throws — or, under a candidate_timeout_ms bound, blows its per-candidate
@@ -210,18 +211,22 @@ class TimeConstrainedSelector {
   void capture_state(util::StateDigest& digest) const;
 
  private:
-  /// Simulate policy `index` against the current round snapshot (arena slot
-  /// 0) and append its score to `scores`; returns the budget cost charged.
-  /// A candidate that throws or blows the per-candidate budget lands in
-  /// `quarantined` instead of `scores`.
-  double simulate_one(std::size_t index, std::vector<PolicyScore>& scores,
-                      std::vector<std::size_t>& quarantined);
+  /// What wave slot k leaves for the charge loop: written only by the thread
+  /// that runs slot k, read by the coordinating thread after the wave.
+  struct SlotResult {
+    SimOutcome outcome;
+    double measured_ms = 0.0;    ///< kWallclock only; 0 in kFixedCount
+    bool failed = false;         ///< threw, or (charge loop) blew the timeout
+    std::int64_t begin_us = 0;   ///< candidate trace span (tracing only)
+    std::int64_t end_us = 0;
+  };
 
-  /// Simulate one wave of candidates against the current round snapshot
-  /// (concurrently when the wave has more than one member; wave slot k uses
-  /// arenas_[k]), append their scores in wave order, and return the budget
-  /// cost charged for the whole wave. Failed members land in `quarantined`
-  /// (wave order).
+  /// The single candidate-evaluation routine. Simulates a wave of n >= 1
+  /// candidates against the current round snapshot — slot k runs wave[k] in
+  /// arenas_[k] into slots_[k], inline without a pool and through
+  /// pool_->run_batch otherwise — then charges them in wave order: scores
+  /// append to `scores`, failed members to `quarantined`, and trace spans
+  /// go to lane 1 + k. Returns the budget cost of the whole wave.
   double run_wave(std::span<const std::size_t> wave, std::vector<PolicyScore>& scores,
                   std::vector<std::size_t>& quarantined);
 
@@ -245,11 +250,13 @@ class TimeConstrainedSelector {
 
   // Hot-path state (DESIGN.md §11). The snapshot is (re)built once per
   // select() on the coordinating thread before any wave is dispatched and
-  // is strictly read-only while workers run. Arena k is owned by wave slot
-  // k for the duration of one wave (disjoint slots; no sharing); between
-  // waves all arenas belong to the coordinating thread.
+  // is strictly read-only while workers run. Arena k and result slot k are
+  // owned by wave slot k for the duration of one wave (disjoint slots; no
+  // sharing); between waves they all belong to the coordinating thread.
+  // Both are sized wave_width_ once, so no wave allocates scratch.
   RoundSnapshot snapshot_;
   std::vector<SimArena> arenas_;
+  std::vector<SlotResult> slots_;
 };
 
 }  // namespace psched::core

@@ -31,8 +31,8 @@ struct SimArena {
   std::vector<unsigned char> vm_fresh;  ///< leased during this simulation
   std::vector<unsigned char> vm_busy;   ///< has (ever) run a job
   std::vector<std::uint32_t> vm_row;    ///< VmId -> row (stale for removed ids)
-  std::vector<std::uint32_t> vm_family;  ///< pricing: family index (0 off)
-  std::vector<unsigned char> vm_tier;    ///< pricing: PurchaseTier (0 off)
+  std::vector<std::uint32_t> vm_family;  ///< family index into `pricing`
+  std::vector<unsigned char> vm_tier;    ///< cloud::PurchaseTier
 
   // --- per-decision working state ---------------------------------------
   std::vector<policy::QueuedJob> pending;  ///< the simulated queue (AoS: policy API)
@@ -42,10 +42,10 @@ struct SimArena {
   policy::AllocationScratch alloc;
   policy::AllocationPlan plan;
   std::vector<cloud::LeaseRequest> lease_requests;  ///< lease_plan scratch
-  /// Mutable copy of the round's pricing view (pricing on only): the inner
-  /// sim keeps reserved/family occupancy current as it leases and releases
-  /// so tier-aware policies see live headroom. Market state stays frozen
-  /// at the snapshot (DESIGN.md §12).
+  /// Mutable copy of the round's market (the one-family degenerate view
+  /// with pricing off): the inner sim keeps reserved/family occupancy
+  /// current as it leases and releases so tier-aware policies see live
+  /// headroom. Market state stays frozen at the snapshot (DESIGN.md §12).
   cloud::PricingView pricing;
 
   [[nodiscard]] std::size_t vm_count() const noexcept { return vm_id.size(); }
@@ -70,7 +70,7 @@ struct SimArena {
   /// Append a VM row. `id` must be the next sequential id (the arena's
   /// id -> row map is positional at creation time).
   void push_vm(VmId id, SimTime lease, SimTime available, bool fresh, bool busy,
-               std::uint32_t family = 0, unsigned char tier = 0) {
+               std::uint32_t family, unsigned char tier) {
     vm_row.push_back(static_cast<std::uint32_t>(vm_id.size()));
     vm_id.push_back(id);
     vm_lease.push_back(lease);

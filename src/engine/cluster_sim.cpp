@@ -140,6 +140,13 @@ std::vector<policy::QueuedJob> ClusterSimulation::annotate_queue() const {
   return annotated;
 }
 
+SimTime ClusterSimulation::predicted_free_at(VmId id) const {
+  const auto it = predicted_free_.find(id);
+  PSCHED_ASSERT_MSG(it != predicted_free_.end(),
+                    "busy VM without a predicted completion");
+  return it->second;
+}
+
 cloud::CloudProfile ClusterSimulation::make_profile() const {
   const SimTime now = sim_.now();
   cloud::CloudProfile profile;
@@ -161,14 +168,11 @@ cloud::CloudProfile ClusterSimulation::make_profile() const {
       case cloud::VmState::kBooting:
         view.available_at = vm.boot_complete;
         break;
-      case cloud::VmState::kBusy: {
+      case cloud::VmState::kBusy:
         // The scheduler sees the *predicted* completion, never the actual.
-        const auto it = predicted_free_.find(vm.id);
-        PSCHED_ASSERT(it != predicted_free_.end());
-        view.available_at = std::max(it->second, now);
+        view.available_at = std::max(predicted_free_at(vm.id), now);
         view.busy = true;
         break;
-      }
       case cloud::VmState::kIdle:
         view.available_at = now;
         break;
@@ -221,52 +225,40 @@ void ClusterSimulation::on_tick() {
         --ctx.booting_vms;
     }
   }
+  // The policy plans (count, family, tier) requests against the market
+  // view; with pricing off that is one on-demand family-0 request, the
+  // paper's plain lease. `want` is the plan's total so the backoff gate
+  // below treats the plan as one attempt.
+  policy.provisioning->lease_plan(ctx, lease_plan_scratch_);
   std::size_t want = 0;
-  if (pricing_model_ != nullptr) {
-    // Tier-aware provisioning: the policy plans (count, family, tier)
-    // requests against the live market view; `want` is the plan's total so
-    // the backoff gate below treats the plan as one attempt.
-    policy.provisioning->lease_plan(ctx, lease_plan_scratch_);
-    for (const cloud::LeaseRequest& req : lease_plan_scratch_) want += req.count;
-  } else {
-    want = policy.provisioning->vms_to_lease(ctx);
-  }
-  if (failure_model_ != nullptr && want > 0) {
-    // Lease retry with capped exponential backoff (in sim time): after an
-    // API-outage rejection, hold further lease attempts until the backoff
-    // deadline passes; the first successful attempt resets the schedule.
-    if (now < next_lease_attempt_) {
-      want = 0;
-    } else if (lease_backoff_.attempts() > 0) {
+  for (const cloud::LeaseRequest& req : lease_plan_scratch_) want += req.count;
+  // Lease retry with capped exponential backoff (in sim time): after an
+  // API-outage rejection, hold further lease attempts until the backoff
+  // deadline passes; the first successful attempt resets the schedule.
+  // Without a failure model nothing is ever rejected, so this never holds.
+  if (now < next_lease_attempt_) want = 0;
+  if (want > 0) {
+    if (lease_backoff_.attempts() > 0) {
       ++fstats_.lease_retries;
       if (recorder_ != nullptr) recorder_->counter_add("engine.lease_retries", 1.0);
     }
-  }
-  const std::size_t rejected_before = provider_.api_rejected_leases();
-  if (pricing_model_ == nullptr) {
-    for (const VmId id : provider_.lease(want, now)) {
-      const cloud::VmInstance* vm = provider_.find(id);
-      if (failure_model_ != nullptr && vm->crash_at < kTimeNever)
-        sim_.at(vm->crash_at, [this, id] { on_vm_crash(id); });
-      // Only VMs actually booting await a boot-complete event: with a zero boot
-      // delay (or the skip-boot-delay validation fault) the lease is born idle.
-      if (vm->state != cloud::VmState::kBooting) continue;
-      sim_.after(provider_.config().boot_delay, [this, id] { on_boot_complete(id); });
-    }
-  } else if (want > 0) {
+    const std::size_t rejected_before = provider_.api_rejected_leases();
     for (const cloud::LeaseRequest& req : lease_plan_scratch_) {
       for (const VmId id : provider_.lease(req, now)) {
         const cloud::VmInstance* vm = provider_.find(id);
-        if (failure_model_ != nullptr && vm->crash_at < kTimeNever)
+        // Crashes (failure model) and spot revocations (warning first, then
+        // the revocation itself) are drawn at lease time; kTimeNever means
+        // none. Every one of these events tolerates the VM being gone.
+        if (vm->crash_at < kTimeNever)
           sim_.at(vm->crash_at, [this, id] { on_vm_crash(id); });
-        // Spot leases carry a drawn revocation (warning first, then the
-        // revocation itself); both events tolerate the VM being gone.
         if (vm->revoke_warning_at < kTimeNever)
           sim_.at(vm->revoke_warning_at, [this, id] { on_spot_warning(id); });
         if (vm->revoke_at < kTimeNever)
           sim_.at(vm->revoke_at, [this, id] { on_spot_revoke(id); });
-        // Families boot at their own pace: fire at the lease's boot_complete
-        // rather than now + the provider-wide delay.
+        // Only VMs actually booting await a boot-complete event: with a zero
+        // boot delay (or the skip-boot-delay validation fault) the lease is
+        // born idle. Families boot at their own pace, so the event fires at
+        // the lease's boot_complete.
         if (vm->state != cloud::VmState::kBooting) continue;
         sim_.at(vm->boot_complete, [this, id] { on_boot_complete(id); });
       }
@@ -275,8 +267,6 @@ void ClusterSimulation::on_tick() {
       // the same window, and issuing them would inflate the reject counter.
       if (provider_.api_rejected_leases() != rejected_before) break;
     }
-  }
-  if (failure_model_ != nullptr && want > 0) {
     if (provider_.api_rejected_leases() != rejected_before) {
       next_lease_attempt_ = now + lease_backoff_.next();
     } else {
@@ -302,7 +292,7 @@ void ClusterSimulation::on_tick() {
         // Predicted, not actual: the planner must not peek. A stale
         // prediction (already in the past) must still read as "busy, free
         // any moment" — never as idle-now, which only kIdle VMs are.
-        available_at = std::max(predicted_free_.at(vm.id), now + 1e-6);
+        available_at = std::max(predicted_free_at(vm.id), now + 1e-6);
         break;
       case cloud::VmState::kIdle:
         break;
@@ -637,15 +627,13 @@ RunResult ClusterSimulation::finish() {
   PSCHED_ASSERT_MSG(provider_.leased_count() == 0,
                     "simulation ended with leased VMs");
   collector_.set_charged_seconds(provider_.charged_hours_released() * kSecondsPerHour);
-  if (failure_model_ != nullptr || fstats_.any()) {
-    // Spot revocations reuse the kill/resubmit machinery, so a pricing-on
-    // run can accumulate job-level failure stats with the failure model off.
-    fstats_.boot_failures = provider_.boot_failures();
-    fstats_.vm_crashes = provider_.crashes();
-    fstats_.api_rejected_leases = provider_.api_rejected_leases();
-    fstats_.api_rejected_releases = provider_.api_rejected_releases();
-    collector_.set_failure_stats(fstats_);
-  }
+  // All zero without a failure model, except that spot revocations reuse
+  // the kill/resubmit machinery and so count job-level kills.
+  fstats_.boot_failures = provider_.boot_failures();
+  fstats_.vm_crashes = provider_.crashes();
+  fstats_.api_rejected_leases = provider_.api_rejected_leases();
+  fstats_.api_rejected_releases = provider_.api_rejected_releases();
+  collector_.set_failure_stats(fstats_);
   if (pricing_model_ != nullptr) {
     metrics::PricingStats pstats;
     pstats.families = pricing_model_->family_count();

@@ -202,6 +202,9 @@ class ClusterSimulation {
   /// machinery as a crash) and settles the lease at the spot price.
   void on_spot_revoke(VmId id);
 
+  /// Predicted completion of busy VM `id` (possibly already past; callers
+  /// clamp). Asserts the engine recorded one when it started the VM's job.
+  [[nodiscard]] SimTime predicted_free_at(VmId id) const;
   /// Cloud profile with *predicted* completion times for busy VMs.
   [[nodiscard]] cloud::CloudProfile make_profile() const;
   [[nodiscard]] std::vector<policy::QueuedJob> annotate_queue() const;

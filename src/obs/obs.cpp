@@ -71,13 +71,6 @@ void Recorder::instant(const char* name, std::uint32_t tid, std::string args_jso
   append_event(TraceEvent{name, 'i', now_us(), tid, std::move(args_json)});
 }
 
-void Recorder::merge_events(std::vector<TraceEvent> events) {
-  if (!tracing_on() || events.empty()) return;
-  util::MutexLock lock(events_mu_);
-  events_.insert(events_.end(), std::make_move_iterator(events.begin()),
-                 std::make_move_iterator(events.end()));
-}
-
 void Recorder::record_round(const SelectionRoundRecord& record) {
   if (!counters_on()) return;
   rounds_.push_back(record);

@@ -133,10 +133,6 @@ class Recorder {
   void append_event(TraceEvent event);
   /// Append an instant event ('i') stamped now on lane `tid`.
   void instant(const char* name, std::uint32_t tid, std::string args_json = {});
-  /// Bulk-append a per-thread buffer (thread-safe). Callers are responsible
-  /// for deterministic merge ORDER (merge per-slot buffers in slot order
-  /// from the coordinating thread after the wave barrier).
-  void merge_events(std::vector<TraceEvent> events);
 
   // --- selection-round telemetry (coordinating thread only) ------------------
   void record_round(const SelectionRoundRecord& record);

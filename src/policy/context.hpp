@@ -36,9 +36,11 @@ struct SchedContext {
   std::size_t booting_vms = 0;  ///< leased, usable soon
   std::size_t total_vms = 0;    ///< leased = idle + booting + busy
   std::size_t max_vms = 256;    ///< provider cap
-  /// Pricing snapshot (cloud/pricing.hpp); nullptr when pricing is off.
-  /// Tier-aware policies consult it in lease_plan(); with it null every
-  /// policy behaves exactly as in the single-price paper model.
+  /// Pricing snapshot (cloud/pricing.hpp). The engine and the online
+  /// simulator always set it; with pricing off it is not `enabled` (the
+  /// online simulator's is the one-family degenerate market). Tier-aware
+  /// policies consult it in lease_plan(); disabled or null, every policy
+  /// behaves exactly as in the single-price paper model.
   const cloud::PricingView* pricing = nullptr;
 
   /// Total processors requested by the queue.

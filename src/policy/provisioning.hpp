@@ -1,7 +1,9 @@
 #pragma once
 // The five resource-provisioning policies of the portfolio (paper §3.1).
-// Each returns how many *new* VMs to lease right now; the engine caps the
-// answer at the provider's headroom.
+// Each sizes how many *new* VMs to lease right now (vms_to_lease). The
+// engine and the online simulator only ask for lease_plan, which spends
+// that count across VM families and purchase tiers, and cap the grants at
+// the provider's headroom.
 
 #include <memory>
 #include <string>
@@ -31,7 +33,8 @@ class ProvisioningPolicy {
   /// `out`. The default maps vms_to_lease to the paper's behavior —
   /// everything on-demand in family 0 — so the five paper policies need no
   /// override. Tier-aware overrides must fall back to that default when
-  /// `ctx.pricing` is null (pricing off).
+  /// `ctx.pricing` is null or not enabled (pricing off: callers pass a
+  /// disabled view, the one-family degenerate market).
   virtual void lease_plan(const SchedContext& ctx,
                           std::vector<cloud::LeaseRequest>& out) const;
 };

@@ -427,6 +427,13 @@ TEST(SelectorDegradation, EngineRunFinishesWhenEveryCandidateHitsTheIterationCap
   const auto& counters = recorder.counters();
   ASSERT_EQ(counters.count("selector.degraded_rounds"), 1u);
   EXPECT_EQ(counters.at("selector.degraded_rounds"), counters.at("selector.rounds"));
+  // Degraded rounds still charge their budget, and the counter must agree
+  // with the round records the report's selection section sums.
+  double charged = 0.0;
+  for (const obs::SelectionRoundRecord& round : recorder.rounds())
+    charged += round.budget_charged;
+  ASSERT_EQ(counters.count("selector.budget_charged"), 1u);
+  EXPECT_DOUBLE_EQ(counters.at("selector.budget_charged"), charged);
 }
 
 }  // namespace

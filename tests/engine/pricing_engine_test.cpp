@@ -1,4 +1,5 @@
-// Engine-level pricing coverage: the pricing-off no-op guarantee, bit-exact
+// Engine-level pricing coverage: the pricing-off no-op guarantee (and that
+// pricing off is the one-family degenerate market), bit-exact
 // determinism of pricing-enabled portfolio runs across eval-thread counts,
 // spot revocations flowing through the PR 5 kill/resubmit machinery, and the
 // up-front reserved-commitment bill — all with the invariant checker attached
@@ -137,6 +138,59 @@ TEST(PricingEngine, TierAwarePoliciesDegradeToOdaWithPricingOff) {
                           PredictorKind::kPerfect).run;
     expect_identical(oda, tiered);
   }
+}
+
+TEST(PricingEngine, OneFamilyMarketIsThePricingOffRun) {
+  // Pricing off is the degenerate market: one on-demand family at price 1.0
+  // with the provider's boot delay and no cap. The engine and the online
+  // simulator have a single provisioning path that relies on this, so a
+  // paper-portfolio run in that market must match the pricing-off run bit
+  // for bit, and its spend must equal the charged hours.
+  const workload::Trace trace("t", 64, mixed_jobs());
+  const policy::Portfolio paper = policy::Portfolio::paper_portfolio();
+  const EngineConfig off = checked_config();
+  EngineConfig one_family = off;
+  one_family.pricing.families.push_back(
+      cloud::VmFamily{"std", 1.0, off.provider.boot_delay, 0});
+  ASSERT_TRUE(one_family.pricing.enabled());
+
+  const auto run = [&](const EngineConfig& config) {
+    return run_portfolio(config, trace, paper, paper_portfolio_config(config),
+                         PredictorKind::kPerfect);
+  };
+  const ScenarioResult a = run(off);
+  const ScenarioResult b = run(one_family);
+  const metrics::RunMetrics& ma = a.run.metrics;
+  const metrics::RunMetrics& mb = b.run.metrics;
+  EXPECT_EQ(ma.jobs, mb.jobs);
+  EXPECT_EQ(ma.avg_bounded_slowdown, mb.avg_bounded_slowdown);
+  EXPECT_EQ(ma.max_bounded_slowdown, mb.max_bounded_slowdown);
+  EXPECT_EQ(ma.avg_wait, mb.avg_wait);
+  EXPECT_EQ(ma.rj_proc_seconds, mb.rj_proc_seconds);
+  EXPECT_EQ(ma.rv_charged_seconds, mb.rv_charged_seconds);
+  EXPECT_EQ(ma.makespan, mb.makespan);
+  EXPECT_EQ(ma.workflows, mb.workflows);
+  EXPECT_EQ(ma.avg_workflow_makespan, mb.avg_workflow_makespan);
+  EXPECT_EQ(ma.max_workflow_makespan, mb.max_workflow_makespan);
+  EXPECT_EQ(ma.failures.boot_failures, mb.failures.boot_failures);
+  EXPECT_EQ(ma.failures.vm_crashes, mb.failures.vm_crashes);
+  EXPECT_EQ(ma.failures.api_rejected_leases, mb.failures.api_rejected_leases);
+  EXPECT_EQ(ma.failures.api_rejected_releases, mb.failures.api_rejected_releases);
+  EXPECT_EQ(ma.failures.lease_retries, mb.failures.lease_retries);
+  EXPECT_EQ(ma.failures.job_kills, mb.failures.job_kills);
+  EXPECT_EQ(ma.failures.job_resubmissions, mb.failures.job_resubmissions);
+  EXPECT_EQ(ma.failures.jobs_killed_final, mb.failures.jobs_killed_final);
+  EXPECT_EQ(ma.failures.wasted_proc_seconds, mb.failures.wasted_proc_seconds);
+  EXPECT_EQ(ma.failures.failed_vm_charged_seconds,
+            mb.failures.failed_vm_charged_seconds);
+  EXPECT_EQ(a.run.ticks, b.run.ticks);
+  EXPECT_EQ(a.run.events, b.run.events);
+  EXPECT_EQ(a.run.total_leases, b.run.total_leases);
+  EXPECT_EQ(a.portfolio.invocations, b.portfolio.invocations);
+  EXPECT_EQ(a.portfolio.chosen_counts, b.portfolio.chosen_counts);
+
+  EXPECT_EQ(mb.pricing.on_demand_leases, b.run.total_leases);
+  EXPECT_EQ(mb.pricing.total_spend_dollars(), mb.charged_hours());
 }
 
 // ---------------------------------------------------------------------------

@@ -98,12 +98,10 @@ TEST(Recorder, ScopeEmitsMatchedBeginEndAtTraceLevel) {
   EXPECT_LE(events[0].ts_us, events[1].ts_us);
 }
 
-TEST(Recorder, MergeEventsKeepsCallerOrder) {
+TEST(Recorder, AppendedEventsKeepCallerOrder) {
   Recorder rec(ObsConfig{ObsLevel::kTrace});
-  std::vector<TraceEvent> buffer;
-  buffer.push_back(TraceEvent{"a", 'B', 1, 1, ""});
-  buffer.push_back(TraceEvent{"a", 'E', 2, 1, ""});
-  rec.merge_events(std::move(buffer));
+  rec.append_event(TraceEvent{"a", 'B', 1, 1, ""});
+  rec.append_event(TraceEvent{"a", 'E', 2, 1, ""});
   rec.instant("marker", 0, "{\"k\":1}");
   const auto events = rec.events_snapshot();
   ASSERT_EQ(events.size(), 3u);
@@ -360,42 +358,59 @@ TEST(ObsEndToEnd, FailureEnabledReportEmitsFailuresObject) {
 TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
   const engine::EngineConfig config = engine::paper_engine_config();
   const workload::Trace trace = small_trace();
-  auto pconfig = engine::paper_portfolio_config(config);
-  Recorder rec(ObsConfig{ObsLevel::kTrace});
-  const auto result =
-      engine::run_portfolio(config, trace, test_portfolio(), pconfig,
-                            engine::PredictorKind::kPerfect, nullptr, &rec);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("eval_threads=" + std::to_string(width));
+    auto pconfig = engine::paper_portfolio_config(config);
+    pconfig.selector.eval_threads = width;
+    Recorder rec(ObsConfig{ObsLevel::kTrace});
+    const auto result =
+        engine::run_portfolio(config, trace, test_portfolio(), pconfig,
+                              engine::PredictorKind::kPerfect, nullptr, &rec);
 
-  // Selection-round telemetry matches the engine's own reflection.
-  EXPECT_EQ(rec.rounds().size(), result.portfolio.invocations);
-  ASSERT_FALSE(rec.rounds().empty());
-  for (const SelectionRoundRecord& round : rec.rounds()) {
-    EXPECT_EQ(round.smart_out + round.stale_out + round.poor_out,
-              test_portfolio().size());
-    EXPECT_GT(round.simulated, 0u);
-    EXPECT_STRNE(round.tie_path, "");
+    // Selection-round telemetry matches the engine's own reflection.
+    EXPECT_EQ(rec.rounds().size(), result.portfolio.invocations);
+    ASSERT_FALSE(rec.rounds().empty());
+    std::size_t attempted = 0;
+    for (const SelectionRoundRecord& round : rec.rounds()) {
+      EXPECT_EQ(round.smart_out + round.stale_out + round.poor_out,
+                test_portfolio().size());
+      EXPECT_GT(round.simulated, 0u);
+      EXPECT_STRNE(round.tie_path, "");
+      attempted += round.simulated + round.quarantined;
+    }
+    // Every attempted candidate has exactly one span, on its wave slot's
+    // lane 1 + k.
+    std::size_t spans = 0;
+    for (const TraceEvent& e : rec.events_snapshot()) {
+      if (std::string(e.name) != "selector.candidate" || e.phase != 'B') continue;
+      ++spans;
+      EXPECT_GE(e.tid, 1u);
+      EXPECT_LE(e.tid, width);
+    }
+    EXPECT_EQ(spans, attempted);
+    // Provider lease/release flowed through the ProviderTracer.
+    EXPECT_DOUBLE_EQ(rec.counters().at("provider.leases"),
+                     static_cast<double>(result.run.total_leases));
+    EXPECT_DOUBLE_EQ(rec.counters().at("provider.releases"),
+                     static_cast<double>(result.run.total_leases));
+
+    const std::string report =
+        run_report_json(engine::report_inputs(result, config), &rec);
+    const ValidationResult rv = validate_run_report(report);
+    EXPECT_TRUE(rv.ok) << rv.detail;
+    const auto parsed = json_parse(report);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const JsonValue* selection = parsed.value.find("selection");
+    ASSERT_NE(selection, nullptr);
+    ASSERT_TRUE(selection->is(JsonValue::Type::kObject));
+    const JsonValue* rounds = selection->find("rounds");
+    ASSERT_NE(rounds, nullptr);
+    EXPECT_DOUBLE_EQ(rounds->number, static_cast<double>(rec.rounds().size()));
+
+    const std::string tracedoc = chrome_trace_json(rec);
+    const ValidationResult tv = validate_chrome_trace(tracedoc);
+    EXPECT_TRUE(tv.ok) << tv.detail;
   }
-  // Provider lease/release flowed through the ProviderTracer.
-  EXPECT_DOUBLE_EQ(rec.counters().at("provider.leases"),
-                   static_cast<double>(result.run.total_leases));
-  EXPECT_DOUBLE_EQ(rec.counters().at("provider.releases"),
-                   static_cast<double>(result.run.total_leases));
-
-  const std::string report = run_report_json(engine::report_inputs(result, config), &rec);
-  const ValidationResult rv = validate_run_report(report);
-  EXPECT_TRUE(rv.ok) << rv.detail;
-  const auto parsed = json_parse(report);
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  const JsonValue* selection = parsed.value.find("selection");
-  ASSERT_NE(selection, nullptr);
-  ASSERT_TRUE(selection->is(JsonValue::Type::kObject));
-  const JsonValue* rounds = selection->find("rounds");
-  ASSERT_NE(rounds, nullptr);
-  EXPECT_DOUBLE_EQ(rounds->number, static_cast<double>(rec.rounds().size()));
-
-  const std::string tracedoc = chrome_trace_json(rec);
-  const ValidationResult tv = validate_chrome_trace(tracedoc);
-  EXPECT_TRUE(tv.ok) << tv.detail;
 }
 
 TEST(ObsEndToEnd, ObservationNeverChangesSimulationOutput) {
