@@ -88,10 +88,10 @@ class PortfolioScheduler final : public Scheduler {
  public:
   /// Borrows `portfolio` (must outlive the scheduler). `eval_pool`
   /// (optional, borrowed) is forwarded to the selector for wave-parallel
-  /// candidate evaluation when `config.selector.eval_threads > 1`; sharing
-  /// one pool between an outer scenario sweep and the inner selector waves
-  /// keeps the machine from being oversubscribed (see DESIGN.md, threading
-  /// model).
+  /// candidate evaluation when `config.selector.eval_threads > 1`; a
+  /// multi-tenant run shares one pool between its tenant waves and every
+  /// tenant's selector waves so the machine is not oversubscribed (see
+  /// DESIGN.md §6).
   PortfolioScheduler(const policy::Portfolio& portfolio, PortfolioSchedulerConfig config,
                      util::ThreadPool* eval_pool = nullptr);
 

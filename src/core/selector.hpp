@@ -158,9 +158,9 @@ class TimeConstrainedSelector {
   /// The selector borrows `portfolio` (must outlive the selector). When
   /// `config.eval_threads` exceeds 1, candidate waves run on `shared_pool`
   /// if given (it must outlive the selector; the coordinating thread helps
-  /// drain each wave, so a pool already busy with outer scenario sweeps is
-  /// safe to share) or on an internally owned pool of eval_threads - 1
-  /// workers otherwise.
+  /// drain each wave, so a pool already busy with a multi-tenant run's
+  /// tenant waves is safe to share) or on an internally owned pool of
+  /// eval_threads - 1 workers otherwise.
   TimeConstrainedSelector(const policy::Portfolio& portfolio, OnlineSimulator simulator,
                           SelectorConfig config,
                           util::ThreadPool* shared_pool = nullptr);

@@ -70,15 +70,6 @@ std::vector<ScenarioResult> run_parallel(
   return results;
 }
 
-std::vector<ScenarioResult> run_parallel(
-    const std::vector<std::function<ScenarioResult(util::ThreadPool&)>>& tasks,
-    std::size_t threads) {
-  std::vector<ScenarioResult> results(tasks.size());
-  util::ThreadPool pool(threads);
-  pool.parallel_for(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](pool); });
-  return results;
-}
-
 obs::RunReportInputs report_inputs(const ScenarioResult& result,
                                    const EngineConfig& config) {
   obs::RunReportInputs inputs;

@@ -55,9 +55,8 @@ struct ScenarioResult {
 
 /// Run the portfolio scheduler over a trace. `eval_pool` (optional,
 /// borrowed) hosts the selector's wave-parallel candidate evaluation when
-/// `pconfig.selector.eval_threads > 1`; pass the scenario sweep's own pool
-/// (see the pool-aware run_parallel overload) so outer and inner
-/// parallelism share one set of workers instead of oversubscribing.
+/// `pconfig.selector.eval_threads > 1`; without one the selector owns a
+/// pool of eval_threads - 1 workers.
 /// `recorder` (optional, borrowed) additionally captures per-round
 /// selection telemetry through the scheduler's selector.
 [[nodiscard]] ScenarioResult run_portfolio(const EngineConfig& config,
@@ -84,21 +83,13 @@ bool write_observability_outputs(const ScenarioResult& result,
                                  const std::string& report_path,
                                  const std::string& trace_path);
 
-/// Run `tasks` scenario thunks across a shared thread pool. Results keep
-/// task order. Each task owns its engine: engines are thread-compatible
-/// (one engine per thread, no shared mutable state), and any inner
-/// selector-wave parallelism a task wants must come through the pool-aware
-/// overload below.
+/// Run `tasks` scenario thunks on a pool of `threads` workers (0 = hardware
+/// concurrency). Results keep task order. Each task owns its engine:
+/// engines are thread-compatible (one engine per thread, no shared mutable
+/// state). The sweep's pool is private, so a task that runs a portfolio
+/// with eval_threads > 1 gets its own selector pool.
 [[nodiscard]] std::vector<ScenarioResult> run_parallel(
     const std::vector<std::function<ScenarioResult()>>& tasks, std::size_t threads = 0);
-
-/// Pool-aware variant: each task receives the sweep's shared pool so it can
-/// forward it to run_portfolio (inner selector waves then borrow idle sweep
-/// workers — ThreadPool::run_batch lets a task help drain its own waves, so
-/// nesting cannot deadlock and the total thread count stays at `threads`).
-[[nodiscard]] std::vector<ScenarioResult> run_parallel(
-    const std::vector<std::function<ScenarioResult(util::ThreadPool&)>>& tasks,
-    std::size_t threads = 0);
 
 /// Default engine configuration matching the paper's setup: 256 VMs,
 /// 120 s boot delay, 20 s scheduling period, 10 s slowdown bound,

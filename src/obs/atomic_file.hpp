@@ -2,9 +2,9 @@
 // Crash-safe file emission (DESIGN.md §9.2): write-to-temp, fsync, rename.
 //
 // Every durable artifact the toolchain emits — run reports, Chrome traces,
-// SARIF, bench JSON — goes through write_file_atomic so a crash (or
-// SIGKILL) at any instant leaves either the complete previous file or the
-// complete new file, never a torn one.
+// bench JSON — goes through write_file_atomic so a crash (or SIGKILL) at
+// any instant leaves either the complete previous file or the complete new
+// file, never a torn one.
 // POSIX rename(2) within one directory is atomic; the fsync before it
 // makes sure the renamed bytes are the new content, not a cached prefix.
 //

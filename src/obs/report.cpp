@@ -586,94 +586,6 @@ ValidationResult validate_bench_report(std::string_view json) {
   return {};
 }
 
-ValidationResult validate_sarif(std::string_view json) {
-  const JsonParseResult parsed = json_parse(json);
-  if (!parsed.ok)
-    return fail("SARIF is not valid JSON: " + parsed.error + " at byte " +
-                std::to_string(parsed.error_pos));
-  const JsonValue& root = parsed.value;
-  if (!root.is(JsonValue::Type::kObject))
-    return fail("SARIF root is not an object");
-
-  ValidationResult status;
-  const JsonValue* version = require(root, "version", JsonValue::Type::kString, status);
-  if (version == nullptr) return status;
-  if (version->string != "2.1.0")
-    return fail("unexpected SARIF version \"" + version->string + '"');
-
-  const JsonValue* runs = require(root, "runs", JsonValue::Type::kArray, status);
-  if (runs == nullptr) return status;
-  if (runs->array.empty()) return fail("\"runs\" is empty");
-
-  for (std::size_t r = 0; r < runs->array.size(); ++r) {
-    const JsonValue& run = runs->array[r];
-    const std::string at_run = " (run " + std::to_string(r) + ")";
-    if (!run.is(JsonValue::Type::kObject)) return fail("run is not an object" + at_run);
-    const JsonValue* tool = run.find("tool");
-    if (tool == nullptr || !tool->is(JsonValue::Type::kObject))
-      return fail("missing \"tool\" object" + at_run);
-    const JsonValue* driver = tool->find("driver");
-    if (driver == nullptr || !driver->is(JsonValue::Type::kObject))
-      return fail("missing \"tool.driver\" object" + at_run);
-    const JsonValue* name = driver->find("name");
-    if (name == nullptr || !name->is(JsonValue::Type::kString) || name->string.empty())
-      return fail("\"tool.driver.name\" is not a non-empty string" + at_run);
-    if (const JsonValue* rules = driver->find("rules"); rules != nullptr) {
-      if (!rules->is(JsonValue::Type::kArray))
-        return fail("\"tool.driver.rules\" is not an array" + at_run);
-      for (const JsonValue& rule : rules->array) {
-        const JsonValue* id = rule.find("id");
-        if (id == nullptr || !id->is(JsonValue::Type::kString) || id->string.empty())
-          return fail("rule without a non-empty \"id\"" + at_run);
-      }
-    }
-
-    const JsonValue* results = run.find("results");
-    if (results == nullptr || !results->is(JsonValue::Type::kArray))
-      return fail("missing \"results\" array" + at_run);
-    for (std::size_t i = 0; i < results->array.size(); ++i) {
-      const JsonValue& result = results->array[i];
-      const std::string at = " (run " + std::to_string(r) + ", result " +
-                             std::to_string(i) + ")";
-      if (!result.is(JsonValue::Type::kObject))
-        return fail("result is not an object" + at);
-      const JsonValue* rule_id = result.find("ruleId");
-      if (rule_id == nullptr || !rule_id->is(JsonValue::Type::kString) ||
-          rule_id->string.empty())
-        return fail("result without a non-empty \"ruleId\"" + at);
-      const JsonValue* message = result.find("message");
-      if (message == nullptr || !message->is(JsonValue::Type::kObject))
-        return fail("result without a \"message\" object" + at);
-      const JsonValue* text = message->find("text");
-      if (text == nullptr || !text->is(JsonValue::Type::kString))
-        return fail("result \"message.text\" is not a string" + at);
-      const JsonValue* locations = result.find("locations");
-      if (locations == nullptr || !locations->is(JsonValue::Type::kArray) ||
-          locations->array.empty())
-        return fail("result without a non-empty \"locations\" array" + at);
-      for (const JsonValue& location : locations->array) {
-        const JsonValue* physical = location.find("physicalLocation");
-        if (physical == nullptr || !physical->is(JsonValue::Type::kObject))
-          return fail("location without \"physicalLocation\"" + at);
-        const JsonValue* artifact = physical->find("artifactLocation");
-        if (artifact == nullptr || !artifact->is(JsonValue::Type::kObject))
-          return fail("location without \"artifactLocation\"" + at);
-        const JsonValue* uri = artifact->find("uri");
-        if (uri == nullptr || !uri->is(JsonValue::Type::kString) || uri->string.empty())
-          return fail("\"artifactLocation.uri\" is not a non-empty string" + at);
-        const JsonValue* region = physical->find("region");
-        if (region == nullptr || !region->is(JsonValue::Type::kObject))
-          return fail("location without \"region\"" + at);
-        const JsonValue* start_line = region->find("startLine");
-        if (start_line == nullptr || !start_line->is(JsonValue::Type::kNumber) ||
-            start_line->number < 1.0)
-          return fail("\"region.startLine\" is not a number >= 1" + at);
-      }
-    }
-  }
-  return {};
-}
-
 bool write_text_file(const std::string& path, std::string_view content) {
   return write_file_atomic(path, content);
 }

@@ -122,15 +122,6 @@ struct ValidationResult {
 /// number-or-string cells matching the header count.
 [[nodiscard]] ValidationResult validate_bench_report(std::string_view json);
 
-/// Validate a SARIF v2.1.0 document (psched-lint `--sarif` output, or any
-/// tool's): parses within the obs/json depth bound, carries version
-/// "2.1.0", has a non-empty `runs` array where each run names its tool
-/// driver, and every result has a non-empty ruleId, a message.text string,
-/// and locations with an artifactLocation.uri and a 1-based
-/// region.startLine. This is the contract GitHub code scanning ingestion
-/// relies on; CI validates the emitted file before uploading it.
-[[nodiscard]] ValidationResult validate_sarif(std::string_view json);
-
 /// Write `content` to `path` crash-safely via write_file_atomic (temp +
 /// fsync + rename; see obs/atomic_file.hpp). A failure — or a crash at any
 /// instant — leaves any previous file at `path` intact. Returns false on

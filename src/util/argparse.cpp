@@ -39,10 +39,10 @@ std::string ArgParser::get(const std::string& name, const std::string& fallback)
 
 namespace {
 
-[[noreturn]] void malformed(const std::string& name, const char* wants,
+[[noreturn]] void malformed(const std::string& name, const std::string& wants,
                             const std::string& got) {
-  std::fprintf(stderr, "error: --%s wants %s, got '%s'\n", name.c_str(), wants,
-               got.c_str());
+  std::fprintf(stderr, "error: --%s wants %s, got '%s'\n", name.c_str(),
+               wants.c_str(), got.c_str());
   std::exit(1);
 }
 
@@ -68,11 +68,15 @@ bool ArgParser::parse_double(const std::string& text, double& out) {
   return true;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback) const {
+std::int64_t ArgParser::get_int(const std::string& name, std::int64_t fallback,
+                               std::int64_t min) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   std::int64_t value = 0;
-  if (!parse_int(it->second, value)) malformed(name, "an integer", it->second);
+  if (!parse_int(it->second, value) || value < min)
+    malformed(name,
+              min == INT64_MIN ? "an integer" : "an integer >= " + std::to_string(min),
+              it->second);
   return value;
 }
 

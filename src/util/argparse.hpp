@@ -19,8 +19,11 @@ class ArgParser {
   /// Numeric flag accessors parse strictly: the whole value must be one
   /// in-range number ("12x", "1e999", "nan", "inf" are all malformed). A
   /// malformed value is a usage error — it prints "error: --name wants ..."
-  /// and exits 1 — never a silently misparsed 0.
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// and exits 1 — never a silently misparsed 0. `get_int` treats a given
+  /// value below `min` the same way, so a count or period flag can never
+  /// wrap through a cast to an unsigned type.
+  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                                     std::int64_t min = INT64_MIN) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback = false) const;
 

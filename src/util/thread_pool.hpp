@@ -57,11 +57,12 @@ class ThreadPool {
   /// `fn(i)` writes the result slot the caller indexed by `i`, so collected
   /// results keep submission order regardless of which thread ran which
   /// task. Unlike parallel_for, the calling thread helps drain the batch, so
-  /// run_batch is safe to call from inside a pool worker (nested selector
-  /// waves under an outer scenario sweep): the batch completes even when
-  /// every other worker is busy, and the caller never waits on helper tasks
-  /// the pool has not scheduled yet — stragglers find the index space
-  /// exhausted and return without touching the (shared) batch state's work.
+  /// run_batch is safe to call from inside a pool worker (a tenant's
+  /// selector waves nested in a multi-tenant run's tenant wave): the batch
+  /// completes even when every other worker is busy, and the caller never
+  /// waits on helper tasks the pool has not scheduled yet — stragglers find
+  /// the index space exhausted and return without touching the (shared)
+  /// batch state's work.
   /// The first exception thrown by any task is rethrown on the caller.
   void run_batch(std::size_t n, std::function<void(std::size_t)> fn);
 

@@ -89,10 +89,10 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     s.selector_eval_threads = static_cast<std::size_t>(rng.uniform_int(1, 4));
   }
 
-  if (fuzz.fuzz_failures && seed % 3 == 0) {
-    // Drawn after every scenario-shape draw (see FuzzConfig::fuzz_failures).
-    // Small rates: enough events to exercise the resilience paths without
-    // starving the scenario of progress.
+  if (seed % 3 == 0) {
+    // Drawn after every scenario-shape draw. Small rates: enough events to
+    // exercise the resilience paths without starving the scenario of
+    // progress.
     s.config.failure.p_boot_fail = rng.uniform(0.0, 0.15);
     s.config.failure.vm_mtbf_seconds = rng.uniform(2.0, 48.0) * kSecondsPerHour;
     if (rng.bernoulli(0.5)) {
@@ -104,11 +104,11 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
         static_cast<std::size_t>(rng.uniform_int(0, 4));
   }
 
-  if (fuzz.fuzz_pricing && seed % 3 == 2) {
-    // Drawn after every scenario-shape and failure draw (see
-    // FuzzConfig::fuzz_pricing). Small family mixes and short spot MTBFs:
-    // enough tier churn and revocations to exercise the pricing invariants
-    // on every seed without starving the scenario of progress.
+  if (seed % 3 == 2) {
+    // Drawn after every scenario-shape and failure draw. Small family mixes
+    // and short spot MTBFs: enough tier churn and revocations to exercise
+    // the pricing invariants (pricing.cost, pricing.commitment,
+    // pricing.revocation) without starving the scenario of progress.
     cloud::PricingConfig& pricing = s.config.pricing;
     static constexpr double kFamilyPrices[] = {0.5, 1.0, 2.5};
     static constexpr double kFamilyBoots[] = {30.0, 120.0, 300.0};
@@ -144,8 +144,7 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
     if (!s.portfolio) {
       // Re-draw the triple from the tier-aware portfolio so spot-first /
       // reserved-baseline / price-threshold provisioning runs under the
-      // checker too (draw happens after all pre-pricing draws, so
-      // fuzz_pricing=false seeds keep their exact policies).
+      // checker too.
       const auto& policies = pricing_portfolio.policies();
       s.triple = policies[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(policies.size()) - 1))];
@@ -160,10 +159,10 @@ Scenario make_scenario(std::uint64_t seed, const FuzzConfig& fuzz,
   // surfaces as tenant.global-cap instead of the vm.cap the self-test pins.
   const bool provider_fault =
       fuzz.inject_fault != FaultInjection::kNone && !tenant_fault;
-  if ((fuzz.fuzz_tenants && seed % 4 == 1 && !provider_fault) || tenant_fault) {
-    // Drawn after every scenario-shape, failure, and pricing draw (see
-    // FuzzConfig::fuzz_tenants). Small mixes: 2-4 tenants over the already
-    // tight caps keep the arbiter busy every epoch.
+  if ((seed % 4 == 1 && !provider_fault) || tenant_fault) {
+    // Drawn after every scenario-shape, failure, and pricing draw. Small
+    // mixes: 2-4 tenants over the already tight caps keep the arbiter busy
+    // every epoch (tenant.global-cap, tenant.fairness, tenant.conservation).
     s.tenant_count = static_cast<std::size_t>(rng.uniform_int(2, 4));
     s.arbitration_ticks = static_cast<std::size_t>(rng.uniform_int(1, 4));
     for (std::size_t t = 0; t < s.tenant_count; ++t) {

@@ -8,9 +8,14 @@
 // provider shape (small caps so the cap invariant is exercised, nonzero
 // boot delays, three billing quanta), release rule, allocation mode,
 // predictor, and policy (a random constituent triple; every fifth seed runs
-// the full portfolio scheduler instead). Seed i of a run is
-// `base_seed + i`, so a failure report like "seed 17" reproduces with
-// `psched_fuzz --seeds 1 --base-seed 17`.
+// the full portfolio scheduler instead). On top of that shape, every third
+// seed draws a FailureConfig (boot failures, VM MTBF, API outages), every
+// third seed offset from those a PricingConfig (VM families, spot market
+// with revocations, price schedule/walk, reserved commitments) and every
+// fourth seed a multi-tenant mix (2-4 tenants sharing the cap), so the
+// resilience, pricing and arbitration invariants run under the checker
+// too. Seed i of a run is `base_seed + i`, so a failure report like
+// "seed 17" reproduces with `psched_fuzz --seeds 1 --base-seed 17`.
 //
 // The harness doubles as the validation subsystem's self-test: with
 // FuzzConfig::inject_fault set, every scenario's provider misbehaves in a
@@ -37,31 +42,6 @@ struct FuzzConfig {
   FaultInjection inject_fault = FaultInjection::kNone;
   bool shrink = true;              ///< shrink the first failing trace
   std::size_t max_jobs = 160;      ///< per-scenario job cap (keeps seeds fast)
-  /// Also fuzz the failure model: every third seed draws a small
-  /// FailureConfig (boot-fail probability, VM MTBF, API outage cadence) so
-  /// the resilience paths — retry/backoff, resubmission, crash billing —
-  /// run under the invariant checker too. The draws happen after every
-  /// scenario-shape draw, so disabling this reproduces the exact pre-failure
-  /// scenarios.
-  bool fuzz_failures = true;
-  /// Also fuzz the pricing model: every third seed (offset from the failure
-  /// seeds) draws a small PricingConfig — VM-family mixes, a spot market
-  /// with revocations, price schedules/walks, reserved commitments — so the
-  /// tier-aware provisioning paths and pricing invariants (pricing.cost,
-  /// pricing.commitment, pricing.revocation) run under the checker too.
-  /// Draws happen after every scenario-shape and failure draw, so disabling
-  /// this reproduces the exact pre-pricing scenarios.
-  bool fuzz_pricing = true;
-  /// Also fuzz multi-tenant service mode: every fourth seed draws a tenant
-  /// mix (2-4 tenants, weights, optional VM-hour budgets, arbitration
-  /// cadence), shards the scenario's workload round-robin across the
-  /// tenants, and runs a MultiTenantExperiment so the arbitration-level
-  /// invariants (tenant.global-cap, tenant.fairness, tenant.conservation)
-  /// run under the checker too. Draws happen after every scenario-shape,
-  /// failure, and pricing draw, so disabling this reproduces the exact
-  /// pre-tenant scenarios. A tenant FaultInjection forces every seed
-  /// multi-tenant regardless.
-  bool fuzz_tenants = true;
 };
 
 /// The first violating seed, with its (possibly shrunk) instance size and

@@ -3,35 +3,17 @@
 // committed metric snapshot in tests/integration/golden/. Any change to the
 // failure model's draws, the resilience paths (backoff, resubmission), or
 // their interaction with the engine moves these numbers and fails here first.
-//
-// After an INTENTIONAL behavior change, regenerate the snapshot:
-//   PSCHED_UPDATE_GOLDEN=1 ./tests/failure_tests && git diff tests/integration/golden
-// and commit the diff together with the change that explains it.
+// Regenerate: PSCHED_UPDATE_GOLDEN=1 ./tests/failure_tests (golden_codec.hpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
-
 #include "engine/experiment.hpp"
+#include "golden_codec.hpp"
 #include "workload/generator.hpp"
 
 namespace psched {
 namespace {
 
-/// Relative tolerance for golden comparisons; absorbs only the 12-digit
-/// formatting round-trip, not behavior drift (the run is deterministic).
-constexpr double kRelTol = 1e-9;
-
-using Golden = std::map<std::string, double>;
-
-std::string golden_path(const std::string& name) {
-  return std::string(PSCHED_GOLDEN_DIR) + "/" + name + ".txt";
-}
+using golden::Golden;
 
 Golden collect(const engine::ScenarioResult& result) {
   const metrics::RunMetrics& m = result.run.metrics;
@@ -55,52 +37,6 @@ Golden collect(const engine::ScenarioResult& result) {
   g["wasted_proc_seconds"] = f.wasted_proc_seconds;
   g["paid_wasted_seconds"] = f.failed_vm_charged_seconds;
   return g;
-}
-
-void write_golden(const std::string& name, const Golden& golden) {
-  std::ofstream out(golden_path(name));
-  ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
-  out << "# golden metrics: " << name << " (regenerate: PSCHED_UPDATE_GOLDEN=1)\n";
-  for (const auto& [key, value] : golden) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    out << key << " = " << buf << "\n";
-  }
-}
-
-Golden read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  EXPECT_TRUE(in.good()) << "missing golden file " << golden_path(name)
-                         << " — run once with PSCHED_UPDATE_GOLDEN=1";
-  Golden g;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key, equals;
-    double value = 0.0;
-    if (fields >> key >> equals >> value && equals == "=") g[key] = value;
-  }
-  return g;
-}
-
-void expect_matches_golden(const std::string& name,
-                           const engine::ScenarioResult& result) {
-  const Golden actual = collect(result);
-  if (std::getenv("PSCHED_UPDATE_GOLDEN") != nullptr) {
-    write_golden(name, actual);
-    GTEST_SKIP() << "golden file " << name << " regenerated";
-  }
-  const Golden golden = read_golden(name);
-  ASSERT_FALSE(golden.empty());
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << name << ": metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected,
-                kRelTol * std::max(1.0, std::abs(expected)))
-        << name << ": metric '" << key << "' drifted";
-  }
-  EXPECT_EQ(golden.size(), actual.size()) << name << ": metric set changed";
 }
 
 TEST(FailureGoldenTrace, FailureEnabledPortfolioOnKthSp2) {
@@ -131,7 +67,7 @@ TEST(FailureGoldenTrace, FailureEnabledPortfolioOnKthSp2) {
   EXPECT_GT(result.run.metrics.failures.boot_failures, 0u);
   EXPECT_GT(result.run.metrics.failures.vm_crashes, 0u);
   EXPECT_GT(result.run.metrics.failures.api_rejected_leases, 0u);
-  expect_matches_golden("failure_kth_sp2", result);
+  golden::expect_matches_golden("failure_kth_sp2", collect(result));
 }
 
 }  // namespace

@@ -3,36 +3,17 @@
 // pinned against committed metric snapshots in tests/integration/golden/.
 // Any engine, policy, selector, billing, or generator change that moves
 // these numbers fails here first — with a diff, not a mystery.
-//
-// After an INTENTIONAL behavior change, regenerate the snapshots:
-//   PSCHED_UPDATE_GOLDEN=1 ./tests/golden_tests && git diff tests/integration/golden
-// and commit the diff together with the change that explains it.
+// Regenerate: PSCHED_UPDATE_GOLDEN=1 ./tests/golden_tests (golden_codec.hpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
-
 #include "engine/experiment.hpp"
+#include "golden_codec.hpp"
 #include "workload/generator.hpp"
 
 namespace psched {
 namespace {
 
-/// Relative tolerance for golden comparisons. The runs are deterministic, so
-/// this only absorbs float-formatting round-trips (values are stored with
-/// 12 significant digits), not behavior drift.
-constexpr double kRelTol = 1e-9;
-
-using Golden = std::map<std::string, double>;
-
-std::string golden_path(const std::string& name) {
-  return std::string(PSCHED_GOLDEN_DIR) + "/" + name + ".txt";
-}
+using golden::Golden;
 
 Golden collect(const engine::ScenarioResult& result) {
   const metrics::RunMetrics& m = result.run.metrics;
@@ -51,52 +32,6 @@ Golden collect(const engine::ScenarioResult& result) {
   return g;
 }
 
-void write_golden(const std::string& name, const Golden& golden) {
-  std::ofstream out(golden_path(name));
-  ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
-  out << "# golden metrics: " << name << " (regenerate: PSCHED_UPDATE_GOLDEN=1)\n";
-  for (const auto& [key, value] : golden) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    out << key << " = " << buf << "\n";
-  }
-}
-
-Golden read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  EXPECT_TRUE(in.good()) << "missing golden file " << golden_path(name)
-                         << " — run once with PSCHED_UPDATE_GOLDEN=1";
-  Golden g;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key, equals;
-    double value = 0.0;
-    if (fields >> key >> equals >> value && equals == "=") g[key] = value;
-  }
-  return g;
-}
-
-void expect_matches_golden(const std::string& name,
-                           const engine::ScenarioResult& result) {
-  const Golden actual = collect(result);
-  if (std::getenv("PSCHED_UPDATE_GOLDEN") != nullptr) {
-    write_golden(name, actual);
-    GTEST_SKIP() << "golden file " << name << " regenerated";
-  }
-  const Golden golden = read_golden(name);
-  ASSERT_FALSE(golden.empty());
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << name << ": metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected,
-                kRelTol * std::max(1.0, std::abs(expected)))
-        << name << ": metric '" << key << "' drifted";
-  }
-  EXPECT_EQ(golden.size(), actual.size()) << name << ": metric set changed";
-}
-
 const policy::Portfolio& portfolio() {
   static const policy::Portfolio p = policy::Portfolio::paper_portfolio();
   return p;
@@ -112,7 +47,7 @@ TEST(GoldenTrace, Fig5StyleUnboundedPortfolioOnKthSp2) {
   const auto pconfig = engine::paper_portfolio_config(config);
   const engine::ScenarioResult result = engine::run_portfolio(
       config, trace, portfolio(), pconfig, engine::PredictorKind::kPerfect);
-  expect_matches_golden("fig5_kth_sp2", result);
+  golden::expect_matches_golden("fig5_kth_sp2", collect(result));
 }
 
 TEST(GoldenTrace, Fig10StyleTimeConstrainedPortfolioOnLpcEgee) {
@@ -128,7 +63,7 @@ TEST(GoldenTrace, Fig10StyleTimeConstrainedPortfolioOnLpcEgee) {
   pconfig.selector.use_measured_cost = false;
   const engine::ScenarioResult result = engine::run_portfolio(
       config, trace, portfolio(), pconfig, engine::PredictorKind::kTsafrir);
-  expect_matches_golden("fig10_lpc_egee", result);
+  golden::expect_matches_golden("fig10_lpc_egee", collect(result));
 }
 
 }  // namespace

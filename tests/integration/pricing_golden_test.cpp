@@ -4,10 +4,7 @@
 // against a committed metric snapshot in tests/integration/golden/. Any
 // change to the price process draws, tier-aware provisioning, or revocation
 // handling moves these numbers and fails here first.
-//
-// After an INTENTIONAL behavior change, regenerate the snapshot:
-//   PSCHED_UPDATE_GOLDEN=1 ./tests/pricing_tests && git diff tests/integration/golden
-// and commit the diff together with the change that explains it.
+// Regenerate: PSCHED_UPDATE_GOLDEN=1 ./tests/pricing_tests (golden_codec.hpp).
 //
 // The suite also re-checks the *pre-pricing* fig5 golden with an explicit
 // (default) PricingConfig attached: pricing-off must reproduce the committed
@@ -15,29 +12,16 @@
 // the repository's own history rather than a same-binary twin run).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <string>
 
 #include "engine/experiment.hpp"
+#include "golden_codec.hpp"
 #include "workload/generator.hpp"
 
 namespace psched {
 namespace {
 
-/// Relative tolerance for golden comparisons; absorbs only the 12-digit
-/// formatting round-trip, not behavior drift (the run is deterministic).
-constexpr double kRelTol = 1e-9;
-
-using Golden = std::map<std::string, double>;
-
-std::string golden_path(const std::string& name) {
-  return std::string(PSCHED_GOLDEN_DIR) + "/" + name + ".txt";
-}
+using golden::Golden;
 
 Golden collect(const engine::ScenarioResult& result) {
   const metrics::RunMetrics& m = result.run.metrics;
@@ -67,52 +51,6 @@ Golden collect(const engine::ScenarioResult& result) {
   g["job_kills"] = static_cast<double>(m.failures.job_kills);
   g["jobs_killed_final"] = static_cast<double>(m.failures.jobs_killed_final);
   return g;
-}
-
-void write_golden(const std::string& name, const Golden& golden) {
-  std::ofstream out(golden_path(name));
-  ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
-  out << "# golden metrics: " << name << " (regenerate: PSCHED_UPDATE_GOLDEN=1)\n";
-  for (const auto& [key, value] : golden) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    out << key << " = " << buf << "\n";
-  }
-}
-
-Golden read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  EXPECT_TRUE(in.good()) << "missing golden file " << golden_path(name)
-                         << " — run once with PSCHED_UPDATE_GOLDEN=1";
-  Golden g;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key, equals;
-    double value = 0.0;
-    if (fields >> key >> equals >> value && equals == "=") g[key] = value;
-  }
-  return g;
-}
-
-void expect_matches_golden(const std::string& name,
-                           const engine::ScenarioResult& result) {
-  const Golden actual = collect(result);
-  if (std::getenv("PSCHED_UPDATE_GOLDEN") != nullptr) {
-    write_golden(name, actual);
-    GTEST_SKIP() << "golden file " << name << " regenerated";
-  }
-  const Golden golden = read_golden(name);
-  ASSERT_FALSE(golden.empty());
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << name << ": metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected,
-                kRelTol * std::max(1.0, std::abs(expected)))
-        << name << ": metric '" << key << "' drifted";
-  }
-  EXPECT_EQ(golden.size(), actual.size()) << name << ": metric set changed";
 }
 
 /// The Figure-5 trace (same generator call as golden_test.cpp).
@@ -158,7 +96,7 @@ TEST(PricingGoldenTrace, MixedTierPortfolioOnKthSp2) {
   EXPECT_GT(result.run.metrics.pricing.reserved_leases, 0u);
   EXPECT_GT(result.run.metrics.pricing.spot_revocations, 0u);
   EXPECT_GT(result.run.metrics.pricing.total_spend_dollars(), 0.0);
-  expect_matches_golden("pricing_kth_sp2", result);
+  golden::expect_matches_golden("pricing_kth_sp2", collect(result));
 }
 
 TEST(PricingGoldenTrace, PricingOffReproducesTheCommittedFig5Golden) {
@@ -178,16 +116,8 @@ TEST(PricingGoldenTrace, PricingOffReproducesTheCommittedFig5Golden) {
   const engine::ScenarioResult result = engine::run_portfolio(
       config, trace, policy::Portfolio::paper_portfolio(), pconfig,
       engine::PredictorKind::kPerfect);
-  const Golden golden = read_golden("fig5_kth_sp2");
-  ASSERT_FALSE(golden.empty());
-  const Golden actual = collect(result);
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "fig5 metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected,
-                kRelTol * std::max(1.0, std::abs(expected)))
-        << "pricing-off drifted from the committed fig5 golden at '" << key << "'";
-  }
+  golden::expect_contains("pricing-off vs the committed fig5_kth_sp2",
+                          golden::read_golden("fig5_kth_sp2"), collect(result));
 }
 
 }  // namespace

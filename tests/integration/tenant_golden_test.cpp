@@ -5,10 +5,7 @@
 // Any change to the arbiter, the epoch loop, the per-tenant seed streams, or
 // their interaction with the failure/pricing layers moves these numbers and
 // fails here first.
-//
-// After an INTENTIONAL behavior change, regenerate the snapshot:
-//   PSCHED_UPDATE_GOLDEN=1 ./tests/tenant_tests && git diff tests/integration/golden
-// and commit the diff together with the change that explains it.
+// Regenerate: PSCHED_UPDATE_GOLDEN=1 ./tests/tenant_tests (golden_codec.hpp).
 //
 // The suite also re-checks the *pre-tenant* fig5 golden through the plain
 // single-tenant entry point: tenants-off must reproduce the committed
@@ -16,30 +13,19 @@
 // the repository's own history rather than a same-binary twin run).
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/experiment.hpp"
 #include "engine/tenant.hpp"
+#include "golden_codec.hpp"
 #include "workload/generator.hpp"
 
 namespace psched {
 namespace {
 
-/// Relative tolerance for golden comparisons; absorbs only the 12-digit
-/// formatting round-trip, not behavior drift (the run is deterministic).
-constexpr double kRelTol = 1e-9;
-
-using Golden = std::map<std::string, double>;
-
-std::string golden_path(const std::string& name) {
-  return std::string(PSCHED_GOLDEN_DIR) + "/" + name + ".txt";
-}
+using golden::Golden;
 
 Golden collect(const engine::MultiTenantResult& result) {
   const metrics::RunMetrics& m = result.metrics;
@@ -75,44 +61,6 @@ Golden collect(const engine::MultiTenantResult& result) {
     g[prefix + "over_budget"] = t.over_budget ? 1.0 : 0.0;
   }
   return g;
-}
-
-void write_golden(const std::string& name, const Golden& golden) {
-  std::ofstream out(golden_path(name));
-  ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
-  out << "# golden metrics: " << name << " (regenerate: PSCHED_UPDATE_GOLDEN=1)\n";
-  for (const auto& [key, value] : golden) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    out << key << " = " << buf << "\n";
-  }
-}
-
-Golden read_golden(const std::string& name) {
-  std::ifstream in(golden_path(name));
-  EXPECT_TRUE(in.good()) << "missing golden file " << golden_path(name)
-                         << " — run once with PSCHED_UPDATE_GOLDEN=1";
-  Golden g;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string key, equals;
-    double value = 0.0;
-    if (fields >> key >> equals >> value && equals == "=") g[key] = value;
-  }
-  return g;
-}
-
-void expect_matches(const std::string& name, const Golden& golden,
-                    const Golden& actual) {
-  ASSERT_FALSE(golden.empty());
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << name << ": metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected, kRelTol * std::max(1.0, std::abs(expected)))
-        << name << ": metric '" << key << "' drifted";
-  }
 }
 
 /// The Figure-5 trace (same generator call as golden_test.cpp).
@@ -177,14 +125,7 @@ TEST(TenantGoldenTrace, MixedFailurePricingTenantsOnKthSp2) {
   EXPECT_GT(result.metrics.pricing.spot_leases, 0u);
   EXPECT_TRUE(result.tenants[2].over_budget);
 
-  const Golden actual = collect(result);
-  if (std::getenv("PSCHED_UPDATE_GOLDEN") != nullptr) {
-    write_golden("tenant_mixed_kth_sp2", actual);
-    GTEST_SKIP() << "golden file tenant_mixed_kth_sp2 regenerated";
-  }
-  const Golden golden = read_golden("tenant_mixed_kth_sp2");
-  expect_matches("tenant_mixed_kth_sp2", golden, actual);
-  EXPECT_EQ(golden.size(), actual.size()) << "metric set changed";
+  golden::expect_matches_golden("tenant_mixed_kth_sp2", collect(result));
 }
 
 TEST(TenantGoldenTrace, TenantsOffReproducesTheCommittedFig5Golden) {
@@ -218,13 +159,8 @@ TEST(TenantGoldenTrace, TenantsOffReproducesTheCommittedFig5Golden) {
   actual["selection_invocations"] =
       static_cast<double>(result.portfolio.invocations);
 
-  const Golden golden = read_golden("fig5_kth_sp2");
-  for (const auto& [key, expected] : golden) {
-    const auto it = actual.find(key);
-    ASSERT_NE(it, actual.end()) << "fig5 metric '" << key << "' disappeared";
-    EXPECT_NEAR(it->second, expected, kRelTol * std::max(1.0, std::abs(expected)))
-        << "tenants-off drifted from the committed fig5 golden at '" << key << "'";
-  }
+  golden::expect_contains("tenants-off vs the committed fig5_kth_sp2",
+                          golden::read_golden("fig5_kth_sp2"), actual);
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ TEST_F(AtomicFileTest, ReplacesPreviousContentCompletely) {
 }
 
 TEST_F(AtomicFileTest, CrashMidWriteLeavesThePreviousFileIntact) {
-  // The property every report/trace/SARIF/bench emission relies
+  // The property every report/trace/bench emission relies
   // on: a crash after the temp write starts but before the rename must
   // leave the destination byte-identical to its previous content.
   const std::string previous = "{\"schema\":\"psched-run-report/v1\"}\n";

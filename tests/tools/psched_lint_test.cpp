@@ -1,8 +1,6 @@
 // psched-lint rule engine: one check per rule D1-D8 (detection, allowlist,
-// suppression honoring), the SUPP meta-rule, baseline hygiene, the SARIF
-// emitter (round-tripped through the obs/json parser), --fix idempotence,
-// the fixture self-test, and the gate the whole PR hangs on — the real tree
-// lints clean with zero unbaselined findings.
+// suppression honoring), the SUPP meta-rule, the fixture self-test, and the
+// gate itself — the real tree lints clean with zero findings.
 //
 // Compile-time paths: PSCHED_SOURCE_ROOT (repo root) and
 // PSCHED_LINT_FIXTURES (tools/psched_lint/fixtures), injected by CMake.
@@ -13,8 +11,6 @@
 #include <algorithm>
 #include <string>
 #include <vector>
-
-#include "obs/json.hpp"
 
 namespace psched::lint {
 namespace {
@@ -233,22 +229,6 @@ TEST(PschedLint, D5FlagsComputedStreamNames) {
   EXPECT_TRUE(has_rule(findings, "D5")) << dump(findings);
 }
 
-TEST(PschedLint, IndexSerializationIsDeterministic) {
-  const std::map<std::string, std::string> sources = {
-      {"src/a.hpp", "PSCHED_SEED_STREAM(kStreamZ, \"z\");\n"
-                    "class MyObs : public SimObserver {};\n"}};
-  std::map<std::string, SourceFile> files;
-  for (const auto& [path, code] : sources)
-    files.emplace(path, load_source_from_string(code, path));
-  const ProgramIndex index = build_index(files, snippet_options());
-  const std::string dumped = index_to_string(index);
-  EXPECT_NE(dumped.find("stream z src/a.hpp"), std::string::npos) << dumped;
-  EXPECT_NE(dumped.find("stream-const kStreamZ z"), std::string::npos) << dumped;
-  EXPECT_NE(dumped.find("observer MyObs"), std::string::npos) << dumped;
-  // Same input, same bytes: CI hashes this as a cache key.
-  EXPECT_EQ(dumped, index_to_string(build_index(files, snippet_options())));
-}
-
 // --- D6: time-unit confusion ------------------------------------------------
 
 TEST(PschedLint, D6FlagsAdditiveUnitMixing) {
@@ -452,179 +432,16 @@ TEST(PschedLint, UnknownRuleInSuppressionIsAFinding) {
   EXPECT_TRUE(has_rule(findings, "SUPP")) << dump(findings);
 }
 
-// --- baseline ---------------------------------------------------------------
-
-TEST(PschedLint, BaselineSuppressesListedFindingsOnly) {
-  const Baseline baseline = parse_baseline(
-      "# known debt, tracked in the roadmap\n"
-      "src/a.cpp|D6|mixed units until the config migration lands\n",
-      "baseline.txt");
-  ASSERT_TRUE(baseline.errors.empty()) << dump(baseline.errors);
-  ASSERT_EQ(baseline.entries.size(), 1u);
-
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 3, "D6", "mixing"},
-      {"src/b.cpp", 7, "D6", "mixing"},
-  };
-  const BaselineResult result = apply_baseline(findings, baseline);
-  EXPECT_EQ(result.suppressed, 1u);
-  ASSERT_EQ(result.unbaselined.size(), 1u);
-  EXPECT_EQ(result.unbaselined[0].file, "src/b.cpp");
-  EXPECT_TRUE(result.errors.empty()) << dump(result.errors);
-}
-
-TEST(PschedLint, BaselineEntriesRequireJustifications) {
-  const Baseline baseline = parse_baseline(
-      "src/a.cpp|D6|\n"          // empty justification
-      "src/a.cpp|D6\n"           // missing field
-      "src/a.cpp|D42|because\n"  // unknown rule
-      "\n# comments and blanks are fine\n",
-      "baseline.txt");
-  EXPECT_TRUE(baseline.entries.empty());
-  EXPECT_EQ(baseline.errors.size(), 3u) << dump(baseline.errors);
-  for (const Finding& f : baseline.errors) EXPECT_EQ(f.rule, "BASE");
-}
-
-TEST(PschedLint, StaleBaselineEntriesAreErrors) {
-  const Baseline baseline = parse_baseline(
-      "src/gone.cpp|D6|the finding this covered was fixed\n", "baseline.txt");
-  ASSERT_TRUE(baseline.errors.empty());
-  const BaselineResult result = apply_baseline({}, baseline);
-  EXPECT_TRUE(result.unbaselined.empty());
-  ASSERT_EQ(result.errors.size(), 1u) << dump(result.errors);
-  EXPECT_EQ(result.errors[0].rule, "BASE");
-}
-
-// --- SARIF ------------------------------------------------------------------
-
-TEST(PschedLint, SarifRoundTripsThroughObsJsonParser) {
-  const std::vector<Finding> findings = {
-      {"src/a.cpp", 12, "D6", "mixing \"ms\" with seconds\nacross a line"},
-      {"src/b.cpp", 3, "D5", "unregistered stream"},
-  };
-  const std::string sarif = sarif_json(findings);
-
-  const obs::JsonParseResult parsed = obs::json_parse(sarif);
-  ASSERT_TRUE(parsed.ok) << parsed.error << "\n" << sarif;
-  const obs::JsonValue& doc = parsed.value;
-  ASSERT_TRUE(doc.is(obs::JsonValue::Type::kObject));
-  const obs::JsonValue* version = doc.find("version");
-  ASSERT_NE(version, nullptr);
-  EXPECT_EQ(version->string, "2.1.0");
-
-  const obs::JsonValue* runs = doc.find("runs");
-  ASSERT_NE(runs, nullptr);
-  ASSERT_TRUE(runs->is(obs::JsonValue::Type::kArray));
-  ASSERT_EQ(runs->array.size(), 1u);
-  const obs::JsonValue& run = runs->array[0];
-
-  const obs::JsonValue* tool = run.find("tool");
-  ASSERT_NE(tool, nullptr);
-  const obs::JsonValue* driver = tool->find("driver");
-  ASSERT_NE(driver, nullptr);
-  const obs::JsonValue* name = driver->find("name");
-  ASSERT_NE(name, nullptr);
-  EXPECT_EQ(name->string, "psched-lint");
-  const obs::JsonValue* rules = driver->find("rules");
-  ASSERT_NE(rules, nullptr);
-  EXPECT_EQ(rules->array.size(), rule_catalog().size());
-
-  const obs::JsonValue* results = run.find("results");
-  ASSERT_NE(results, nullptr);
-  ASSERT_EQ(results->array.size(), 2u);
-  const obs::JsonValue& first = results->array[0];
-  const obs::JsonValue* rule_id = first.find("ruleId");
-  ASSERT_NE(rule_id, nullptr);
-  EXPECT_EQ(rule_id->string, "D6");
-  // The message survives escaping (embedded quotes and newline).
-  const obs::JsonValue* message = first.find("message");
-  ASSERT_NE(message, nullptr);
-  const obs::JsonValue* text = message->find("text");
-  ASSERT_NE(text, nullptr);
-  EXPECT_EQ(text->string, findings[0].message);
-  // Location plumbing: uri + 1-based startLine.
-  const obs::JsonValue* locations = first.find("locations");
-  ASSERT_NE(locations, nullptr);
-  ASSERT_EQ(locations->array.size(), 1u);
-  const obs::JsonValue* physical = locations->array[0].find("physicalLocation");
-  ASSERT_NE(physical, nullptr);
-  const obs::JsonValue* artifact = physical->find("artifactLocation");
-  ASSERT_NE(artifact, nullptr);
-  const obs::JsonValue* uri = artifact->find("uri");
-  ASSERT_NE(uri, nullptr);
-  EXPECT_EQ(uri->string, "src/a.cpp");
-  const obs::JsonValue* region = physical->find("region");
-  ASSERT_NE(region, nullptr);
-  const obs::JsonValue* start_line = region->find("startLine");
-  ASSERT_NE(start_line, nullptr);
-  EXPECT_EQ(start_line->number, 12.0);
-}
-
-TEST(PschedLint, SarifWithNoFindingsIsStillValid) {
-  const obs::JsonParseResult parsed = obs::json_parse(sarif_json({}));
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  const obs::JsonValue* runs = parsed.value.find("runs");
-  ASSERT_NE(runs, nullptr);
-  const obs::JsonValue* results = runs->array[0].find("results");
-  ASSERT_NE(results, nullptr);
-  EXPECT_TRUE(results->array.empty());
-}
-
-// --- auto-fix ---------------------------------------------------------------
-
-TEST(PschedLint, FixRewritesFloatEqualityAndAddsInclude) {
-  const std::string code =
-      "#pragma once\n"
-      "#include \"util/types.hpp\"\n"
-      "bool settled(double x) { return x == 0.0; }\n"
-      "bool moved(double x) { return x != 1.0; }\n";
-  const FixResult fixed = apply_fixes(code, "src/engine/x.hpp", {});
-  EXPECT_EQ(fixed.applied, 2u);
-  EXPECT_NE(fixed.content.find("psched::util::approx_eq(x, 0.0)"),
-            std::string::npos) << fixed.content;
-  EXPECT_NE(fixed.content.find("!psched::util::approx_eq(x, 1.0)"),
-            std::string::npos) << fixed.content;
-  EXPECT_NE(fixed.content.find("#include \"util/float_cmp.hpp\""),
-            std::string::npos) << fixed.content;
-  // The rewritten file has no remaining D4 finding...
-  const auto findings = lint_snippet(fixed.content, "src/engine/x.hpp");
-  EXPECT_FALSE(has_rule(findings, "D4")) << dump(findings);
-  // ...so a second application is a no-op (idempotence).
-  const FixResult again = apply_fixes(fixed.content, "src/engine/x.hpp", {});
-  EXPECT_EQ(again.applied, 0u);
-  EXPECT_EQ(again.content, fixed.content);
-}
-
-TEST(PschedLint, FixHoistsLiteralMt19937Seeds) {
-  const std::string code =
-      "#include <random>\n"
-      "void f() {\n"
-      "  std::mt19937 gen(12345);\n"
-      "  (void)gen;\n"
-      "}\n";
-  const FixResult fixed = apply_fixes(code, "src/a.cpp", {});
-  EXPECT_EQ(fixed.applied, 2u) << fixed.content;  // hoist + reseed
-  EXPECT_NE(fixed.content.find("static constexpr auto kLintSeed3 = 12345;"),
-            std::string::npos) << fixed.content;
-  EXPECT_NE(fixed.content.find("std::mt19937 gen(kLintSeed3);"),
-            std::string::npos) << fixed.content;
-  const auto findings = lint_snippet(fixed.content, "src/a.cpp");
-  EXPECT_FALSE(has_rule(findings, "D3")) << dump(findings);
-  const FixResult again = apply_fixes(fixed.content, "src/a.cpp", {});
-  EXPECT_EQ(again.applied, 0u);
-  EXPECT_EQ(again.content, fixed.content);
-}
-
-TEST(PschedLint, FixLeavesSuppressedAndComplexSitesAlone) {
-  const std::string code =
+TEST(PschedLint, UnknownDirectiveGrantsNothing) {
+  // Only suppress(Dk) and order-insensitive(why) are directives. Any other
+  // word after the marker is prose, so the finding below it still fires.
+  const auto findings = lint_snippet(
       "bool f(double x) {\n"
-      "  // psched-lint: allow(D4, sentinel compared verbatim)\n"
+      "  // psched-lint: ignore(D4) sentinel compared verbatim\n"
       "  return x == -1.0;\n"
-      "}\n"
-      "bool g(double x) { return (x * 2.0) == 4.0; }\n";  // complex LHS
-  const FixResult fixed = apply_fixes(code, "src/a.cpp", {});
-  EXPECT_EQ(fixed.applied, 0u) << fixed.content;
-  EXPECT_EQ(fixed.content, code);
+      "}\n",
+      "src/a.cpp");
+  EXPECT_TRUE(has_rule(findings, "D4")) << dump(findings);
 }
 
 // --- self-test + the real tree ---------------------------------------------
@@ -639,16 +456,6 @@ TEST(PschedLint, RealTreeLintsClean) {
   const std::vector<Finding> findings =
       lint_tree(options, {"src", "bench", "tools"}, {"tools/psched_lint/fixtures/"});
   EXPECT_TRUE(findings.empty()) << dump(findings);
-}
-
-TEST(PschedLint, RealTreeIsFixIdempotent) {
-  LintOptions options;
-  options.root = PSCHED_SOURCE_ROOT;
-  const std::size_t would_fix = fix_tree(
-      options, {"src", "bench", "tools"}, {"tools/psched_lint/fixtures/"},
-      /*dry_run=*/true);
-  EXPECT_EQ(would_fix, 0u)
-      << "psched_lint --fix would rewrite the tree; apply it and commit";
 }
 
 }  // namespace

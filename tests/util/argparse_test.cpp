@@ -65,6 +65,14 @@ TEST(ArgParser, ParseIntIsStrict) {
   EXPECT_FALSE(ArgParser::parse_int("99999999999999999999", value)) << "overflow";
 }
 
+TEST(ArgParser, IntBelowLowerBoundIsAUsageError) {
+  const auto p = parse({"--period", "0", "--threads", "0"});
+  EXPECT_EQ(p.get_int("threads", 1, 0), 0) << "the bound itself is accepted";
+  EXPECT_EQ(p.get_int("missing", 5, 1), 5) << "fallbacks are not checked";
+  EXPECT_EXIT((void)p.get_int("period", 1, 1), testing::ExitedWithCode(1),
+              "error: --period wants an integer >= 1, got '0'");
+}
+
 TEST(ArgParser, ParseDoubleIsStrictAndFinite) {
   double value = 0.0;
   EXPECT_TRUE(ArgParser::parse_double("0.75", value));

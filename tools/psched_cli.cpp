@@ -353,11 +353,7 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
                     const policy::PolicyTriple* triple,
                     engine::PredictorKind predictor, obs::Recorder* rec,
                     const std::string& report_out, std::size_t count) {
-  const std::int64_t ticks = args.get_int("arbitration-ticks", 1);
-  if (ticks < 1) {
-    std::fputs("error: --arbitration-ticks must be >= 1\n", stderr);
-    return 1;
-  }
+  const std::int64_t ticks = args.get_int("arbitration-ticks", 1, 1);
   const double budget = args.get_double("tenant-budget", 0.0);
   if (budget < 0.0) {
     std::fputs("error: --tenant-budget must be >= 0 VM-hours\n", stderr);
@@ -422,7 +418,8 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
 
   // The pool hosts both tenant waves and every tenant selector's candidate
   // waves; results are bit-identical at any width (0 = hardware concurrency).
-  const auto eval_threads = static_cast<std::size_t>(args.get_int("eval-threads", 1));
+  const auto eval_threads =
+      static_cast<std::size_t>(args.get_int("eval-threads", 1, 0));
   std::unique_ptr<util::ThreadPool> pool;
   if (eval_threads != 1) pool = std::make_unique<util::ThreadPool>(eval_threads);
   engine::MultiTenantExperiment experiment(mt, pool.get());
@@ -516,6 +513,11 @@ int cmd_run(const util::ArgParser& args) {
   if (args.get_bool("backfill"))
     config.allocation = policy::AllocationMode::kEasyBackfill;
   config.provider.billing_quantum = args.get_double("quantum", 3600.0);
+  if (config.provider.billing_quantum <= 0.0) {
+    std::fprintf(stderr, "error: --quantum wants a number > 0, got '%s'\n",
+                 args.get("quantum", "").c_str());
+    return 1;
+  }
 
   // Failure model: --failures picks a demo mix; the individual rate flags
   // override it (and any nonzero rate enables the model by itself).
@@ -536,7 +538,7 @@ int cmd_run(const util::ArgParser& args) {
   config.failure.seed = static_cast<std::uint64_t>(
       args.get_int("failure-seed", static_cast<std::int64_t>(config.failure.seed)));
   config.resilience.max_resubmits = static_cast<std::size_t>(args.get_int(
-      "max-resubmits", static_cast<std::int64_t>(config.resilience.max_resubmits)));
+      "max-resubmits", static_cast<std::int64_t>(config.resilience.max_resubmits), 0));
   if (config.failure.p_boot_fail < 0.0 || config.failure.p_boot_fail > 1.0 ||
       config.failure.vm_mtbf_seconds < 0.0 ||
       config.failure.api_outage_gap_seconds < 0.0) {
@@ -649,16 +651,16 @@ int cmd_run(const util::ArgParser& args) {
     if (budget_mode == "fixed-count") {
       pconfig.selector.budget_mode = core::BudgetMode::kFixedCount;
       pconfig.selector.fixed_count =
-          static_cast<std::size_t>(args.get_int("fixed-count", 0));
+          static_cast<std::size_t>(args.get_int("fixed-count", 0, 0));
     } else if (budget_mode != "wallclock") {
       std::fputs("error: --budget-mode must be wallclock or fixed-count\n",
                  stderr);
       return 1;
     }
     pconfig.selector.eval_threads =
-        static_cast<std::size_t>(args.get_int("eval-threads", 1));
+        static_cast<std::size_t>(args.get_int("eval-threads", 1, 0));
     pconfig.selection_period_ticks =
-        static_cast<std::uint64_t>(args.get_int("period", 1));
+        static_cast<std::uint64_t>(args.get_int("period", 1, 1));
     if (args.get_bool("on-change")) pconfig.trigger = core::SelectionTrigger::kOnChange;
     pconfig.use_reflection_hints = args.get_bool("reflection");
     // candidate-throw lives in the selector, not the provider: every online

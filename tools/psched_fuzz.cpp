@@ -5,12 +5,12 @@
 // shrunk to a smaller still-failing trace prefix.
 //
 //   psched_fuzz [--seeds N] [--base-seed S] [--max-seconds T]
-//               [--inject-fault NAME] [--no-shrink] [--no-tenants]
+//               [--inject-fault NAME] [--no-shrink]
 //
 // --inject-fault (billing-off-by-one, skip-boot-delay, cap-overshoot,
 // candidate-throw, tenant-cap-overshoot, tenant-unfair-share) turns the run
-// into a checker self-test: it is then EXPECTED to fail. --no-tenants skips
-// the multi-tenant scenario draws (reproduces pre-tenant scenarios exactly).
+// into a checker self-test: it is then EXPECTED to fail. --seeds must be at
+// least 1.
 //
 // Exit codes: 0 all seeds clean, 1 usage error, 2 invariant violation found.
 #include <cstdio>
@@ -24,11 +24,10 @@ int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv);
 
   validate::FuzzConfig config;
-  config.num_seeds = static_cast<std::size_t>(args.get_int("seeds", 50));
+  config.num_seeds = static_cast<std::size_t>(args.get_int("seeds", 50, 1));
   config.base_seed = static_cast<std::uint64_t>(args.get_int("base-seed", 1));
   config.time_cap_seconds = args.get_double("max-seconds", 0.0);
   config.shrink = !args.get_bool("no-shrink");
-  config.fuzz_tenants = !args.get_bool("no-tenants");
   bool ok = true;
   config.inject_fault = validate::fault_from_string(args.get("inject-fault", "none"), ok);
   if (!ok) {

@@ -29,9 +29,9 @@ struct Tally {
 
 // A harness measuring real elapsed time, explicitly acknowledged.
 double measure_harness_seconds() {
-  // psched-lint: allow(D1, this fixture models a bench harness measuring wall time)
+  // psched-lint: suppress(D1) this fixture models a bench harness measuring wall time
   const auto start = std::chrono::steady_clock::now();
-  // psched-lint: allow(D1, end of the same measurement)
+  // psched-lint: suppress(D1) end of the same measurement
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
@@ -39,6 +39,6 @@ double measure_harness_seconds() {
 // Exact comparison acknowledged: comparing against a sentinel that is
 // assigned, never computed.
 bool is_unset(double value) {
-  // psched-lint: allow(D4, -1.0 is an assigned sentinel, never arithmetic)
+  // psched-lint: suppress(D4) -1.0 is an assigned sentinel, never arithmetic
   return value == -1.0;
 }

@@ -16,7 +16,7 @@ void commutative_fold(ThreadPool& pool, int n) {
   });
 }
 
-bool legacy_equality(double x) {
-  // psched-lint: allow(D4, sentinel is assigned verbatim, never computed)
+bool sentinel_equality(double x) {
+  // psched-lint: suppress(D4) sentinel is assigned verbatim, never computed
   return x == -1.0;
 }

@@ -248,33 +248,8 @@ std::set<std::string> parse_directives(const std::string& comment, std::size_t l
       } else {
         keys.insert("order-insensitive");
       }
-    } else if (word == "allow") {
-      // Legacy form: allow(Dk, justification). Rule-scoped, like suppress.
-      const std::size_t open = skip_space(comment, word_end);
-      const std::size_t close =
-          open < comment.size() && comment[open] == '('
-              ? comment.find(')', open)
-              : std::string::npos;
-      if (close == std::string::npos) {
-        malformed("allow without (rule, justification)");
-      } else {
-        const std::string args = comment.substr(open + 1, close - open - 1);
-        const std::size_t comma = args.find(',');
-        const std::string rule =
-            trim(args.substr(0, comma == std::string::npos ? args.size() : comma));
-        const bool justified =
-            comma != std::string::npos &&
-            args.find_first_not_of(" \t", comma + 1) != std::string::npos;
-        if (!is_known_rule(rule)) {
-          malformed("unknown rule id '" + rule + "'");
-        } else if (!justified) {
-          malformed("allow(" + rule + ") without a justification");
-        } else {
-          keys.insert(rule);
-        }
-      }
     } else if (word == "suppress") {
-      // Rule-scoped form: suppress(Dk) <justification after the paren>.
+      // suppress(Dk) <justification after the paren>.
       const std::size_t open = skip_space(comment, word_end);
       const std::size_t close =
           open < comment.size() && comment[open] == '('
@@ -1038,18 +1013,6 @@ ProgramIndex build_index(const std::map<std::string, SourceFile>& files,
   return index;
 }
 
-std::string index_to_string(const ProgramIndex& index) {
-  std::ostringstream out;
-  out << "psched-lint-index/v1\n";
-  for (const auto& [name, f] : index.stream_names)
-    out << "stream " << name << " " << f << "\n";
-  for (const auto& [ident, name] : index.stream_idents)
-    out << "stream-const " << ident << " " << name << "\n";
-  for (const std::string& cls : index.observer_classes)
-    out << "observer " << cls << "\n";
-  return out.str();
-}
-
 std::vector<Finding> lint_file(const SourceFile& file,
                                const std::set<std::string>& tu_unordered_names,
                                const ProgramIndex& index,
@@ -1154,75 +1117,19 @@ std::vector<Finding> lint_tree(const LintOptions& options,
   return findings;
 }
 
-// --- baseline ---------------------------------------------------------------
-
-Baseline parse_baseline(const std::string& contents, const std::string& baseline_path) {
-  Baseline baseline;
-  std::istringstream in(contents);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string text = trim(line);
-    if (text.empty() || text[0] == '#') continue;
-    const std::size_t p1 = text.find('|');
-    const std::size_t p2 = p1 == std::string::npos ? std::string::npos
-                                                   : text.find('|', p1 + 1);
-    const auto malformed = [&](const std::string& why) {
-      baseline.errors.push_back(Finding{
-          baseline_path, lineno, "BASE",
-          "malformed baseline entry (" + why + ") — expected "
-          "`<file>|<rule>|<justification>`, and the justification is "
-          "mandatory"});
-    };
-    if (p2 == std::string::npos) {
-      malformed("missing '|' separators");
-      continue;
-    }
-    BaselineEntry entry;
-    entry.file = trim(text.substr(0, p1));
-    entry.rule = trim(text.substr(p1 + 1, p2 - p1 - 1));
-    entry.justification = trim(text.substr(p2 + 1));
-    entry.line = lineno;
-    if (entry.file.empty()) {
-      malformed("empty file path");
-    } else if (!is_known_rule(entry.rule) && entry.rule != "SUPP") {
-      malformed("unknown rule id '" + entry.rule + "'");
-    } else if (entry.justification.empty()) {
-      malformed("entry for " + entry.file + " lacks a justification");
-    } else {
-      baseline.entries.push_back(std::move(entry));
-    }
-  }
-  return baseline;
-}
-
-BaselineResult apply_baseline(const std::vector<Finding>& findings,
-                              const Baseline& baseline) {
-  BaselineResult result;
-  result.errors = baseline.errors;
-  std::vector<std::size_t> hits(baseline.entries.size(), 0);
-  for (const Finding& f : findings) {
-    bool covered = false;
-    for (std::size_t i = 0; i < baseline.entries.size(); ++i) {
-      const BaselineEntry& e = baseline.entries[i];
-      if (e.file == f.file && e.rule == f.rule) {
-        ++hits[i];
-        covered = true;
-      }
-    }
-    if (covered) ++result.suppressed;
-    else result.unbaselined.push_back(f);
-  }
-  for (std::size_t i = 0; i < baseline.entries.size(); ++i) {
-    if (hits[i] > 0) continue;
-    const BaselineEntry& e = baseline.entries[i];
-    result.errors.push_back(Finding{
-        e.file, e.line, "BASE",
-        "stale baseline entry: no " + e.rule + " finding remains in " + e.file +
-            " — delete the entry (the baseline may only shrink)"});
-  }
-  return result;
+const std::vector<RuleInfo>& rule_catalog() {
+  static const std::vector<RuleInfo> kRules = {
+      {"D1", "wall-clock or ambient-entropy read in simulated code"},
+      {"D2", "iteration over an unordered container (hash-order dependent)"},
+      {"D3", "std::mt19937 constructed without a named seed parameter"},
+      {"D4", "floating-point ==/!= against a literal"},
+      {"D5", "seed-stream name not registered (or colliding) in the central registry"},
+      {"D6", "additive arithmetic mixing time units (ms/us vs seconds/hours)"},
+      {"D7", "observer callback mutates the simulation it observes"},
+      {"D8", "cross-worker compound accumulation inside a parallel wave lambda"},
+      {"SUPP", "malformed or unjustified psched-lint suppression annotation"},
+  };
+  return kRules;
 }
 
 bool run_self_test(const std::filesystem::path& fixture_dir) {

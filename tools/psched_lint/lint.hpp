@@ -66,18 +66,12 @@
 // comments on the flagged line or the line directly above it:
 //
 //   // psched-lint: order-insensitive(<why order cannot leak>)
-//   // psched-lint: allow(D1, this file measures real wall time)
 //   // psched-lint: suppress(D6) <justification>
 //
-// `suppress(Dk)` is the rule-scoped form: it silences exactly one rule, so
-// a justified suppression can never mask a different rule that later fires
-// on the same line. A justification is mandatory for every form; a bare
-// suppression is itself reported (rule SUPP).
-//
-// Known findings that cannot be fixed yet may instead be recorded in a
-// checked-in baseline file (one `<file>|<rule>|<justification>` per line);
-// entries without a justification and entries matching nothing are errors
-// (rule BASE), so the baseline can only shrink honestly.
+// `suppress(Dk)` silences exactly one rule, so a justified suppression can
+// never mask a different rule that later fires on the same line. A
+// justification is mandatory for both forms; a bare suppression is itself
+// reported (rule SUPP). Every unsuppressed finding fails the scan.
 
 #include <cstddef>
 #include <filesystem>
@@ -92,7 +86,7 @@ namespace psched::lint {
 struct Finding {
   std::string file;     ///< path relative to the scan root
   std::size_t line = 0; ///< 1-based
-  std::string rule;     ///< "D1".."D8", "SUPP", or "BASE"
+  std::string rule;     ///< "D1".."D8" or "SUPP"
   std::string message;
 };
 
@@ -211,86 +205,14 @@ struct ProgramIndex {
                                              const std::vector<std::string>& subdirs,
                                              const std::vector<std::string>& exclude_prefixes);
 
-/// Serialize the merge index deterministically (one fact per line). Used
-/// by `psched_lint --index-out` so CI can cache/diff the pass-1 state.
-[[nodiscard]] std::string index_to_string(const ProgramIndex& index);
-
-// --- baseline -------------------------------------------------------------
-
-/// One baseline entry: suppresses every finding of `rule` in `file`.
-struct BaselineEntry {
-  std::string file;
-  std::string rule;
-  std::string justification;  ///< mandatory
-  std::size_t line = 0;       ///< line in the baseline file (diagnostics)
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-  std::vector<Finding> errors;  ///< malformed lines (rule BASE)
-};
-
-/// Parse a baseline file (`<file>|<rule>|<justification>` per line; '#'
-/// comments and blank lines ignored). Missing fields or an empty
-/// justification produce BASE errors.
-[[nodiscard]] Baseline parse_baseline(const std::string& contents,
-                                      const std::string& baseline_path);
-
-struct BaselineResult {
-  std::vector<Finding> unbaselined;  ///< findings no entry covers
-  std::size_t suppressed = 0;        ///< findings covered by an entry
-  /// Baseline hygiene errors: malformed lines and stale entries that
-  /// matched no finding (rule BASE). Stale entries fail the run so the
-  /// baseline can only shrink honestly.
-  std::vector<Finding> errors;
-};
-
-/// Filter `findings` through the baseline.
-[[nodiscard]] BaselineResult apply_baseline(const std::vector<Finding>& findings,
-                                            const Baseline& baseline);
-
-// --- SARIF ----------------------------------------------------------------
-
-/// Static rule metadata for reports and the SARIF rule table.
+/// Static rule metadata for `psched_lint --list-rules`.
 struct RuleInfo {
   const char* id;
   const char* summary;
 };
 
-/// The full rule catalog (D1..D8, SUPP, BASE), in id order.
+/// The full rule catalog (D1..D8, SUPP), in id order.
 [[nodiscard]] const std::vector<RuleInfo>& rule_catalog();
-
-/// Serialize findings as a SARIF v2.1.0 document (one run, driver
-/// "psched-lint", full rule table, one result per finding). Deterministic:
-/// results keep the caller's order.
-[[nodiscard]] std::string sarif_json(const std::vector<Finding>& findings);
-
-// --- auto-fix (rules D3 and D4) -------------------------------------------
-
-/// Mechanically rewrite the fixable findings in one file's contents:
-///   D4  `expr == lit` / `expr != lit` -> util/float_cmp.hpp helpers
-///       (approx_eq, negated for !=), adding the include when missing;
-///   D3  literal-seeded mt19937 constructions -> a named constexpr seed
-///       hoisted onto the line above (with a TODO to thread it through a
-///       config), which makes the seed greppable and the rule pass.
-/// Only syntactically simple sites are rewritten (plain operand chains);
-/// suppressed lines and allowlisted paths are left alone. Applying the
-/// result a second time is a no-op (fixed code no longer matches any rule).
-struct FixResult {
-  std::string content;        ///< rewritten file contents
-  std::size_t applied = 0;    ///< number of rewrites performed
-};
-[[nodiscard]] FixResult apply_fixes(const std::string& contents,
-                                    const std::string& rel_path,
-                                    const LintOptions& options);
-
-/// Apply fixes across a tree in place. Returns total rewrites; with
-/// `dry_run` the files are not written (the count still reports what would
-/// change, for CI's idempotence diff).
-std::size_t fix_tree(const LintOptions& options,
-                     const std::vector<std::string>& subdirs,
-                     const std::vector<std::string>& exclude_prefixes,
-                     bool dry_run);
 
 /// Fixture self-test: every fixture named d<K>_*.cpp must produce at least
 /// one rule-D<K> finding, every fixture named ok_*.cpp must produce none.

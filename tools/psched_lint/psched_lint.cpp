@@ -2,30 +2,16 @@
 // DESIGN.md §8 for the policy behind it.
 //
 // Usage:
-//   psched_lint --root <repo> [subdir...]      lint the tree (default:
+//   psched_lint [--root <repo>] [subdir...]    lint the tree (default:
 //                                              src bench tools)
-//   psched_lint --baseline FILE                filter findings through a
-//                                              checked-in baseline
-//   psched_lint --sarif FILE                   also write findings as
-//                                              SARIF v2.1.0 ("-" = stdout)
-//   psched_lint --index-out FILE               dump the pass-1 merge index
-//                                              (deterministic, cacheable)
-//   psched_lint --fix [--dry-run]              mechanically rewrite fixable
-//                                              findings (D3, D4) in place;
-//                                              --dry-run only counts
 //   psched_lint --self-test <fixture-dir>      verify the rule engine against
 //                                              the known-bad fixture corpus
 //   psched_lint --list-rules                   print the rule catalog
 //
 // Exit status: 0 clean, 1 violations (or failed self-test), 2 usage error.
-// With --fix, exit 0 means the rewrite ran (the count is printed); with
-// --fix --dry-run, exit 1 signals that fixes WOULD be applied — CI uses
-// this to prove the tree is --fix-idempotent.
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,21 +21,10 @@ namespace {
 
 void print_rules() {
   std::cout << "psched-lint rule catalog (suppress with `// psched-lint: "
-               "suppress(Dk) why`\n"
-               "or the legacy `allow(Dk, why)`; D2/D8 also accept "
-               "`order-insensitive(why)`):\n";
+               "suppress(Dk) why`;\n"
+               "D2/D8 also accept `order-insensitive(why)`):\n";
   for (const psched::lint::RuleInfo& rule : psched::lint::rule_catalog())
     std::cout << "  " << rule.id << "  " << rule.summary << "\n";
-}
-
-bool write_text(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::cout << text;
-    return true;
-  }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -59,11 +34,6 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   fs::path self_test_dir;
   bool self_test = false;
-  bool fix = false;
-  bool dry_run = false;
-  std::string sarif_path;
-  std::string index_path;
-  std::string baseline_path;
   std::vector<std::string> subdirs;
 
   for (int i = 1; i < argc; ++i) {
@@ -73,23 +43,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--self-test" && i + 1 < argc) {
       self_test = true;
       self_test_dir = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
-    } else if (arg == "--index-out" && i + 1 < argc) {
-      index_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--dry-run") {
-      dry_run = true;
     } else if (arg == "--list-rules") {
       print_rules();
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: psched_lint [--root DIR] [subdir...] "
-                   "[--baseline FILE] [--sarif FILE] [--index-out FILE] | "
-                   "--fix [--dry-run] | --self-test FIXTURE_DIR | --list-rules\n";
+      std::cout << "usage: psched_lint [--root DIR] [subdir...] | "
+                   "--self-test FIXTURE_DIR | --list-rules\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "psched-lint: unknown option " << arg << "\n";
@@ -98,80 +57,14 @@ int main(int argc, char** argv) {
       subdirs.push_back(arg);
     }
   }
-  if (dry_run && !fix) {
-    std::cerr << "psched-lint: --dry-run only makes sense with --fix\n";
-    return 2;
-  }
 
   if (self_test) return psched::lint::run_self_test(self_test_dir) ? 0 : 1;
 
   if (subdirs.empty()) subdirs = {"src", "bench", "tools"};
-  const std::vector<std::string> excludes = {"tools/psched_lint/fixtures/"};
   psched::lint::LintOptions options;
   options.root = root;
-
-  if (fix) {
-    const std::size_t applied =
-        psched::lint::fix_tree(options, subdirs, excludes, dry_run);
-    std::cout << "psched-lint --fix: " << applied << " rewrite"
-              << (applied == 1 ? "" : "s") << (dry_run ? " would be" : "")
-              << " applied\n";
-    return dry_run && applied > 0 ? 1 : 0;
-  }
-
-  std::vector<psched::lint::Finding> findings =
-      psched::lint::lint_tree(options, subdirs, excludes);
-
-  if (!index_path.empty()) {
-    // Rebuild the index exactly as lint_tree did; serialization is
-    // deterministic so CI can hash/diff it as a cache key.
-    std::map<std::string, psched::lint::SourceFile> files;
-    for (const std::string& sub : subdirs) {
-      const fs::path dir = root / sub;
-      if (!fs::exists(dir)) continue;
-      for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-        if (!entry.is_regular_file()) continue;
-        const std::string ext = entry.path().extension().string();
-        if (ext != ".hpp" && ext != ".cpp" && ext != ".h" && ext != ".cc") continue;
-        const std::string rel =
-            fs::path(entry.path()).lexically_relative(root).generic_string();
-        bool excluded = false;
-        for (const std::string& p : excludes)
-          if (rel.rfind(p, 0) == 0) excluded = true;
-        if (excluded) continue;
-        files.emplace(rel, psched::lint::load_source(entry.path(), rel));
-      }
-    }
-    const psched::lint::ProgramIndex index = psched::lint::build_index(files, options);
-    if (!write_text(index_path, psched::lint::index_to_string(index))) {
-      std::cerr << "psched-lint: cannot write index to " << index_path << "\n";
-      return 2;
-    }
-  }
-
-  std::size_t baselined = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "psched-lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const psched::lint::Baseline baseline =
-        psched::lint::parse_baseline(buf.str(), baseline_path);
-    psched::lint::BaselineResult filtered =
-        psched::lint::apply_baseline(findings, baseline);
-    baselined = filtered.suppressed;
-    findings = std::move(filtered.unbaselined);
-    findings.insert(findings.end(), filtered.errors.begin(), filtered.errors.end());
-  }
-
-  if (!sarif_path.empty() &&
-      !write_text(sarif_path, psched::lint::sarif_json(findings))) {
-    std::cerr << "psched-lint: cannot write SARIF to " << sarif_path << "\n";
-    return 2;
-  }
+  const std::vector<psched::lint::Finding> findings =
+      psched::lint::lint_tree(options, subdirs, {"tools/psched_lint/fixtures/"});
 
   for (const psched::lint::Finding& f : findings) {
     std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message
@@ -180,7 +73,6 @@ int main(int argc, char** argv) {
   if (findings.empty()) {
     std::cout << "psched-lint: OK (rules D1-D8 over";
     for (const std::string& s : subdirs) std::cout << " " << s;
-    if (baselined > 0) std::cout << "; " << baselined << " baselined";
     std::cout << ")\n";
     return 0;
   }

@@ -1,18 +1,16 @@
 // psched-report-check — validate observability artifacts (DESIGN.md §9).
 //
 // usage: psched-report-check [--report FILE.json] [--trace FILE.json]
-//                            [--bench FILE.json] [--sarif FILE.sarif]
+//                            [--bench FILE.json]
 //
 // Checks the same schemas the unit tests pin, via the shared validators in
 // src/obs/report.hpp: a --report file must be a well-formed
 // "psched-run-report/v1" document; a --trace file must be a Chrome
 // trace-event document with per-lane monotone timestamps and matched B/E
 // pairs; a --bench file must be a rectangular "psched-bench-report/v1"
-// table (bench harness `--report` output); a --sarif file must be a SARIF
-// v2.1.0 document with the result/location plumbing GitHub code scanning
-// ingests (psched-lint --sarif output). CI runs this against the artifacts
-// `psched run --report-out --trace-out` and `psched_lint --sarif` emit, so
-// a schema drift fails the build rather than the first downstream consumer.
+// table (bench harness `--report` output). CI runs this against the
+// artifacts `psched run --report-out --trace-out` emits, so a schema drift
+// fails the build rather than the first downstream consumer.
 //
 // Exit codes: 0 all given files valid, 1 usage error, 2 validation failure.
 #include <cstdio>
@@ -59,11 +57,10 @@ int main(int argc, char** argv) {
   const std::string report = args.get("report", "");
   const std::string trace = args.get("trace", "");
   const std::string bench = args.get("bench", "");
-  const std::string sarif = args.get("sarif", "");
-  if (report.empty() && trace.empty() && bench.empty() && sarif.empty()) {
+  if (report.empty() && trace.empty() && bench.empty()) {
     std::fputs(
         "usage: psched-report-check [--report FILE.json] [--trace FILE.json]"
-        " [--bench FILE.json] [--sarif FILE.sarif]\n",
+        " [--bench FILE.json]\n",
         stderr);
     return 1;
   }
@@ -71,6 +68,5 @@ int main(int argc, char** argv) {
   if (!report.empty()) ok = check(report, "report", psched::obs::validate_run_report) && ok;
   if (!trace.empty()) ok = check(trace, "trace", psched::obs::validate_chrome_trace) && ok;
   if (!bench.empty()) ok = check(bench, "bench report", psched::obs::validate_bench_report) && ok;
-  if (!sarif.empty()) ok = check(sarif, "sarif", psched::obs::validate_sarif) && ok;
   return ok ? 0 : 2;
 }
