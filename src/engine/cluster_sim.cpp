@@ -1,7 +1,9 @@
 #include "engine/cluster_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include "util/assert.hpp"
 #include "util/seed_streams.hpp"
@@ -414,7 +416,7 @@ void ClusterSimulation::on_boot_complete(VmId id) {
   if (vm == nullptr || vm->state != cloud::VmState::kBooting) return;
   if (vm->boot_failed) {
     detail::sim_context().set(sim_.now(), "boot-fail");
-    fstats_.failed_vm_charged_seconds +=
+    fstats_.paid_wasted_seconds +=
         provider_.fail_boot(id, sim_.now()) * kSecondsPerHour;
     if (recorder_ != nullptr) recorder_->counter_add("engine.boot_failures", 1.0);
     return;
@@ -429,7 +431,7 @@ void ClusterSimulation::on_vm_crash(VmId id) {
   const SimTime now = sim_.now();
   detail::sim_context().set(now, "vm-crash");
   if (vm->state == cloud::VmState::kBusy) kill_running_job(vm->running_job, id, now);
-  fstats_.failed_vm_charged_seconds += provider_.crash(id, now) * kSecondsPerHour;
+  fstats_.paid_wasted_seconds += provider_.crash(id, now) * kSecondsPerHour;
   predicted_free_.erase(id);
   if (recorder_ != nullptr) recorder_->counter_add("engine.vm_crashes", 1.0);
   // No arm_tick: whenever a live VM exists a tick is already armed, and the
@@ -626,37 +628,30 @@ RunResult ClusterSimulation::finish() {
                     "unsatisfiable workflow dependencies)");
   PSCHED_ASSERT_MSG(provider_.leased_count() == 0,
                     "simulation ended with leased VMs");
-  collector_.set_charged_seconds(provider_.charged_hours_released() * kSecondsPerHour);
-  // All zero without a failure model, except that spot revocations reuse
-  // the kill/resubmit machinery and so count job-level kills.
-  fstats_.boot_failures = provider_.boot_failures();
-  fstats_.vm_crashes = provider_.crashes();
-  fstats_.api_rejected_leases = provider_.api_rejected_leases();
-  fstats_.api_rejected_releases = provider_.api_rejected_releases();
-  collector_.set_failure_stats(fstats_);
-  if (pricing_model_ != nullptr) {
-    metrics::PricingStats pstats;
-    pstats.families = pricing_model_->family_count();
-    pstats.on_demand_leases = provider_.leases_of_tier(cloud::PurchaseTier::kOnDemand);
-    pstats.spot_leases = provider_.leases_of_tier(cloud::PurchaseTier::kSpot);
-    pstats.reserved_leases = provider_.leases_of_tier(cloud::PurchaseTier::kReserved);
-    pstats.spot_warnings = provider_.spot_warnings();
-    pstats.spot_revocations = provider_.spot_revocations();
-    pstats.spend_on_demand_dollars = provider_.spend_on_demand_dollars();
-    pstats.spend_spot_dollars = provider_.spend_spot_dollars();
-    // The commitment is billed up front for the whole term, independent of
-    // how much of it the run actually used.
-    pstats.spend_reserved_dollars =
-        pricing_model_->commitment_cost(config_.provider.billing_quantum);
-    pstats.spot_savings_dollars = provider_.spot_savings_dollars();
-    pstats.revoked_charged_seconds = provider_.revoked_charged_seconds();
-    collector_.set_pricing_stats(pstats);
-  }
-
   RunResult result;
   result.trace_name = trace_.name();
   result.scheduler_name = scheduler_.name();
   result.metrics = collector_.finalize();
+  result.metrics.rv_charged_seconds =
+      provider_.charged_hours_released() * kSecondsPerHour;
+  result.metrics.failures = failure_stats();
+  if (pricing_model_ != nullptr) {
+    metrics::PricingStats& p = result.metrics.pricing;
+    p.families = pricing_model_->family_count();
+    p.on_demand_leases = provider_.leases_of_tier(cloud::PurchaseTier::kOnDemand);
+    p.spot_leases = provider_.leases_of_tier(cloud::PurchaseTier::kSpot);
+    p.reserved_leases = provider_.leases_of_tier(cloud::PurchaseTier::kReserved);
+    p.spot_warnings = provider_.spot_warnings();
+    p.spot_revocations = provider_.spot_revocations();
+    p.spend_on_demand_dollars = provider_.spend_on_demand_dollars();
+    p.spend_spot_dollars = provider_.spend_spot_dollars();
+    // The commitment is billed up front for the whole term, independent of
+    // how much of it the run actually used.
+    p.spend_reserved_dollars =
+        pricing_model_->commitment_cost(config_.provider.billing_quantum);
+    p.spot_savings_dollars = provider_.spot_savings_dollars();
+    p.revoked_charged_seconds = provider_.revoked_charged_seconds();
+  }
   result.ticks = ticks_run_;
   result.events = sim_.events_dispatched();
   result.total_leases = provider_.total_leases();
@@ -669,6 +664,17 @@ RunResult ClusterSimulation::finish() {
   }
   detail::sim_context().clear();
   return result;
+}
+
+metrics::FailureStats ClusterSimulation::failure_stats() const {
+  // All zero without a failure model, except that spot revocations reuse
+  // the kill/resubmit machinery and so count job-level kills.
+  metrics::FailureStats stats = fstats_;
+  stats.boot_failures = provider_.boot_failures();
+  stats.vm_crashes = provider_.crashes();
+  stats.api_rejected_leases = provider_.api_rejected_leases();
+  stats.api_rejected_releases = provider_.api_rejected_releases();
+  return stats;
 }
 
 void ClusterSimulation::capture_state(util::StateDigest& digest) const {
@@ -704,10 +710,6 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   digest.add_size("provider.leased", provider_.leased_count());
   digest.add_size("provider.total_leases", provider_.total_leases());
   digest.add_double("provider.charged_hours", provider_.charged_hours_released());
-  digest.add_size("provider.boot_failures", provider_.boot_failures());
-  digest.add_size("provider.crashes", provider_.crashes());
-  digest.add_size("provider.api_rejected_leases", provider_.api_rejected_leases());
-  digest.add_size("provider.api_rejected_releases", provider_.api_rejected_releases());
   digest.add_size("provider.spot_warnings", provider_.spot_warnings());
   digest.add_size("provider.spot_revocations", provider_.spot_revocations());
   digest.add_double("provider.spend_on_demand", provider_.spend_on_demand_dollars());
@@ -760,12 +762,12 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   digest.add_double("engine.next_lease_attempt", next_lease_attempt_);
   if (pricing_model_ != nullptr) pricing_model_->capture_digest(digest);
   resubmits_->capture_digest(digest, tenant_id_);
-  digest.add_size("engine.fstats_kills", fstats_.job_kills);
-  digest.add_size("engine.fstats_resubmissions", fstats_.job_resubmissions);
-  digest.add_size("engine.fstats_killed_final", fstats_.jobs_killed_final);
-  digest.add_size("engine.fstats_lease_retries", fstats_.lease_retries);
-  digest.add_double("engine.fstats_wasted", fstats_.wasted_proc_seconds);
-  digest.add_double("engine.fstats_paid_wasted", fstats_.failed_vm_charged_seconds);
+  const metrics::FailureStats failures = failure_stats();
+  metrics::visit_fields(
+      [&](const char* key, metrics::Fold, const auto& value) {
+        digest.add_u64(std::string("failures.") + key, std::bit_cast<std::uint64_t>(value));
+      },
+      failures);
 
   // Metrics accumulated so far, and the scheduler's cross-tick state.
   collector_.capture_digest(digest);

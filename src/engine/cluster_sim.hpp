@@ -208,6 +208,8 @@ class ClusterSimulation {
   /// Cloud profile with *predicted* completion times for busy VMs.
   [[nodiscard]] cloud::CloudProfile make_profile() const;
   [[nodiscard]] std::vector<policy::QueuedJob> annotate_queue() const;
+  /// fstats_ plus the provider's boot-failure, crash and API-rejection counts.
+  [[nodiscard]] metrics::FailureStats failure_stats() const;
 
   EngineConfig config_;
   const workload::Trace& trace_;

@@ -53,13 +53,13 @@ ScenarioResult run_portfolio(const EngineConfig& config, const workload::Trace& 
   ScenarioResult result;
   result.run = sim.run();
   result.is_portfolio = true;
-  const core::ReflectionStore& reflection = scheduler.reflection();
-  result.portfolio.invocations = reflection.invocations();
-  result.portfolio.total_selection_cost_ms = reflection.total_cost_ms();
-  result.portfolio.mean_simulated_per_invocation =
-      reflection.mean_simulated_per_invocation();
-  result.portfolio.chosen_counts = reflection.chosen_counts();
+  result.portfolio = portfolio_stats(scheduler.reflection());
   return result;
+}
+
+metrics::PortfolioStats portfolio_stats(const core::ReflectionStore& reflection) {
+  return {reflection.invocations(), reflection.total_cost_ms(),
+          reflection.mean_simulated_per_invocation(), reflection.chosen_counts()};
 }
 
 std::vector<ScenarioResult> run_parallel(
@@ -84,14 +84,7 @@ obs::RunReportInputs report_inputs(const ScenarioResult& result,
   inputs.invariant_violations = result.run.invariant_violations.size();
   inputs.failures_enabled = config.failure.enabled();
   inputs.pricing_enabled = config.pricing.enabled();
-  if (result.is_portfolio) {
-    inputs.portfolio.present = true;
-    inputs.portfolio.invocations = result.portfolio.invocations;
-    inputs.portfolio.total_selection_cost_ms = result.portfolio.total_selection_cost_ms;
-    inputs.portfolio.mean_simulated_per_invocation =
-        result.portfolio.mean_simulated_per_invocation;
-    inputs.portfolio.chosen_counts = result.portfolio.chosen_counts;
-  }
+  if (result.is_portfolio) inputs.portfolio = result.portfolio;
   return inputs;
 }
 

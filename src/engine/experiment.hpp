@@ -31,19 +31,15 @@ enum class PredictorKind {
 [[nodiscard]] std::string to_string(PredictorKind kind);
 [[nodiscard]] std::unique_ptr<predict::RuntimePredictor> make_predictor(PredictorKind kind);
 
-/// A portfolio run's extra outputs beyond the engine metrics.
-struct PortfolioStats {
-  std::size_t invocations = 0;                ///< selection processes run
-  double total_selection_cost_ms = 0.0;
-  double mean_simulated_per_invocation = 0.0;
-  std::vector<std::size_t> chosen_counts;     ///< per portfolio policy index
-};
-
 struct ScenarioResult {
   RunResult run;
   bool is_portfolio = false;
-  PortfolioStats portfolio;  ///< valid iff is_portfolio
+  metrics::PortfolioStats portfolio;  ///< valid iff is_portfolio
 };
+
+/// A portfolio scheduler's reflection totals, as a run reports them.
+[[nodiscard]] metrics::PortfolioStats portfolio_stats(
+    const core::ReflectionStore& reflection);
 
 /// Run one fixed constituent policy over a trace. `recorder` (optional,
 /// borrowed) observes the run; see ClusterSimulation.

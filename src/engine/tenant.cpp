@@ -328,9 +328,7 @@ MultiTenantResult MultiTenantExperiment::run() {
 
   // Finish every tenant (coordinator thread, tenant-id order) and aggregate.
   result.is_portfolio = config_.portfolio != nullptr;
-  double slowdown_weighted = 0.0;
-  double wait_weighted = 0.0;
-  double wf_makespan_weighted = 0.0;
+  std::vector<metrics::RunMetrics> tenant_metrics;
   SimTime end_time = 0.0;
   for (std::size_t i = 0; i < n; ++i) end_time = std::max(end_time, sims[i]->now());
   for (std::size_t i = 0; i < n; ++i) {
@@ -341,16 +339,9 @@ MultiTenantResult MultiTenantExperiment::run() {
     tr.budget_vm_hours = t.budget_vm_hours;
     tr.scenario.run = sims[i]->finish();
     tr.scenario.is_portfolio = result.is_portfolio;
-    if (result.is_portfolio) {
-      const auto& portfolio_scheduler =
-          static_cast<const core::PortfolioScheduler&>(*schedulers[i]);
-      const core::ReflectionStore& reflection = portfolio_scheduler.reflection();
-      tr.scenario.portfolio.invocations = reflection.invocations();
-      tr.scenario.portfolio.total_selection_cost_ms = reflection.total_cost_ms();
-      tr.scenario.portfolio.mean_simulated_per_invocation =
-          reflection.mean_simulated_per_invocation();
-      tr.scenario.portfolio.chosen_counts = reflection.chosen_counts();
-    }
+    if (result.is_portfolio)
+      tr.scenario.portfolio = portfolio_stats(
+          static_cast<const core::PortfolioScheduler&>(*schedulers[i]).reflection());
     const metrics::RunMetrics& m = tr.scenario.run.metrics;
     tr.charged_hours = m.charged_hours();
     tr.over_budget = t.budget_vm_hours > 0.0 && tr.charged_hours >= t.budget_vm_hours;
@@ -366,42 +357,7 @@ MultiTenantResult MultiTenantExperiment::run() {
                                  m.failures.jobs_killed_final, end_time);
     }
 
-    // Aggregate: counts and totals sum; per-job rates job-weighted; span
-    // metrics take the max.
-    metrics::RunMetrics& agg = result.metrics;
-    agg.jobs += m.jobs;
-    agg.rj_proc_seconds += m.rj_proc_seconds;
-    agg.rv_charged_seconds += m.rv_charged_seconds;
-    agg.makespan = std::max(agg.makespan, m.makespan);
-    agg.max_bounded_slowdown = std::max(agg.max_bounded_slowdown, m.max_bounded_slowdown);
-    slowdown_weighted += m.avg_bounded_slowdown * static_cast<double>(m.jobs);
-    wait_weighted += m.avg_wait * static_cast<double>(m.jobs);
-    agg.workflows += m.workflows;
-    wf_makespan_weighted += m.avg_workflow_makespan * static_cast<double>(m.workflows);
-    agg.max_workflow_makespan =
-        std::max(agg.max_workflow_makespan, m.max_workflow_makespan);
-    agg.failures.boot_failures += m.failures.boot_failures;
-    agg.failures.vm_crashes += m.failures.vm_crashes;
-    agg.failures.api_rejected_leases += m.failures.api_rejected_leases;
-    agg.failures.api_rejected_releases += m.failures.api_rejected_releases;
-    agg.failures.lease_retries += m.failures.lease_retries;
-    agg.failures.job_kills += m.failures.job_kills;
-    agg.failures.job_resubmissions += m.failures.job_resubmissions;
-    agg.failures.jobs_killed_final += m.failures.jobs_killed_final;
-    agg.failures.wasted_proc_seconds += m.failures.wasted_proc_seconds;
-    agg.failures.failed_vm_charged_seconds += m.failures.failed_vm_charged_seconds;
-    agg.pricing.families = std::max(agg.pricing.families, m.pricing.families);
-    agg.pricing.on_demand_leases += m.pricing.on_demand_leases;
-    agg.pricing.spot_leases += m.pricing.spot_leases;
-    agg.pricing.reserved_leases += m.pricing.reserved_leases;
-    agg.pricing.spot_warnings += m.pricing.spot_warnings;
-    agg.pricing.spot_revocations += m.pricing.spot_revocations;
-    agg.pricing.spend_on_demand_dollars += m.pricing.spend_on_demand_dollars;
-    agg.pricing.spend_spot_dollars += m.pricing.spend_spot_dollars;
-    agg.pricing.spend_reserved_dollars += m.pricing.spend_reserved_dollars;
-    agg.pricing.spot_savings_dollars += m.pricing.spot_savings_dollars;
-    agg.pricing.revoked_charged_seconds += m.pricing.revoked_charged_seconds;
-
+    tenant_metrics.push_back(m);
     result.ticks += tr.scenario.run.ticks;
     result.events += tr.scenario.run.events;
     result.total_leases += tr.scenario.run.total_leases;
@@ -425,15 +381,7 @@ MultiTenantResult MultiTenantExperiment::run() {
     }
     result.tenants.push_back(std::move(tr));
   }
-  if (result.metrics.jobs > 0) {
-    result.metrics.avg_bounded_slowdown =
-        slowdown_weighted / static_cast<double>(result.metrics.jobs);
-    result.metrics.avg_wait = wait_weighted / static_cast<double>(result.metrics.jobs);
-  }
-  if (result.metrics.workflows > 0) {
-    result.metrics.avg_workflow_makespan =
-        wf_makespan_weighted / static_cast<double>(result.metrics.workflows);
-  }
+  result.metrics = metrics::aggregate(tenant_metrics);
   if (result.is_portfolio && result.portfolio.invocations > 0) {
     result.portfolio.mean_simulated_per_invocation /=
         static_cast<double>(result.portfolio.invocations);
@@ -466,14 +414,7 @@ obs::RunReportInputs multi_tenant_report_inputs(const MultiTenantResult& result,
     any_failures = any_failures || t.failure.enabled();
   inputs.failures_enabled = any_failures;
   inputs.pricing_enabled = config.engine.pricing.enabled();
-  if (result.is_portfolio) {
-    inputs.portfolio.present = true;
-    inputs.portfolio.invocations = result.portfolio.invocations;
-    inputs.portfolio.total_selection_cost_ms = result.portfolio.total_selection_cost_ms;
-    inputs.portfolio.mean_simulated_per_invocation =
-        result.portfolio.mean_simulated_per_invocation;
-    inputs.portfolio.chosen_counts = result.portfolio.chosen_counts;
-  }
+  if (result.is_portfolio) inputs.portfolio = result.portfolio;
   inputs.tenants.present = true;
   inputs.tenants.global_cap = config.engine.provider.max_vms;
   inputs.tenants.arbitration_period_ticks = config.arbitration_period_ticks;

@@ -136,7 +136,7 @@ struct MultiTenantResult {
   std::uint64_t arbitrations = 0;  ///< arbiter decisions (epochs + the t=0 one)
   std::size_t peak_leased = 0;     ///< max over arbitrations of summed fleets
   bool is_portfolio = false;
-  PortfolioStats portfolio;        ///< summed across tenants, iff is_portfolio
+  metrics::PortfolioStats portfolio;  ///< summed across tenants, iff is_portfolio
   std::uint64_t invariant_checks = 0;  ///< per-tenant + service-level
   std::vector<validate::Violation> invariant_violations;
 };

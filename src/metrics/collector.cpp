@@ -40,10 +40,7 @@ RunMetrics MetricsCollector::finalize() const {
   m.max_bounded_slowdown = m.jobs ? slowdowns_.max() : 1.0;
   m.avg_wait = waits_.mean();
   m.rj_proc_seconds = rj_;
-  m.rv_charged_seconds = rv_seconds_;
   m.makespan = makespan_;
-  m.failures = failures_;
-  m.pricing = pricing_;
   m.workflows = workflows_.size();
   // Aggregate through an id-sorted snapshot: the average is a floating-point
   // sum, so folding in hash-table order would make the reported metric
@@ -75,7 +72,6 @@ void MetricsCollector::capture_digest(util::StateDigest& digest) const {
   digest.add_double("metrics.wait_var", waits_.variance());
   digest.add_double("metrics.wait_sum", waits_.sum());
   digest.add_double("metrics.rj", rj_);
-  digest.add_double("metrics.rv_seconds", rv_seconds_);
   digest.add_double("metrics.makespan", makespan_);
   digest.add_size("metrics.records", records_.size());
   util::UnorderedFold workflows;
@@ -87,9 +83,50 @@ void MetricsCollector::capture_digest(util::StateDigest& digest) const {
     workflows.absorb(h);
   }
   digest.add_fold("metrics.workflows", workflows);
-  digest.add_size("metrics.failures.job_kills", failures_.job_kills);
-  digest.add_size("metrics.failures.jobs_killed_final", failures_.jobs_killed_final);
-  digest.add_double("metrics.failures.wasted", failures_.wasted_proc_seconds);
+}
+
+namespace {
+
+/// Walks every field of RunMetrics, its failure block and its pricing block.
+template <typename Visit, typename... M>
+void visit_all_fields(Visit&& visit, M&... m) {
+  visit_fields(visit, m...);
+  visit_fields(visit, m.failures...);
+  visit_fields(visit, m.pricing...);
+}
+
+/// The weight a run's mean field carries into the aggregate; 0 for sums
+/// and maxes.
+double weight_of(Fold fold, const RunMetrics& m) {
+  if (fold == Fold::kJobMean) return static_cast<double>(m.jobs);
+  return fold == Fold::kWorkflowMean ? static_cast<double>(m.workflows) : 0.0;
+}
+
+}  // namespace
+
+RunMetrics aggregate(std::span<const RunMetrics> runs) {
+  RunMetrics agg;
+  RunMetrics weighted;  // per mean field: sum of value * weight
+  visit_all_fields([](const char*, Fold, auto& w) { w = 0; }, weighted);
+  for (const RunMetrics& run : runs) {
+    visit_all_fields(
+        [&run](const char*, Fold fold, auto& a, auto& w, const auto& v) {
+          switch (fold) {
+            case Fold::kSum: a += v; break;
+            case Fold::kMax: a = std::max(a, v); break;
+            case Fold::kJobMean:
+            case Fold::kWorkflowMean: w += v * weight_of(fold, run); break;
+          }
+        },
+        agg, weighted, run);
+  }
+  visit_all_fields(
+      [&agg](const char*, Fold fold, auto& a, const auto& w) {
+        const double weight = weight_of(fold, agg);
+        if (weight > 0.0) a = w / weight;
+      },
+      agg, weighted);
+  return agg;
 }
 
 }  // namespace psched::metrics

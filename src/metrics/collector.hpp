@@ -4,7 +4,10 @@
 // job runtime (RJ), total charged VM time (RV == cost), utilization, and
 // the compound utility U.
 
+#include <concepts>
 #include <cstddef>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -34,6 +37,21 @@ struct JobRecord {
   [[nodiscard]] double response() const noexcept { return finish - submit; }
 };
 
+/// How a metric field combines across the tenants of a multi-tenant run
+/// (metrics::aggregate). Sums and maxes fold in run order from the struct
+/// default; a mean is weighted and divided once, at the end, and keeps its
+/// default when the summed weight is zero.
+enum class Fold {
+  kSum,
+  kMax,
+  kJobMean,       ///< weighted by RunMetrics::jobs
+  kWorkflowMean,  ///< weighted by RunMetrics::workflows
+};
+
+/// `S` is `T` or `const T`: visit_fields walks either.
+template <typename S, typename T>
+concept InstanceOf = std::same_as<std::remove_const_t<S>, T>;
+
 /// Failure/resilience aggregates (engine-filled; every field stays zero
 /// when the failure model is off, see cloud/failure.hpp).
 struct FailureStats {
@@ -47,8 +65,8 @@ struct FailureStats {
   std::size_t jobs_killed_final = 0;    ///< jobs dropped after max resubmits
                                         ///< (plus their dead workflow deps)
   double wasted_proc_seconds = 0.0;     ///< work lost to kills (not in RJ)
-  double failed_vm_charged_seconds = 0.0;  ///< paid-but-wasted compute:
-                                           ///< charges of crashed/boot-failed leases
+  double paid_wasted_seconds = 0.0;     ///< paid-but-wasted compute: charges
+                                        ///< of crashed/boot-failed leases
 
   [[nodiscard]] bool any() const noexcept {
     return boot_failures > 0 || vm_crashes > 0 || api_rejected_leases > 0 ||
@@ -56,6 +74,23 @@ struct FailureStats {
            jobs_killed_final > 0;
   }
 };
+
+/// The one list of FailureStats fields. Calls `visit(key, fold, field...)`
+/// once per field, in report order, walking one or more instances in step;
+/// the key is the member name and the run report's key.
+template <typename Visit, InstanceOf<FailureStats>... S>
+void visit_fields(Visit&& visit, S&... s) {
+  visit("boot_failures", Fold::kSum, s.boot_failures...);
+  visit("vm_crashes", Fold::kSum, s.vm_crashes...);
+  visit("api_rejected_leases", Fold::kSum, s.api_rejected_leases...);
+  visit("api_rejected_releases", Fold::kSum, s.api_rejected_releases...);
+  visit("lease_retries", Fold::kSum, s.lease_retries...);
+  visit("job_kills", Fold::kSum, s.job_kills...);
+  visit("job_resubmissions", Fold::kSum, s.job_resubmissions...);
+  visit("jobs_killed_final", Fold::kSum, s.jobs_killed_final...);
+  visit("wasted_proc_seconds", Fold::kSum, s.wasted_proc_seconds...);
+  visit("paid_wasted_seconds", Fold::kSum, s.paid_wasted_seconds...);
+}
 
 /// Pricing/market aggregates (engine-filled; every field stays zero when
 /// the pricing layer is off, see cloud/pricing.hpp and DESIGN.md §12).
@@ -80,6 +115,30 @@ struct PricingStats {
            spot_warnings > 0 || spot_revocations > 0 ||
            total_spend_dollars() > 0.0;
   }
+};
+
+/// The one list of PricingStats fields (see the FailureStats visitor).
+template <typename Visit, InstanceOf<PricingStats>... S>
+void visit_fields(Visit&& visit, S&... s) {
+  visit("families", Fold::kMax, s.families...);
+  visit("on_demand_leases", Fold::kSum, s.on_demand_leases...);
+  visit("spot_leases", Fold::kSum, s.spot_leases...);
+  visit("reserved_leases", Fold::kSum, s.reserved_leases...);
+  visit("spot_warnings", Fold::kSum, s.spot_warnings...);
+  visit("spot_revocations", Fold::kSum, s.spot_revocations...);
+  visit("spend_on_demand_dollars", Fold::kSum, s.spend_on_demand_dollars...);
+  visit("spend_spot_dollars", Fold::kSum, s.spend_spot_dollars...);
+  visit("spend_reserved_dollars", Fold::kSum, s.spend_reserved_dollars...);
+  visit("spot_savings_dollars", Fold::kSum, s.spot_savings_dollars...);
+  visit("revoked_charged_seconds", Fold::kSum, s.revoked_charged_seconds...);
+}
+
+/// A portfolio run's reflection totals (core::ReflectionStore).
+struct PortfolioStats {
+  std::size_t invocations = 0;                ///< selection processes run
+  double total_selection_cost_ms = 0.0;
+  double mean_simulated_per_invocation = 0.0;
+  std::vector<std::size_t> chosen_counts;     ///< per portfolio policy index
 };
 
 /// Aggregated result of a (real or simulated) run.
@@ -112,11 +171,6 @@ struct RunMetrics {
   [[nodiscard]] double goodput_proc_seconds() const noexcept {
     return rj_proc_seconds;
   }
-  /// Paid-but-wasted compute: charged seconds on leases the cloud
-  /// terminated (boot failures + crashes).
-  [[nodiscard]] double paid_wasted_seconds() const noexcept {
-    return failures.failed_vm_charged_seconds;
-  }
   [[nodiscard]] double utilization() const noexcept {
     return rv_charged_seconds > 0.0 ? rj_proc_seconds / rv_charged_seconds : 0.0;
   }
@@ -126,6 +180,26 @@ struct RunMetrics {
   }
 };
 
+/// The one list of RunMetrics' scalar fields; `failures` and `pricing` have
+/// their own (see the FailureStats visitor).
+template <typename Visit, InstanceOf<RunMetrics>... S>
+void visit_fields(Visit&& visit, S&... s) {
+  visit("jobs", Fold::kSum, s.jobs...);
+  visit("avg_bounded_slowdown", Fold::kJobMean, s.avg_bounded_slowdown...);
+  visit("max_bounded_slowdown", Fold::kMax, s.max_bounded_slowdown...);
+  visit("avg_wait", Fold::kJobMean, s.avg_wait...);
+  visit("rj_proc_seconds", Fold::kSum, s.rj_proc_seconds...);
+  visit("rv_charged_seconds", Fold::kSum, s.rv_charged_seconds...);
+  visit("makespan", Fold::kMax, s.makespan...);
+  visit("workflows", Fold::kSum, s.workflows...);
+  visit("avg_workflow_makespan", Fold::kWorkflowMean, s.avg_workflow_makespan...);
+  visit("max_workflow_makespan", Fold::kMax, s.max_workflow_makespan...);
+}
+
+/// Service-level totals of per-tenant runs: every field folds by the rule
+/// its visit_fields entry names, runs taken in order.
+[[nodiscard]] RunMetrics aggregate(std::span<const RunMetrics> runs);
+
 class MetricsCollector {
  public:
   /// `slowdown_bound` is the bounded-slowdown runtime floor (paper: 10 s).
@@ -133,18 +207,9 @@ class MetricsCollector {
 
   void record(const JobRecord& record);
 
-  /// Charged VM time is reported by the cloud provider at the end of a run.
-  void set_charged_seconds(double rv_seconds) noexcept { rv_seconds_ = rv_seconds; }
-
-  /// Failure/resilience aggregates, reported by the engine at the end of a
-  /// run (defaults to all-zero for failure-off runs).
-  void set_failure_stats(const FailureStats& stats) noexcept { failures_ = stats; }
-
-  /// Pricing/market aggregates, reported by the engine at the end of a run
-  /// (defaults to all-zero for pricing-off runs).
-  void set_pricing_stats(const PricingStats& stats) noexcept { pricing_ = stats; }
-
   [[nodiscard]] std::size_t jobs() const noexcept { return slowdowns_.count(); }
+  /// The job-record fields of RunMetrics. The engine fills the fleet cost
+  /// (rv_charged_seconds), `failures` and `pricing` from the provider.
   [[nodiscard]] RunMetrics finalize() const;
 
   /// Raw per-job records (kept only when enabled; benches use them for
@@ -165,12 +230,9 @@ class MetricsCollector {
 
   double bound_;
   bool keep_records_ = false;
-  FailureStats failures_;
-  PricingStats pricing_;
   util::RunningStats slowdowns_;
   util::RunningStats waits_;
   double rj_ = 0.0;
-  double rv_seconds_ = 0.0;
   double makespan_ = 0.0;
   std::vector<JobRecord> records_;
   std::unordered_map<workload::WorkflowId, WorkflowSpan> workflows_;

@@ -1,8 +1,8 @@
 #include "obs/report.hpp"
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "obs/atomic_file.hpp"
@@ -43,48 +43,34 @@ std::string number_map_json(const std::map<std::string, double>& values) {
   return out;
 }
 
+/// One number per field that `s`'s visit_fields names, keyed by the field.
+template <typename S>
+void append_fields(std::string& out, const S& s, bool& first) {
+  metrics::visit_fields(
+      [&](const char* key, metrics::Fold, const auto& value) {
+        append_kv(out, key, json_number(static_cast<double>(value)), first);
+      },
+      s);
+}
+
 std::string metrics_json(const metrics::RunMetrics& m,
                          const metrics::UtilityParams& utility) {
   std::string out = "{";
   bool first = true;
-  append_kv(out, "jobs", json_number(static_cast<double>(m.jobs)), first);
-  append_kv(out, "avg_bounded_slowdown", json_number(m.avg_bounded_slowdown), first);
-  append_kv(out, "max_bounded_slowdown", json_number(m.max_bounded_slowdown), first);
-  append_kv(out, "avg_wait", json_number(m.avg_wait), first);
-  append_kv(out, "rj_proc_seconds", json_number(m.rj_proc_seconds), first);
-  append_kv(out, "rv_charged_seconds", json_number(m.rv_charged_seconds), first);
+  append_fields(out, m, first);
   append_kv(out, "charged_hours", json_number(m.charged_hours()), first);
   append_kv(out, "utilization", json_number(m.utilization()), first);
   append_kv(out, "utility", json_number(m.utility(utility)), first);
-  append_kv(out, "makespan", json_number(m.makespan), first);
-  append_kv(out, "workflows", json_number(static_cast<double>(m.workflows)), first);
   out += '}';
   return out;
 }
 
 std::string failures_json(const RunReportInputs& inputs) {
   if (!inputs.failures_enabled) return "null";
-  const metrics::FailureStats& f = inputs.metrics.failures;
   std::string out = "{";
   bool first = true;
   append_kv(out, "schema", quoted(kFailuresSchema), first);
-  append_kv(out, "boot_failures",
-            json_number(static_cast<double>(f.boot_failures)), first);
-  append_kv(out, "vm_crashes", json_number(static_cast<double>(f.vm_crashes)), first);
-  append_kv(out, "api_rejected_leases",
-            json_number(static_cast<double>(f.api_rejected_leases)), first);
-  append_kv(out, "api_rejected_releases",
-            json_number(static_cast<double>(f.api_rejected_releases)), first);
-  append_kv(out, "lease_retries",
-            json_number(static_cast<double>(f.lease_retries)), first);
-  append_kv(out, "job_kills", json_number(static_cast<double>(f.job_kills)), first);
-  append_kv(out, "job_resubmissions",
-            json_number(static_cast<double>(f.job_resubmissions)), first);
-  append_kv(out, "jobs_killed_final",
-            json_number(static_cast<double>(f.jobs_killed_final)), first);
-  append_kv(out, "wasted_proc_seconds", json_number(f.wasted_proc_seconds), first);
-  append_kv(out, "paid_wasted_seconds",
-            json_number(f.failed_vm_charged_seconds), first);
+  append_fields(out, inputs.metrics.failures, first);
   append_kv(out, "goodput_proc_seconds",
             json_number(inputs.metrics.goodput_proc_seconds()), first);
   out += '}';
@@ -97,25 +83,8 @@ std::string pricing_json(const RunReportInputs& inputs) {
   std::string out = "{";
   bool first = true;
   append_kv(out, "schema", quoted(kPricingSchema), first);
-  append_kv(out, "families", json_number(static_cast<double>(p.families)), first);
-  append_kv(out, "on_demand_leases",
-            json_number(static_cast<double>(p.on_demand_leases)), first);
-  append_kv(out, "spot_leases", json_number(static_cast<double>(p.spot_leases)), first);
-  append_kv(out, "reserved_leases",
-            json_number(static_cast<double>(p.reserved_leases)), first);
-  append_kv(out, "spot_warnings",
-            json_number(static_cast<double>(p.spot_warnings)), first);
-  append_kv(out, "spot_revocations",
-            json_number(static_cast<double>(p.spot_revocations)), first);
-  append_kv(out, "spend_on_demand_dollars",
-            json_number(p.spend_on_demand_dollars), first);
-  append_kv(out, "spend_spot_dollars", json_number(p.spend_spot_dollars), first);
-  append_kv(out, "spend_reserved_dollars",
-            json_number(p.spend_reserved_dollars), first);
+  append_fields(out, p, first);
   append_kv(out, "total_spend_dollars", json_number(p.total_spend_dollars()), first);
-  append_kv(out, "spot_savings_dollars", json_number(p.spot_savings_dollars), first);
-  append_kv(out, "revoked_charged_seconds",
-            json_number(p.revoked_charged_seconds), first);
   out += '}';
   return out;
 }
@@ -161,18 +130,18 @@ std::string tenants_json(const ReportTenants& t) {
   return out;
 }
 
-std::string portfolio_json(const ReportPortfolio& p) {
-  if (!p.present) return "null";
+std::string portfolio_json(const std::optional<metrics::PortfolioStats>& p) {
+  if (!p) return "null";
   std::string out = "{";
   bool first = true;
-  append_kv(out, "invocations", json_number(static_cast<double>(p.invocations)), first);
-  append_kv(out, "total_selection_cost_ms", json_number(p.total_selection_cost_ms), first);
+  append_kv(out, "invocations", json_number(static_cast<double>(p->invocations)), first);
+  append_kv(out, "total_selection_cost_ms", json_number(p->total_selection_cost_ms), first);
   append_kv(out, "mean_simulated_per_invocation",
-            json_number(p.mean_simulated_per_invocation), first);
+            json_number(p->mean_simulated_per_invocation), first);
   std::string counts = "[";
-  for (std::size_t i = 0; i < p.chosen_counts.size(); ++i) {
+  for (std::size_t i = 0; i < p->chosen_counts.size(); ++i) {
     if (i != 0) counts += ',';
-    counts += json_number(static_cast<double>(p.chosen_counts[i]));
+    counts += json_number(static_cast<double>(p->chosen_counts[i]));
   }
   counts += ']';
   append_kv(out, "chosen_counts", counts, first);
@@ -317,6 +286,26 @@ const JsonValue* require(const JsonValue& object, const char* key,
   return member;
 }
 
+/// Sets `status` to a failure unless `section` holds a number (or, with
+/// `allow_null`, null) under every key `S`'s visit_fields names and under
+/// each of the `derived` keys written after them.
+template <typename S>
+bool require_fields(const JsonValue& section, const std::string& name,
+                    std::initializer_list<const char*> derived, ValidationResult& status,
+                    bool allow_null = false) {
+  const auto check = [&](const char* key) {
+    const JsonValue* field = section.find(key);
+    const bool ok = field != nullptr && (field->is(JsonValue::Type::kNumber) ||
+                                         (allow_null && field->is(JsonValue::Type::kNull)));
+    if (status.ok && !ok) status = fail(name + '.' + key + " missing or not a number");
+  };
+  const S defaults;
+  metrics::visit_fields([&](const char* key, metrics::Fold, const auto&) { check(key); },
+                        defaults);
+  for (const char* key : derived) check(key);
+  return status.ok;
+}
+
 }  // namespace
 
 ValidationResult validate_run_report(std::string_view json) {
@@ -339,14 +328,9 @@ ValidationResult validate_run_report(std::string_view json) {
 
   const JsonValue* metrics = require(root, "metrics", JsonValue::Type::kObject, status);
   if (metrics == nullptr) return status;
-  for (const char* key : {"jobs", "avg_bounded_slowdown", "rj_proc_seconds",
-                          "rv_charged_seconds", "charged_hours", "utilization",
-                          "utility", "makespan"}) {
-    const JsonValue* field = metrics->find(key);
-    if (field == nullptr) return fail(std::string("metrics missing \"") + key + '"');
-    if (!field->is(JsonValue::Type::kNumber) && !field->is(JsonValue::Type::kNull))
-      return fail(std::string("metrics.") + key + " is not a number");
-  }
+  if (!require_fields<metrics::RunMetrics>(
+          *metrics, "metrics", {"charged_hours", "utilization", "utility"}, status, true))
+    return status;
 
   const JsonValue* engine = require(root, "engine", JsonValue::Type::kObject, status);
   if (engine == nullptr) return status;
@@ -364,15 +348,9 @@ ValidationResult validate_run_report(std::string_view json) {
       return fail("failures.schema missing or not a string");
     if (fschema->string != kFailuresSchema)
       return fail("unexpected failures schema tag \"" + fschema->string + '"');
-    for (const char* key :
-         {"boot_failures", "vm_crashes", "api_rejected_leases",
-          "api_rejected_releases", "lease_retries", "job_kills",
-          "job_resubmissions", "jobs_killed_final", "wasted_proc_seconds",
-          "paid_wasted_seconds", "goodput_proc_seconds"}) {
-      const JsonValue* field = failures->find(key);
-      if (field == nullptr || !field->is(JsonValue::Type::kNumber))
-        return fail(std::string("failures.") + key + " missing or not a number");
-    }
+    if (!require_fields<metrics::FailureStats>(*failures, "failures",
+                                               {"goodput_proc_seconds"}, status))
+      return status;
   } else if (!failures->is(JsonValue::Type::kNull)) {
     return fail("failures is neither null nor an object");
   }
@@ -385,15 +363,9 @@ ValidationResult validate_run_report(std::string_view json) {
       return fail("pricing.schema missing or not a string");
     if (pschema->string != kPricingSchema)
       return fail("unexpected pricing schema tag \"" + pschema->string + '"');
-    for (const char* key :
-         {"families", "on_demand_leases", "spot_leases", "reserved_leases",
-          "spot_warnings", "spot_revocations", "spend_on_demand_dollars",
-          "spend_spot_dollars", "spend_reserved_dollars", "total_spend_dollars",
-          "spot_savings_dollars", "revoked_charged_seconds"}) {
-      const JsonValue* field = pricing->find(key);
-      if (field == nullptr || !field->is(JsonValue::Type::kNumber))
-        return fail(std::string("pricing.") + key + " missing or not a number");
-    }
+    if (!require_fields<metrics::PricingStats>(*pricing, "pricing",
+                                               {"total_spend_dollars"}, status))
+      return status;
   } else if (!pricing->is(JsonValue::Type::kNull)) {
     return fail("pricing is neither null nor an object");
   }

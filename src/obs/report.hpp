@@ -17,6 +17,7 @@
 // can embed a Recorder without a cycle.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,16 +26,6 @@
 #include "obs/obs.hpp"
 
 namespace psched::obs {
-
-/// Portfolio-run extras mirrored into the report (absent for single-policy
-/// runs: `present == false` serializes the "portfolio" key as null).
-struct ReportPortfolio {
-  bool present = false;
-  std::size_t invocations = 0;
-  double total_selection_cost_ms = 0.0;
-  double mean_simulated_per_invocation = 0.0;
-  std::vector<std::size_t> chosen_counts;  ///< per portfolio policy index
-};
 
 /// One tenant's row in the report's "tenants" section.
 struct ReportTenant {
@@ -73,7 +64,9 @@ struct RunReportInputs {
   std::size_t total_leases = 0;
   std::uint64_t invariant_checks = 0;
   std::size_t invariant_violations = 0;
-  ReportPortfolio portfolio;
+  /// Portfolio-run extras; empty for single-policy runs, which serialize
+  /// the "portfolio" key as null.
+  std::optional<metrics::PortfolioStats> portfolio;
   /// True when the run had a failure model attached (EngineConfig::failure
   /// enabled). The report's "failures" section serializes as null when
   /// false, and as a schema-versioned ("psched-failures/v1") object built

@@ -353,12 +353,12 @@ void InvariantChecker::on_run_end(const metrics::RunMetrics& metrics,
     }
     // Wasted spend: the engine's per-termination accumulation must equal the
     // checker's own sum over crash/boot-fail charges.
-    if (!check(std::abs(fs.failed_vm_charged_seconds -
+    if (!check(std::abs(fs.paid_wasted_seconds -
                         failed_charged_hours_ * kSecondsPerHour) <=
                kEps * std::max(1.0, failed_charged_hours_ * kSecondsPerHour))) {
       fail("failure.consistent", sim.now(),
            format("paid-but-wasted %.6f s disagrees with the checker's %.6f s",
-                  fs.failed_vm_charged_seconds,
+                  fs.paid_wasted_seconds,
                   failed_charged_hours_ * kSecondsPerHour));
     }
     // Lease accounting: every lease settled by exactly one release, crash,

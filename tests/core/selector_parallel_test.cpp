@@ -6,6 +6,7 @@
 
 #include "core/selector.hpp"
 #include "engine/experiment.hpp"
+#include "expect_same_metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
@@ -221,9 +222,7 @@ TEST(SelectorParallel, EngineRunIsIdenticalAcrossEvalThreads) {
   const engine::ScenarioResult wav = engine::run_portfolio(
       config, trace, portfolio(), pconfig, engine::PredictorKind::kPerfect);
 
-  EXPECT_EQ(seq.run.metrics.jobs, wav.run.metrics.jobs);
-  EXPECT_EQ(seq.run.metrics.avg_bounded_slowdown, wav.run.metrics.avg_bounded_slowdown);
-  EXPECT_EQ(seq.run.metrics.rv_charged_seconds, wav.run.metrics.rv_charged_seconds);
+  expect_same_metrics(seq.run.metrics, wav.run.metrics);
   EXPECT_EQ(seq.portfolio.invocations, wav.portfolio.invocations);
   EXPECT_EQ(seq.portfolio.chosen_counts, wav.portfolio.chosen_counts);
 }

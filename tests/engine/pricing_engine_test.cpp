@@ -10,6 +10,7 @@
 
 #include "engine/cluster_sim.hpp"
 #include "engine/experiment.hpp"
+#include "expect_same_metrics.hpp"
 
 namespace psched::engine {
 namespace {
@@ -75,28 +76,10 @@ cloud::PricingConfig mixed_market() {
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
-  // Bit-identical, not approximately equal: EXPECT_EQ on doubles.
-  EXPECT_EQ(a.metrics.jobs, b.metrics.jobs);
-  EXPECT_EQ(a.metrics.avg_bounded_slowdown, b.metrics.avg_bounded_slowdown);
-  EXPECT_EQ(a.metrics.avg_wait, b.metrics.avg_wait);
-  EXPECT_EQ(a.metrics.rj_proc_seconds, b.metrics.rj_proc_seconds);
-  EXPECT_EQ(a.metrics.rv_charged_seconds, b.metrics.rv_charged_seconds);
-  EXPECT_EQ(a.metrics.makespan, b.metrics.makespan);
+  expect_same_metrics(a.metrics, b.metrics);
   EXPECT_EQ(a.ticks, b.ticks);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.total_leases, b.total_leases);
-  const metrics::PricingStats& pa = a.metrics.pricing;
-  const metrics::PricingStats& pb = b.metrics.pricing;
-  EXPECT_EQ(pa.on_demand_leases, pb.on_demand_leases);
-  EXPECT_EQ(pa.spot_leases, pb.spot_leases);
-  EXPECT_EQ(pa.reserved_leases, pb.reserved_leases);
-  EXPECT_EQ(pa.spot_warnings, pb.spot_warnings);
-  EXPECT_EQ(pa.spot_revocations, pb.spot_revocations);
-  EXPECT_EQ(pa.spend_on_demand_dollars, pb.spend_on_demand_dollars);
-  EXPECT_EQ(pa.spend_spot_dollars, pb.spend_spot_dollars);
-  EXPECT_EQ(pa.spend_reserved_dollars, pb.spend_reserved_dollars);
-  EXPECT_EQ(pa.spot_savings_dollars, pb.spot_savings_dollars);
-  EXPECT_EQ(pa.revoked_charged_seconds, pb.revoked_charged_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,29 +143,11 @@ TEST(PricingEngine, OneFamilyMarketIsThePricingOffRun) {
   };
   const ScenarioResult a = run(off);
   const ScenarioResult b = run(one_family);
-  const metrics::RunMetrics& ma = a.run.metrics;
   const metrics::RunMetrics& mb = b.run.metrics;
-  EXPECT_EQ(ma.jobs, mb.jobs);
-  EXPECT_EQ(ma.avg_bounded_slowdown, mb.avg_bounded_slowdown);
-  EXPECT_EQ(ma.max_bounded_slowdown, mb.max_bounded_slowdown);
-  EXPECT_EQ(ma.avg_wait, mb.avg_wait);
-  EXPECT_EQ(ma.rj_proc_seconds, mb.rj_proc_seconds);
-  EXPECT_EQ(ma.rv_charged_seconds, mb.rv_charged_seconds);
-  EXPECT_EQ(ma.makespan, mb.makespan);
-  EXPECT_EQ(ma.workflows, mb.workflows);
-  EXPECT_EQ(ma.avg_workflow_makespan, mb.avg_workflow_makespan);
-  EXPECT_EQ(ma.max_workflow_makespan, mb.max_workflow_makespan);
-  EXPECT_EQ(ma.failures.boot_failures, mb.failures.boot_failures);
-  EXPECT_EQ(ma.failures.vm_crashes, mb.failures.vm_crashes);
-  EXPECT_EQ(ma.failures.api_rejected_leases, mb.failures.api_rejected_leases);
-  EXPECT_EQ(ma.failures.api_rejected_releases, mb.failures.api_rejected_releases);
-  EXPECT_EQ(ma.failures.lease_retries, mb.failures.lease_retries);
-  EXPECT_EQ(ma.failures.job_kills, mb.failures.job_kills);
-  EXPECT_EQ(ma.failures.job_resubmissions, mb.failures.job_resubmissions);
-  EXPECT_EQ(ma.failures.jobs_killed_final, mb.failures.jobs_killed_final);
-  EXPECT_EQ(ma.failures.wasted_proc_seconds, mb.failures.wasted_proc_seconds);
-  EXPECT_EQ(ma.failures.failed_vm_charged_seconds,
-            mb.failures.failed_vm_charged_seconds);
+  // Everything but the pricing section, which only the market run fills.
+  metrics::RunMetrics mb_unpriced = mb;
+  mb_unpriced.pricing = a.run.metrics.pricing;
+  expect_same_metrics(a.run.metrics, mb_unpriced);
   EXPECT_EQ(a.run.ticks, b.run.ticks);
   EXPECT_EQ(a.run.events, b.run.events);
   EXPECT_EQ(a.run.total_leases, b.run.total_leases);

@@ -35,7 +35,7 @@ Golden collect(const engine::ScenarioResult& result) {
   g["job_resubmissions"] = static_cast<double>(f.job_resubmissions);
   g["jobs_killed_final"] = static_cast<double>(f.jobs_killed_final);
   g["wasted_proc_seconds"] = f.wasted_proc_seconds;
-  g["paid_wasted_seconds"] = f.failed_vm_charged_seconds;
+  g["paid_wasted_seconds"] = f.paid_wasted_seconds;
   return g;
 }
 

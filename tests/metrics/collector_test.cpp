@@ -1,6 +1,9 @@
 #include "metrics/collector.hpp"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
+
+#include "expect_same_metrics.hpp"
 
 namespace psched::metrics {
 namespace {
@@ -36,8 +39,8 @@ TEST(MetricsCollector, AggregatesJobs) {
   // Job 1: wait 0, runtime 100 -> BSD 1. Job 2: wait 100, runtime 100 -> 2.
   c.record(make_record(0, 0, 0, 100, 2));
   c.record(make_record(1, 0, 100, 100, 4));
-  c.set_charged_seconds(7200.0);
-  const RunMetrics m = c.finalize();
+  RunMetrics m = c.finalize();
+  m.rv_charged_seconds = 7200.0;  // the engine's share: the fleet cost
   EXPECT_EQ(m.jobs, 2u);
   EXPECT_DOUBLE_EQ(m.avg_bounded_slowdown, 1.5);
   EXPECT_DOUBLE_EQ(m.max_bounded_slowdown, 2.0);
@@ -59,8 +62,8 @@ TEST(MetricsCollector, BoundAppliesToShortJobs) {
 TEST(MetricsCollector, UtilityDelegation) {
   MetricsCollector c;
   c.record(make_record(0, 0, 0, 1800, 1));
-  c.set_charged_seconds(3600.0);
-  const RunMetrics m = c.finalize();
+  RunMetrics m = c.finalize();
+  m.rv_charged_seconds = 3600.0;
   EXPECT_DOUBLE_EQ(m.utility(UtilityParams{100.0, 1.0, 1.0}), 50.0);
 }
 
@@ -170,15 +173,90 @@ TEST(MetricsCollector, HashStateDoesNotLeakIntoMetrics) {
   const RunMetrics b = run(reverse);
   const RunMetrics d = run(strided);
   ASSERT_EQ(a.workflows, kWorkflows);
-  for (const RunMetrics* m : {&b, &d}) {
-    EXPECT_EQ(a.avg_workflow_makespan, m->avg_workflow_makespan);  // bit-exact
-    EXPECT_EQ(a.max_workflow_makespan, m->max_workflow_makespan);
-    EXPECT_EQ(a.workflows, m->workflows);
-    EXPECT_EQ(a.avg_bounded_slowdown, m->avg_bounded_slowdown);
-    EXPECT_EQ(a.avg_wait, m->avg_wait);
-    EXPECT_EQ(a.rj_proc_seconds, m->rj_proc_seconds);
-    EXPECT_EQ(a.makespan, m->makespan);
-  }
+  expect_same_metrics(a, b);
+  expect_same_metrics(a, d);
+}
+
+TEST(RunMetrics, AggregateFoldsEveryField) {
+  RunMetrics a;
+  a.jobs = 2;
+  a.avg_bounded_slowdown = 1.5;
+  a.max_bounded_slowdown = 4.0;
+  a.avg_wait = 10.0;
+  a.rj_proc_seconds = 100.0;
+  a.rv_charged_seconds = 1000.0;
+  a.makespan = 500.0;
+  a.workflows = 1;
+  a.avg_workflow_makespan = 300.0;
+  a.max_workflow_makespan = 350.0;
+  a.failures = {3, 5, 6, 7, 8, 9, 11, 12, 12.5, 13.5};
+  a.pricing = {19, 14, 15, 16, 17, 18, 20.5, 21.5, 22.5, 23.5, 24.5};
+  RunMetrics b;
+  b.jobs = 6;
+  b.avg_bounded_slowdown = 2.5;
+  b.max_bounded_slowdown = 3.25;
+  b.avg_wait = 32.0;
+  b.rj_proc_seconds = 200.0;
+  b.rv_charged_seconds = 3000.0;
+  b.makespan = 700.0;
+  b.workflows = 3;
+  b.avg_workflow_makespan = 100.0;
+  b.max_workflow_makespan = 120.0;
+  b.failures = {30, 40, 50, 60, 70, 80, 90, 110, 120.25, 130.25};
+  b.pricing = {23, 140, 150, 160, 170, 180, 10.25, 20.25, 30.25, 40.25, 50.25};
+
+  const std::vector<RunMetrics> runs = {a, b};
+  const RunMetrics m = aggregate(runs);
+  EXPECT_EQ(m.jobs, 8u);
+  EXPECT_DOUBLE_EQ(m.avg_bounded_slowdown, (1.5 * 2 + 2.5 * 6) / 8);
+  EXPECT_DOUBLE_EQ(m.max_bounded_slowdown, 4.0);
+  EXPECT_DOUBLE_EQ(m.avg_wait, (10.0 * 2 + 32.0 * 6) / 8);
+  EXPECT_DOUBLE_EQ(m.rj_proc_seconds, 300.0);
+  EXPECT_DOUBLE_EQ(m.rv_charged_seconds, 4000.0);
+  EXPECT_DOUBLE_EQ(m.makespan, 700.0);
+  EXPECT_EQ(m.workflows, 4u);
+  EXPECT_DOUBLE_EQ(m.avg_workflow_makespan, (300.0 * 1 + 100.0 * 3) / 4);
+  EXPECT_DOUBLE_EQ(m.max_workflow_makespan, 350.0);
+
+  const FailureStats& f = m.failures;
+  EXPECT_EQ(f.boot_failures, 33u);
+  EXPECT_EQ(f.vm_crashes, 45u);
+  EXPECT_EQ(f.api_rejected_leases, 56u);
+  EXPECT_EQ(f.api_rejected_releases, 67u);
+  EXPECT_EQ(f.lease_retries, 78u);
+  EXPECT_EQ(f.job_kills, 89u);
+  EXPECT_EQ(f.job_resubmissions, 101u);
+  EXPECT_EQ(f.jobs_killed_final, 122u);
+  EXPECT_DOUBLE_EQ(f.wasted_proc_seconds, 132.75);
+  EXPECT_DOUBLE_EQ(f.paid_wasted_seconds, 143.75);
+
+  const PricingStats& p = m.pricing;
+  EXPECT_EQ(p.families, 23u);  // the widest market, not a sum
+  EXPECT_EQ(p.on_demand_leases, 154u);
+  EXPECT_EQ(p.spot_leases, 165u);
+  EXPECT_EQ(p.reserved_leases, 176u);
+  EXPECT_EQ(p.spot_warnings, 187u);
+  EXPECT_EQ(p.spot_revocations, 198u);
+  EXPECT_DOUBLE_EQ(p.spend_on_demand_dollars, 30.75);
+  EXPECT_DOUBLE_EQ(p.spend_spot_dollars, 41.75);
+  EXPECT_DOUBLE_EQ(p.spend_reserved_dollars, 52.75);
+  EXPECT_DOUBLE_EQ(p.spot_savings_dollars, 63.75);
+  EXPECT_DOUBLE_EQ(p.revoked_charged_seconds, 74.75);
+
+  // Without jobs or workflows the means keep their defaults.
+  const std::vector<RunMetrics> idle(2);
+  const RunMetrics none = aggregate(idle);
+  EXPECT_EQ(none.jobs, 0u);
+  EXPECT_DOUBLE_EQ(none.avg_bounded_slowdown, 1.0);
+  EXPECT_DOUBLE_EQ(none.max_bounded_slowdown, 1.0);
+  EXPECT_DOUBLE_EQ(none.avg_workflow_makespan, 0.0);
+}
+
+TEST(RunMetrics, ExpectSameMetricsNamesTheDifferingField) {
+  const RunMetrics a;
+  RunMetrics b;
+  b.failures.api_rejected_releases = 1;
+  EXPECT_NONFATAL_FAILURE(expect_same_metrics(a, b), "failures.api_rejected_releases");
 }
 
 TEST(RunMetrics, ZeroCostUtilizationIsZero) {

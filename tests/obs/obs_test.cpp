@@ -8,6 +8,7 @@
 #include <string>
 
 #include "engine/experiment.hpp"
+#include "expect_same_metrics.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
@@ -288,6 +289,40 @@ workload::Trace small_trace() {
   return workload::TraceGenerator(workload::kth_sp2_like(0.3)).generate(7).cleaned(64);
 }
 
+TEST(RunReport, ValidatorRequiresEveryMetricField) {
+  // A real report with the failures and pricing sections on: dropping any
+  // field a visit_fields list names must fail validation.
+  engine::EngineConfig config = engine::paper_engine_config();
+  config.failure.vm_mtbf_seconds = 2.0 * kSecondsPerHour;
+  config.failure.seed = 9;
+  config.pricing.families.push_back(cloud::VmFamily{"small", 0.5, 30.0, 16});
+  config.pricing.families.push_back(cloud::VmFamily{"std", 1.0, 120.0, 0});
+  const auto result = engine::run_single_policy(
+      config, small_trace(), test_portfolio().policies()[0],
+      engine::PredictorKind::kPerfect);
+  const std::string doc =
+      run_report_json(engine::report_inputs(result, config), nullptr);
+  const ValidationResult v = validate_run_report(doc);
+  ASSERT_TRUE(v.ok) << v.detail;
+
+  // Derived keys follow the visited ones, so `"key":value,` is the member.
+  const auto drops = [&doc](std::string section) {
+    return [&doc, section](const char* key, metrics::Fold, const auto&) {
+      const std::size_t open = doc.find('"' + section + "\":{");
+      ASSERT_NE(open, std::string::npos) << section;
+      const std::size_t at = doc.find('"' + std::string(key) + "\":", open);
+      ASSERT_NE(at, std::string::npos) << section << '.' << key;
+      std::string without = doc;
+      without.erase(at, doc.find(',', at) + 1 - at);
+      EXPECT_FALSE(validate_run_report(without).ok) << section << '.' << key;
+    };
+  };
+  const metrics::RunMetrics& m = result.run.metrics;
+  metrics::visit_fields(drops("metrics"), m);
+  metrics::visit_fields(drops("failures"), m.failures);
+  metrics::visit_fields(drops("pricing"), m.pricing);
+}
+
 TEST(ObsEndToEnd, SinglePolicyReportValidates) {
   const engine::EngineConfig config = engine::paper_engine_config();
   const workload::Trace trace = small_trace();
@@ -430,16 +465,7 @@ TEST(ObsEndToEnd, ObservationNeverChangesSimulationOutput) {
       engine::run_portfolio(config, trace, test_portfolio(), pconfig,
                             engine::PredictorKind::kPerfect, nullptr, &rec);
 
-  EXPECT_EQ(baseline.run.metrics.jobs, observed.run.metrics.jobs);
-  EXPECT_EQ(baseline.run.metrics.avg_bounded_slowdown,
-            observed.run.metrics.avg_bounded_slowdown);
-  EXPECT_EQ(baseline.run.metrics.max_bounded_slowdown,
-            observed.run.metrics.max_bounded_slowdown);
-  EXPECT_EQ(baseline.run.metrics.avg_wait, observed.run.metrics.avg_wait);
-  EXPECT_EQ(baseline.run.metrics.rj_proc_seconds, observed.run.metrics.rj_proc_seconds);
-  EXPECT_EQ(baseline.run.metrics.rv_charged_seconds,
-            observed.run.metrics.rv_charged_seconds);
-  EXPECT_EQ(baseline.run.metrics.makespan, observed.run.metrics.makespan);
+  expect_same_metrics(baseline.run.metrics, observed.run.metrics);
   EXPECT_EQ(baseline.run.ticks, observed.run.ticks);
   EXPECT_EQ(baseline.run.events, observed.run.events);
   EXPECT_EQ(baseline.run.total_leases, observed.run.total_leases);

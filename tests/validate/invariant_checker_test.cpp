@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/experiment.hpp"
+#include "expect_same_metrics.hpp"
 #include "validate/fault.hpp"
 #include "workload/generator.hpp"
 
@@ -79,12 +80,7 @@ TEST(InvariantChecker, DetachedCheckerIsObservationallyFree) {
 
   EXPECT_EQ(plain.run.invariant_checks, 0u);
   EXPECT_TRUE(plain.run.invariant_violations.empty());
-  EXPECT_EQ(plain.run.metrics.jobs, checked.run.metrics.jobs);
-  EXPECT_EQ(plain.run.metrics.avg_bounded_slowdown,
-            checked.run.metrics.avg_bounded_slowdown);
-  EXPECT_EQ(plain.run.metrics.rj_proc_seconds, checked.run.metrics.rj_proc_seconds);
-  EXPECT_EQ(plain.run.metrics.rv_charged_seconds,
-            checked.run.metrics.rv_charged_seconds);
+  expect_same_metrics(plain.run.metrics, checked.run.metrics);
   EXPECT_EQ(plain.run.events, checked.run.events);
   EXPECT_EQ(plain.run.total_leases, checked.run.total_leases);
 }

@@ -45,6 +45,8 @@ check_config_fields PricingConfig src/cloud/pricing.hpp
 check_config_fields VmFamily src/cloud/pricing.hpp
 check_config_fields TenantConfig src/engine/tenant.hpp
 check_config_fields MultiTenantConfig src/engine/tenant.hpp
+check_config_fields FailureStats src/metrics/collector.hpp
+check_config_fields PricingStats src/metrics/collector.hpp
 
 # --- 2. --flags mentioned in docs must exist in the sources ----------------
 # Flags of external tools (cmake/ctest/gtest themselves) are allowlisted.

@@ -722,8 +722,7 @@ int cmd_run(const util::ArgParser& args) {
                        std::to_string(f.job_resubmissions) + "/" +
                        std::to_string(f.jobs_killed_final)});
     table.add_row({"goodput [proc-h]", util::Cell(m.goodput_proc_seconds() / 3600.0, 1)});
-    table.add_row(
-        {"paid-but-wasted [VM-h]", util::Cell(m.paid_wasted_seconds() / 3600.0, 1)});
+    table.add_row({"paid-but-wasted [VM-h]", util::Cell(f.paid_wasted_seconds / 3600.0, 1)});
   }
   if (config.pricing.enabled()) {
     const metrics::PricingStats& p = m.pricing;
