@@ -117,7 +117,7 @@ struct SimOutcome {
 /// config, every piece of mutable scratch lives in the caller-supplied
 /// arena, the RoundSnapshot is read-only during simulation, and the
 /// policies it drives are stateless (`const` interfaces throughout
-/// policy/*.hpp). The wave-parallel selector keeps one arena per wave slot;
+/// policy/*.hpp). The parallel selector keeps one arena per batch lane;
 /// the concurrency stress test in tests/core/selector_parallel_test.cpp
 /// relies on this. Keep new scratch state inside SimArena when extending.
 class OnlineSimulator {

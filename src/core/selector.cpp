@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -30,23 +29,23 @@ TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfo
       rng_(config.rng_seed) {
   PSCHED_ASSERT_MSG(portfolio_.size() > 0, "selector needs a non-empty portfolio");
   PSCHED_ASSERT(config_.lambda > 0.0 && config_.lambda <= 1.0);
-  wave_width_ = config_.eval_threads != 0
-                    ? config_.eval_threads
-                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  wave_width_ = util::resolve_threads(config_.eval_threads);
   if (wave_width_ > 1) {
     if (shared_pool != nullptr) {
       pool_ = shared_pool;
     } else {
-      // The coordinating thread drains waves too (ThreadPool::run_batch), so
+      // The coordinating thread drains every batch too (it is lane 0), so
       // wave_width_ - 1 workers give wave_width_ concurrent simulations.
       owned_pool_ = std::make_unique<util::ThreadPool>(wave_width_ - 1);
       pool_ = owned_pool_.get();
     }
   }
-  // One arena and one result slot per wave slot (slot k of every wave
-  // simulates in arenas_[k] and reports into slots_[k]).
+  // One arena per lane (batches cap lanes at wave_width_) and one result
+  // slot per list position (a round lists each policy at most once).
   arenas_.resize(wave_width_);
-  slots_.resize(wave_width_);
+  slots_.resize(portfolio_.size());
+  list_.reserve(portfolio_.size());
+  wave_ends_.reserve(portfolio_.size());
   reset();
 }
 
@@ -78,26 +77,26 @@ void TimeConstrainedSelector::capture_state(util::StateDigest& digest) const {
   digest.add_size("selector.poor_len", poor_.size());
 }
 
-double TimeConstrainedSelector::run_wave(std::span<const std::size_t> wave,
-                                         std::vector<PolicyScore>& scores,
-                                         std::vector<std::size_t>& quarantined) {
-  PSCHED_ASSERT(!wave.empty() && wave.size() <= wave_width_);
+void TimeConstrainedSelector::evaluate(std::size_t first, std::size_t last) {
+  PSCHED_ASSERT(first <= last && last <= slots_.size());
   const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
   // Candidate trace spans use the recorder's clock (obs.cpp), independent of
   // the budget clock, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  // Slot k writes only slots_[k] and arenas_[k]. Exceptions are trapped per
-  // slot: one must not escape run_batch, which would rethrow it onto the
-  // coordinating thread. kFixedCount reads no budget clock at all.
-  const auto evaluate = [&](std::size_t k) {
-    SlotResult& slot = slots_[k];
+  // Position p writes only slots_[p]; lane l owns arenas_[l] for the whole
+  // batch. Exceptions are trapped per candidate so that one never escapes
+  // run_batch onto the coordinating thread. kFixedCount reads no budget
+  // clock at all.
+  util::run_batch(pool_, last - first, wave_width_, [&](std::size_t k, std::size_t lane) {
+    SlotResult& slot = slots_[first + k];
+    slot.lane = lane;
     slot.begin_us = tracing ? recorder_->now_us() : 0;
     slot.failed = false;
     std::chrono::steady_clock::time_point start;
     if (!fixed) start = std::chrono::steady_clock::now();
     try {
-      slot.outcome =
-          simulator_.simulate(snapshot_, portfolio_.policies()[wave[k]], arenas_[k]);
+      slot.outcome = simulator_.simulate(snapshot_, portfolio_.policies()[list_[first + k]],
+                                         arenas_[lane]);
     } catch (const std::exception&) {
       slot.failed = true;
     }
@@ -107,22 +106,23 @@ double TimeConstrainedSelector::run_wave(std::span<const std::size_t> wave,
                     std::chrono::steady_clock::now() - start)
                     .count();
     slot.end_us = tracing ? recorder_->now_us() : 0;
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t k = 0; k < wave.size(); ++k) evaluate(k);
-  } else {
-    pool_->run_batch(wave.size(), evaluate);
-  }
+  });
+}
 
-  // Charge in wave (= submission) order, so the ranking input and the trace
-  // stream are independent of which worker finished first. A candidate
-  // costs one unit (kFixedCount) or synthetic + measured ms; a failed one
-  // spent its time too, so it is charged either way. The wave costs its
-  // size, or one synthetic overhead plus its slowest member: concurrent
-  // members overlap in wall time.
+double TimeConstrainedSelector::charge(std::size_t first, std::size_t last,
+                                       std::vector<PolicyScore>& scores,
+                                       std::vector<std::size_t>& quarantined) {
+  const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
+  const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
+  // Charge in list order, so the ranking input and the trace stream are
+  // independent of which lane ran what. A candidate costs one unit
+  // (kFixedCount) or synthetic + measured ms; a failed one spent its time
+  // too, so it is charged either way. The wave costs its size, or one
+  // synthetic overhead plus its slowest member: concurrent members overlap
+  // in wall time.
   double slowest_ms = 0.0;
-  for (std::size_t k = 0; k < wave.size(); ++k) {
-    SlotResult& slot = slots_[k];
+  for (std::size_t p = first; p < last; ++p) {
+    SlotResult& slot = slots_[p];
     double cost = 1.0;
     if (!fixed) {
       cost = config_.synthetic_overhead_ms;
@@ -136,18 +136,18 @@ double TimeConstrainedSelector::run_wave(std::span<const std::size_t> wave,
         slot.failed = true;
     }
     if (slot.failed)
-      quarantined.push_back(wave[k]);
+      quarantined.push_back(list_[p]);
     else
-      scores.push_back(PolicyScore{wave[k], slot.outcome.utility, cost});
+      scores.push_back(PolicyScore{list_[p], slot.outcome.utility, cost});
     if (tracing) {
-      const auto lane = static_cast<std::uint32_t>(1 + k);
+      const auto lane = static_cast<std::uint32_t>(1 + slot.lane);
       recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B', slot.begin_us,
-                                              lane, candidate_args(wave[k])});
+                                              lane, candidate_args(list_[p])});
       recorder_->append_event(
           obs::TraceEvent{"selector.candidate", 'E', slot.end_us, lane, {}});
     }
   }
-  return fixed ? static_cast<double>(wave.size())
+  return fixed ? static_cast<double>(last - first)
                : config_.synthetic_overhead_ms + slowest_ms;
 }
 
@@ -210,33 +210,53 @@ SelectionResult TimeConstrainedSelector::select(
   scores.reserve(portfolio_.size());
   std::vector<std::size_t> quarantined;  // threw / blew per-candidate budget
   double charged_ms = 0.0;  // budget actually charged (sum of wave costs)
-  std::vector<std::size_t> wave;
-  wave.reserve(wave_width_);
+  std::size_t batches = 0;  // evaluate() calls, pooled or inline
 
-  // Waves fill with up to wave_width_ candidates on the coordinating thread
-  // (front-of-set order; for Poor, RNG draws — also coordinating-thread-only,
-  // so the draw sequence matches the sequential algorithm's pick-by-pick
-  // sampling) and are simulated concurrently by run_wave.
+  // The round's candidates are listed on the coordinating thread in
+  // Algorithm 1's order (front-of-set for Smart and Stale; RNG draws for
+  // Poor — coordinating-thread-only, so the draw sequence matches the
+  // sequential algorithm's pick-by-pick sampling), grouped into waves of up
+  // to wave_width_ per set.
+  //
+  // Unless a measured wallclock Delta binds, the list does not depend on
+  // any measurement: a wave's planning cost is its size (the kFixedCount
+  // charge, and irrelevant against an unbounded quota), so the whole list
+  // is simulated in one batch and the waves are charged afterwards, in
+  // order. A bounded kWallclock round simulates and charges each wave as it
+  // closes, since its measured cost decides whether the next one runs.
   //
   // In fixed-count mode a wave additionally never overshoots the remaining
   // quota: the sequential algorithm runs exactly ceil(quota) more unit-cost
   // simulations before the budget flips non-positive, so capping the fill at
   // that count keeps the simulated candidate set — and therefore the whole
   // round — identical for every eval_threads width.
+  const bool one_batch = fixed || !bounded;
+  list_.clear();
+  wave_ends_.clear();
   const auto wave_cap = [&](double quota) {
     if (!(fixed && bounded)) return wave_width_;
     return std::min(wave_width_, static_cast<std::size_t>(std::ceil(quota)));
   };
+  const auto close_wave = [&](std::size_t first, double& quota) {
+    if (one_batch) {
+      wave_ends_.push_back(list_.size());
+      quota -= static_cast<double>(list_.size() - first);
+      return;
+    }
+    evaluate(first, list_.size());
+    ++batches;
+    const double cost = charge(first, list_.size(), scores, quarantined);
+    quota -= cost;
+    charged_ms += cost;
+  };
   const auto drain_ordered = [&](std::deque<std::size_t>& set, double& quota) {
     while (!set.empty() && quota > 0.0) {
-      wave.clear();
-      while (!set.empty() && wave.size() < wave_cap(quota)) {
-        wave.push_back(set.front());
+      const std::size_t first = list_.size();
+      while (!set.empty() && list_.size() - first < wave_cap(quota)) {
+        list_.push_back(set.front());
         set.pop_front();
       }
-      const double cost = run_wave(wave, scores, quarantined);
-      quota -= cost;
-      charged_ms += cost;
+      close_wave(first, quota);
     }
   };
 
@@ -247,17 +267,24 @@ SelectionResult TimeConstrainedSelector::select(
   // Phase 2c: Poor, random picks, with the leftovers folded in (l.13-19).
   double quota = quota_poor + std::max(0.0, quota_smart) + std::max(0.0, quota_stale);
   while (!poor_.empty() && quota > 0.0) {
-    wave.clear();
-    while (!poor_.empty() && wave.size() < wave_cap(quota)) {
+    const std::size_t first = list_.size();
+    while (!poor_.empty() && list_.size() - first < wave_cap(quota)) {
       const auto pick = static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(poor_.size()) - 1));
-      wave.push_back(poor_[pick]);
+      list_.push_back(poor_[pick]);
       poor_[pick] = poor_.back();
       poor_.pop_back();
     }
-    const double cost = run_wave(wave, scores, quarantined);
-    quota -= cost;
-    charged_ms += cost;
+    close_wave(first, quota);
+  }
+  if (one_batch) {
+    evaluate(0, list_.size());
+    ++batches;
+    std::size_t first = 0;
+    for (const std::size_t last : wave_ends_) {
+      charged_ms += charge(first, last, scores, quarantined);
+      first = last;
+    }
   }
 
   // Phase 3: rearrange (l.20-24). Un-simulated Smart leftovers age into
@@ -359,6 +386,7 @@ SelectionResult TimeConstrainedSelector::select(
     recorder_->counter_add("selector.rounds", 1.0);
     recorder_->counter_add("selector.candidates",
                            static_cast<double>(result.scores.size()));
+    recorder_->counter_add("selector.batches", static_cast<double>(batches));
     recorder_->counter_add("selector.budget_charged", charged_ms);
     if (result.quarantined > 0)
       recorder_->counter_add("selector.quarantined",

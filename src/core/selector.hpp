@@ -18,17 +18,22 @@
 // clock read from the selection path and makes a round reproducible
 // bit-for-bit across machines and eval_threads widths.
 //
-// Every candidate goes through one evaluation routine that simulates a
-// wave (SelectorConfig::eval_threads): each set is drained in deterministic
-// groups of up to eval_threads candidates, simulated concurrently on a
-// util::ThreadPool when there is more than one slot, and a wave is charged
-// against the budget as the maximum of its members' measured costs plus
-// one synthetic overhead — concurrent simulations overlap in wall time, so
-// Delta buys up to eval_threads× more candidates. A wave of one is the
-// sequential algorithm. All sequencing decisions (which candidates form a
-// wave, Poor-set RNG draws, score order) happen on the coordinating thread,
-// so results are deterministic for a fixed eval_threads, and
-// eval_threads = 1 is bit-identical to the original sequential algorithm.
+// Every candidate goes through one evaluation routine, which simulates a
+// run of the round's candidate list in one util::ThreadPool::run_batch (or
+// inline without a pool). The list is built on the coordinating thread in
+// Algorithm 1's order and grouped per set into waves of up to
+// SelectorConfig::eval_threads candidates; a wave is charged against the
+// budget as the maximum of its members' measured costs plus one synthetic
+// overhead — concurrent simulations overlap in wall time, so Delta buys up
+// to eval_threads× more candidates. When the list cannot depend on a
+// measurement (unbounded Delta, or kFixedCount) the whole round is one
+// batch, charged wave by wave afterwards; a bounded kWallclock Delta
+// simulates and charges one wave per batch, since each wave's measured cost
+// decides whether the next runs. A wave of one is the sequential algorithm.
+// All sequencing decisions (which candidates form a wave, Poor-set RNG
+// draws, score order) happen on the coordinating thread, so results are
+// deterministic for a fixed eval_threads, and eval_threads = 1 is
+// bit-identical to the original sequential algorithm.
 //
 // Graceful degradation (DESIGN.md §10): a candidate whose online simulation
 // throws — or, under a candidate_timeout_ms bound, blows its per-candidate
@@ -156,11 +161,12 @@ struct SelectionResult {
 class TimeConstrainedSelector {
  public:
   /// The selector borrows `portfolio` (must outlive the selector). When
-  /// `config.eval_threads` exceeds 1, candidate waves run on `shared_pool`
-  /// if given (it must outlive the selector; the coordinating thread helps
-  /// drain each wave, so a pool already busy with a multi-tenant run's
-  /// tenant waves is safe to share) or on an internally owned pool of
-  /// eval_threads - 1 workers otherwise.
+  /// `config.eval_threads` exceeds 1, candidate batches run on `shared_pool`
+  /// if given (it must outlive the selector; the coordinating thread drains
+  /// each batch itself, so a pool already busy with a multi-tenant run's
+  /// tenant waves is safe to share, and a pool of any size runs at most
+  /// eval_threads lanes) or on an internally owned pool of eval_threads - 1
+  /// workers otherwise.
   TimeConstrainedSelector(const policy::Portfolio& portfolio, OnlineSimulator simulator,
                           SelectorConfig config,
                           util::ThreadPool* shared_pool = nullptr);
@@ -190,8 +196,8 @@ class TimeConstrainedSelector {
   [[nodiscard]] const SelectorConfig& config() const noexcept { return config_; }
   [[nodiscard]] const OnlineSimulator& simulator() const noexcept { return simulator_; }
 
-  /// Effective candidates per wave (eval_threads with 0 resolved to the
-  /// hardware concurrency).
+  /// Effective candidates per wave and lanes per batch (eval_threads with 0
+  /// resolved to the hardware concurrency).
   [[nodiscard]] std::size_t wave_width() const noexcept { return wave_width_; }
 
   /// Attach (or detach, with nullptr) an observability recorder (borrowed;
@@ -211,31 +217,34 @@ class TimeConstrainedSelector {
   void capture_state(util::StateDigest& digest) const;
 
  private:
-  /// What wave slot k leaves for the charge loop: written only by the thread
-  /// that runs slot k, read by the coordinating thread after the wave.
+  /// What list position p leaves for the charge loop: written only by the
+  /// lane that simulates p, read by the coordinating thread after the batch.
   struct SlotResult {
     SimOutcome outcome;
     double measured_ms = 0.0;    ///< kWallclock only; 0 in kFixedCount
     bool failed = false;         ///< threw, or (charge loop) blew the timeout
+    std::size_t lane = 0;        ///< run_batch lane that simulated it
     std::int64_t begin_us = 0;   ///< candidate trace span (tracing only)
     std::int64_t end_us = 0;
   };
 
-  /// The single candidate-evaluation routine. Simulates a wave of n >= 1
-  /// candidates against the current round snapshot — slot k runs wave[k] in
-  /// arenas_[k] into slots_[k], inline without a pool and through
-  /// pool_->run_batch otherwise — then charges them in wave order: scores
+  /// The single candidate-evaluation routine: simulates list_[first, last)
+  /// against the current round snapshot in one batch (util::run_batch,
+  /// inline without a pool, at most wave_width_ lanes). Position p reports
+  /// into slots_[p] and simulates in the arena of the lane that runs it.
+  void evaluate(std::size_t first, std::size_t last);
+  /// Charges the evaluated wave list_[first, last) in list order: scores
   /// append to `scores`, failed members to `quarantined`, and trace spans
-  /// go to lane 1 + k. Returns the budget cost of the whole wave.
-  double run_wave(std::span<const std::size_t> wave, std::vector<PolicyScore>& scores,
-                  std::vector<std::size_t>& quarantined);
+  /// go to lane 1 + the run_batch lane. Returns the budget cost of the wave.
+  double charge(std::size_t first, std::size_t last, std::vector<PolicyScore>& scores,
+                std::vector<std::size_t>& quarantined);
 
   const policy::Portfolio& portfolio_;
   OnlineSimulator simulator_;
   SelectorConfig config_;
   obs::Recorder* recorder_ = nullptr;  ///< null = unobserved (default)
   // All sequencing state below is touched only by the coordinating thread
-  // that called select(): wave workers receive disjoint score slots and
+  // that called select(): batch lanes receive disjoint result slots and
   // never see the RNG or the sets. PSCHED_CONFINED_TO documents (but cannot
   // verify) this; the determinism matrix tests enforce it by requiring
   // bit-identical results across eval_threads widths.
@@ -248,15 +257,18 @@ class TimeConstrainedSelector {
   std::deque<std::size_t> stale_ PSCHED_CONFINED_TO("selector coordinating thread");
   std::vector<std::size_t> poor_ PSCHED_CONFINED_TO("selector coordinating thread");
 
-  // Hot-path state (DESIGN.md §11). The snapshot is (re)built once per
-  // select() on the coordinating thread before any wave is dispatched and
-  // is strictly read-only while workers run. Arena k and result slot k are
-  // owned by wave slot k for the duration of one wave (disjoint slots; no
-  // sharing); between waves they all belong to the coordinating thread.
-  // Both are sized wave_width_ once, so no wave allocates scratch.
+  // Hot-path state (DESIGN.md §11). The snapshot and the candidate list are
+  // (re)built on the coordinating thread before any batch is dispatched and
+  // are strictly read-only while workers run. Within a batch, arena l
+  // belongs to lane l and result slot p to whichever lane simulates list
+  // position p (disjoint; no sharing); between batches they all belong to
+  // the coordinating thread. Arenas are sized wave_width_ and slots the
+  // portfolio size once, so no batch allocates scratch.
   RoundSnapshot snapshot_;
   std::vector<SimArena> arenas_;
   std::vector<SlotResult> slots_;
+  std::vector<std::size_t> list_;       ///< the round's candidates, in order
+  std::vector<std::size_t> wave_ends_;  ///< one-batch rounds: wave boundaries
 };
 
 }  // namespace psched::core

@@ -5,7 +5,7 @@
 // availability view, the allocation plan and its scratch — as vectors that
 // are cleared (capacity kept) between candidates instead of reallocated.
 //
-// The selector owns one arena per wave slot, so concurrent candidate
+// The selector owns one arena per batch lane, so concurrent candidate
 // evaluations never share an arena; the arena itself is strictly
 // single-threaded state.
 

@@ -1,5 +1,7 @@
 #include "engine/experiment.hpp"
 
+#include <memory>
+
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -64,9 +66,13 @@ metrics::PortfolioStats portfolio_stats(const core::ReflectionStore& reflection)
 
 std::vector<ScenarioResult> run_parallel(
     const std::vector<std::function<ScenarioResult()>>& tasks, std::size_t threads) {
+  threads = util::resolve_threads(threads);
+  // The calling thread is one of the `threads` participants.
+  std::unique_ptr<util::ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads - 1);
   std::vector<ScenarioResult> results(tasks.size());
-  util::ThreadPool pool(threads);
-  pool.parallel_for(tasks.size(), [&](std::size_t i) { results[i] = tasks[i](); });
+  util::run_batch(pool.get(), tasks.size(), threads,
+                  [&](std::size_t i, std::size_t) { results[i] = tasks[i](); });
   return results;
 }
 

@@ -79,8 +79,9 @@ bool write_observability_outputs(const ScenarioResult& result,
                                  const std::string& report_path,
                                  const std::string& trace_path);
 
-/// Run `tasks` scenario thunks on a pool of `threads` workers (0 = hardware
-/// concurrency). Results keep task order. Each task owns its engine:
+/// Run `tasks` scenario thunks on `threads` threads (0 = hardware
+/// concurrency): the caller plus a private pool of threads - 1 workers, in
+/// one run_batch. Results keep task order. Each task owns its engine:
 /// engines are thread-compatible (one engine per thread, no shared mutable
 /// state). The sweep's pool is private, so a task that runs a portfolio
 /// with eval_threads > 1 gets its own selector pool.

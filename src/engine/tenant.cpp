@@ -299,14 +299,9 @@ MultiTenantResult MultiTenantExperiment::run() {
   };
 
   const auto advance_wave = [&](SimTime horizon) {
-    const auto step = [&](std::size_t i) {
+    util::run_batch(pool_, n, n, [&](std::size_t i, std::size_t) {
       if (sims[i]->active()) sims[i]->advance_until(horizon);
-    };
-    if (pool_ != nullptr) {
-      pool_->run_batch(n, step);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) step(i);
-    }
+    });
   };
 
   for (std::size_t i = 0; i < n; ++i) sims[i]->start();

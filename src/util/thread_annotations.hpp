@@ -11,8 +11,8 @@
 //
 //  * Real capabilities (PSCHED_GUARDED_BY, PSCHED_REQUIRES, ...): checkable
 //    claims about data protected by a util::Mutex. Use these for anything
-//    accessed from more than one thread (ThreadPool's queue, batch error
-//    slots).
+//    accessed from more than one thread (ThreadPool's open-batch list, the
+//    recorder's trace sink).
 //  * PSCHED_CONFINED_TO(description): a documentation-only marker for state
 //    that is single-threaded by construction — the selector's coordinator
 //    state, the invariant checker's observer hooks. It expands to nothing
@@ -50,7 +50,6 @@
 /// expands to nothing — see the file comment for why this is deliberate.
 #define PSCHED_CONFINED_TO(thread_description)
 
-#include <condition_variable>
 #include <mutex>
 
 namespace psched::util {
@@ -72,11 +71,9 @@ class PSCHED_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// RAII scoped lock over Mutex, annotated as a scoped capability. Exposes
-/// lock()/unlock() (BasicLockable) so it can be handed to
-/// std::condition_variable_any::wait — clang tracks the capability through
-/// the explicit while-wait loops used in ThreadPool. Not movable: a moved-
-/// from scoped capability is exactly the state the analysis cannot model.
+/// RAII scoped lock over Mutex, annotated as a scoped capability. Not
+/// movable: a moved-from scoped capability is exactly the state the
+/// analysis cannot model.
 class PSCHED_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& m) PSCHED_ACQUIRE(m) : m_(m) { m_.lock(); }
@@ -85,19 +82,8 @@ class PSCHED_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Re-acquire / release mid-scope, for condition_variable_any::wait. The
-  /// destructor unconditionally unlocks, so callers must leave the lock held
-  /// on every path out of the scope (wait() guarantees this).
-  void lock() PSCHED_ACQUIRE() { m_.lock(); }
-  void unlock() PSCHED_RELEASE() { m_.unlock(); }
-
  private:
   Mutex& m_;
 };
-
-/// Condition variable usable with util::MutexLock. condition_variable_any
-/// works with any BasicLockable, which keeps the annotated lock type in the
-/// wait loop where clang's analysis can see it.
-using CondVar = std::condition_variable_any;
 
 }  // namespace psched::util

@@ -1,129 +1,133 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
+#include "util/assert.hpp"
 
 namespace psched::util {
 
 namespace {
 
-/// Shared between the run_batch caller and its helper tasks. Heap-allocated
-/// and reference-counted because helpers may be scheduled after the batch is
-/// already drained and run_batch has returned.
-struct BatchState {
-  BatchState(std::size_t n_, std::function<void(std::size_t)> fn_)
-      : n(n_), fn(std::move(fn_)) {}
-  const std::size_t n;
-  const std::function<void(std::size_t)> fn;
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  Mutex mutex;
-  CondVar cv;
-  std::exception_ptr error PSCHED_GUARDED_BY(mutex);
-};
+/// Polls a waiting thread makes before it parks: about 100 µs at the
+/// ~25 ns a pause instruction takes on current x86 server cores. That spans
+/// the engine work between two selection rounds, so a worker stays awake
+/// from one round's batch to the next, while a pool with nothing to do
+/// parks almost at once.
+constexpr int kSpinPolls = 4096;
 
-/// Claim and run batch indices until the index space is exhausted. Failed
-/// tasks still count as done so the waiter wakes.
-void drain_batch(const std::shared_ptr<BatchState>& state) {
-  for (;;) {
-    const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= state->n) return;
-    try {
-      state->fn(i);
-    } catch (...) {
-      MutexLock lock(state->mutex);
-      if (!state->error) state->error = std::current_exception();
-    }
-    if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == state->n) {
-      MutexLock lock(state->mutex);
-      state->cv.notify_all();
-    }
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Polls `ready` through the spin window; returns its last value.
+template <typename Pred>
+bool spin_until(Pred ready) {
+  for (int poll = 0; poll < kSpinPolls; ++poll) {
+    if (ready()) return true;
+    cpu_relax();
   }
+  return ready();
 }
 
 }  // namespace
 
+std::size_t resolve_threads(std::size_t threads) noexcept {
+  return threads != 0 ? threads
+                      : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  threads = resolve_threads(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& w : workers_) w.join();
+}
+
+void ThreadPool::run(Batch& batch) {
+  if (batch.n == 0) return;
+  PSCHED_ASSERT_MSG(batch.lanes > 0, "run_batch needs max_lanes >= 1");
+  const bool shared = batch.lanes > 1;
+  if (shared) {
+    {
+      MutexLock lock(mutex_);
+      batch.older = open_;
+      open_ = &batch;
+    }
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
+  }
+  drain(batch, 0);
+  if (shared) {
+    {
+      // Closed to new joiners; the workers inside finish their last call.
+      MutexLock lock(mutex_);
+      Batch** link = &open_;
+      while (*link != &batch) link = &(*link)->older;
+      *link = batch.older;
+    }
+    const auto settled = [&] { return batch.joined.load(std::memory_order_acquire) == 0; };
+    while (!spin_until(settled)) {
+      const std::uint32_t seen = departures_.load(std::memory_order_acquire);
+      if (settled()) break;
+      departures_.wait(seen, std::memory_order_acquire);
+    }
+  }
+  if (batch.error) std::rethrow_exception(batch.error);
+}
+
+ThreadPool::Batch* ThreadPool::join(std::size_t& lane) {
+  MutexLock lock(mutex_);
+  for (Batch* batch = open_; batch != nullptr; batch = batch->older) {
+    if (batch->lanes_taken == batch->lanes ||
+        batch->next.load(std::memory_order_relaxed) >= batch->n)
+      continue;
+    lane = batch->lanes_taken++;
+    batch->joined.fetch_add(1, std::memory_order_relaxed);
+    return batch;
+  }
+  return nullptr;
+}
+
+void ThreadPool::drain(Batch& batch, std::size_t lane) {
+  for (;;) {
+    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= batch.n) return;
+    try {
+      batch.call(batch.fn, i, lane);
+    } catch (...) {
+      if (!batch.failed.exchange(true, std::memory_order_relaxed))
+        batch.error = std::current_exception();
+    }
+  }
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
-    {
-      // Explicit while-wait (not wait-with-predicate): the thread-safety
-      // analysis cannot see through a predicate lambda, but it tracks the
-      // capability across condition_variable_any::wait on the scoped lock.
-      MutexLock lock(mutex_);
-      while (!stop_ && queue_.empty()) cv_.wait(lock);
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
+    // Read the epoch before looking for work: a batch published after the
+    // look bumps it, so the wait below cannot sleep through that batch.
+    const std::uint32_t seen = epoch_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    std::size_t lane = 0;
+    if (Batch* batch = join(lane)) {
+      drain(*batch, lane);
+      // The batch's frame may be gone once joined reaches zero: signal
+      // through the pool's own counter.
+      batch->joined.fetch_sub(1, std::memory_order_release);
+      departures_.fetch_add(1, std::memory_order_release);
+      departures_.notify_all();
+      continue;
     }
-    task();
+    if (!spin_until([&] { return epoch_.load(std::memory_order_relaxed) != seen; }))
+      epoch_.wait(seen, std::memory_order_acquire);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr error;
-  Mutex error_mutex;
-  const std::size_t tasks = std::min(n, size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    futures.push_back(submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          MutexLock lock(error_mutex);
-          if (!error) error = std::current_exception();
-          return;
-        }
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::run_batch(std::size_t n, std::function<void(std::size_t)> fn) {
-  if (n == 0) return;
-  if (n == 1) {  // nothing to fan out; run inline, exceptions propagate as-is
-    fn(0);
-    return;
-  }
-  auto state = std::make_shared<BatchState>(n, std::move(fn));
-  // Helpers beyond n-1 could never claim an index; beyond size() they could
-  // never run concurrently. Their futures are discarded: completion is
-  // tracked by the batch's own done-count, so the caller does not stall on
-  // helpers the pool schedules late (or never, if the batch drains first).
-  const std::size_t helpers = std::min(n - 1, size());
-  for (std::size_t h = 0; h < helpers; ++h) {
-    (void)submit([state] { drain_batch(state); });
-  }
-  drain_batch(state);
-  MutexLock lock(state->mutex);
-  while (state->done.load(std::memory_order_acquire) != state->n) {
-    state->cv.wait(lock);
-  }
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace psched::util

@@ -206,6 +206,28 @@ TEST(SelectorParallel, SharedPoolMatchesOwnedPool) {
   }
 }
 
+TEST(SelectorParallel, SharedPoolLargerThanWidthMatchesOwnedPool) {
+  // A shared pool with more workers than eval_threads (as in a multi-tenant
+  // run) must still run each batch on at most eval_threads lanes: lanes
+  // index the selector's arenas.
+  const auto events = make_events(50, 0x4242);
+  SelectorConfig config;
+  config.time_constraint_ms = 0.0;
+  config.synthetic_overhead_ms = 0.0;
+  config.use_measured_cost = false;
+  config.eval_threads = 2;
+
+  util::ThreadPool shared(4);
+  TimeConstrainedSelector owned(portfolio(), OnlineSimulator(sim_config()), config);
+  TimeConstrainedSelector borrowed(portfolio(), OnlineSimulator(sim_config()), config,
+                                   &shared);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const SelectionResult ra = owned.select(events[e].queue, events[e].profile);
+    const SelectionResult rb = borrowed.select(events[e].queue, events[e].profile);
+    expect_identical(ra, rb, e);
+  }
+}
+
 TEST(SelectorParallel, EngineRunIsIdenticalAcrossEvalThreads) {
   // End to end: a full cluster-simulation run with the portfolio scheduler
   // must produce identical engine metrics whether selector candidates are
@@ -232,31 +254,43 @@ TEST(SelectorParallel, FixedCountMatrixIsBitIdenticalAcrossWidths) {
   // simulation count (no clock reads anywhere in the selection path), a
   // *bounded* budget must also reproduce bit-for-bit across eval_threads
   // widths — the wave fill is capped at ceil(remaining quota), so every
-  // width simulates exactly the candidates the sequential algorithm would.
-  // (Contrast the wallclock matrix above, which must run unbounded to be
-  // width-independent.)
+  // width simulates exactly the candidates the sequential algorithm would,
+  // and the selector's RNG and Smart/Stale/Poor state end each round the
+  // same. (Contrast the wallclock matrix above, which must run unbounded to
+  // be width-independent.) 17 is deliberately not a multiple of any wave
+  // width; 75 exceeds the 60-policy portfolio, so every set's quota exceeds
+  // its size and Smart's and Stale's leftovers fold into the Poor quota.
   const auto events = make_events(200, 0xf1c5ed);
-  SelectorConfig base;
-  base.budget_mode = BudgetMode::kFixedCount;
-  base.fixed_count = 17;  // deliberately not a multiple of any wave width
+  for (const std::size_t fixed_count : {std::size_t{17}, std::size_t{75}}) {
+    SelectorConfig base;
+    base.budget_mode = BudgetMode::kFixedCount;
+    base.fixed_count = fixed_count;
 
-  std::vector<SelectionResult> reference;
-  reference.reserve(events.size());
-  TimeConstrainedSelector ref(portfolio(), OnlineSimulator(sim_config()), base);
-  for (const ReplayEvent& event : events)
-    reference.push_back(ref.select(event.queue, event.profile));
+    std::vector<SelectionResult> reference;
+    std::vector<util::StateDigest> reference_state(events.size());
+    reference.reserve(events.size());
+    TimeConstrainedSelector ref(portfolio(), OnlineSimulator(sim_config()), base);
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      reference.push_back(ref.select(events[e].queue, events[e].profile));
+      ref.capture_state(reference_state[e]);
+    }
 
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    SelectorConfig config = base;
-    config.eval_threads = threads;
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      TimeConstrainedSelector s(portfolio(), OnlineSimulator(sim_config()), config);
-      for (std::size_t e = 0; e < events.size(); ++e) {
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads << " repeat=" << repeat);
-        const SelectionResult r = s.select(events[e].queue, events[e].profile);
-        expect_identical(reference[e], r, e);
-        EXPECT_EQ(reference[e].total_cost_ms, r.total_cost_ms) << "event " << e;
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SelectorConfig config = base;
+      config.eval_threads = threads;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        TimeConstrainedSelector s(portfolio(), OnlineSimulator(sim_config()), config);
+        for (std::size_t e = 0; e < events.size(); ++e) {
+          SCOPED_TRACE(testing::Message() << "fixed_count=" << fixed_count
+                                          << " threads=" << threads
+                                          << " repeat=" << repeat);
+          const SelectionResult r = s.select(events[e].queue, events[e].profile);
+          expect_identical(reference[e], r, e);
+          EXPECT_EQ(reference[e].total_cost_ms, r.total_cost_ms) << "event " << e;
+          util::StateDigest state;
+          s.capture_state(state);
+          EXPECT_TRUE(state == reference_state[e]) << "event " << e;
+        }
       }
     }
   }
@@ -313,7 +347,7 @@ TEST(SelectorParallel, ConcurrentSimulateMatchesSequential) {
   util::ThreadPool pool(8);
   constexpr std::size_t kRepeats = 4;
   std::vector<double> concurrent(policies.size() * kRepeats);
-  pool.run_batch(concurrent.size(), [&](std::size_t k) {
+  pool.run_batch(concurrent.size(), pool.size() + 1, [&](std::size_t k, std::size_t) {
     const std::size_t i = k % policies.size();
     concurrent[k] =
         simulator.simulate(events[0].queue, events[0].profile, policies[i]).utility;

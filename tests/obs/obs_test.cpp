@@ -413,8 +413,11 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
       EXPECT_STRNE(round.tie_path, "");
       attempted += round.simulated + round.quarantined;
     }
-    // Every attempted candidate has exactly one span, on its wave slot's
-    // lane 1 + k.
+    // An unbounded round is one evaluation batch, pooled or inline.
+    EXPECT_DOUBLE_EQ(rec.counters().at("selector.batches"),
+                     rec.counters().at("selector.rounds"));
+    // Every attempted candidate has exactly one span, on lane 1 + the
+    // run_batch lane that simulated it.
     std::size_t spans = 0;
     for (const TraceEvent& e : rec.events_snapshot()) {
       if (std::string(e.name) != "selector.candidate" || e.phase != 'B') continue;

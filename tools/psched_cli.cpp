@@ -417,11 +417,13 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   }
 
   // The pool hosts both tenant waves and every tenant selector's candidate
-  // waves; results are bit-identical at any width (0 = hardware concurrency).
-  const auto eval_threads =
-      static_cast<std::size_t>(args.get_int("eval-threads", 1, 0));
+  // batches; results are bit-identical at any width (0 = hardware
+  // concurrency). The calling thread joins every batch, so K threads need
+  // K - 1 workers, as in the selector's own pool.
+  const std::size_t eval_threads = util::resolve_threads(
+      static_cast<std::size_t>(args.get_int("eval-threads", 1, 0)));
   std::unique_ptr<util::ThreadPool> pool;
-  if (eval_threads != 1) pool = std::make_unique<util::ThreadPool>(eval_threads);
+  if (eval_threads > 1) pool = std::make_unique<util::ThreadPool>(eval_threads - 1);
   engine::MultiTenantExperiment experiment(mt, pool.get());
   const engine::MultiTenantResult result = experiment.run();
 
