@@ -95,23 +95,29 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   policy::SchedContext ctx;
   ctx.max_vms = snapshot.max_vms;
   ctx.pricing = &arena.pricing;
-  /// Point the context at the current queue and fleet.
-  const auto observe = [&] {
-    ctx.now = now;
-    ctx.queue = pending;
-    ctx.idle_vms = 0;
-    ctx.booting_vms = 0;
-    for (std::size_t i = 0; i < arena.vm_count(); ++i) {
-      if (arena.vm_avail[i] <= now) ++ctx.idle_vms;
-      else if (!arena.vm_busy[i]) ++ctx.booting_vms;
-    }
-    ctx.total_vms = arena.vm_count();
-  };
 
   while (!pending.empty()) {
     if (++out.decisions > config_.max_iterations)
       throw OnlineSimError("online simulation exceeded the iteration cap");
-    observe();
+    // One pass over the fleet per decision: idle and booting counts and the
+    // earliest future availability. Leases, starts and releases below keep
+    // all three current, so the provisioning policy's second look
+    // (next_change) and the time advance need no further pass.
+    ctx.now = now;
+    ctx.queue = pending;
+    ctx.idle_vms = 0;
+    ctx.booting_vms = 0;
+    SimTime next_avail = kTimeNever;
+    for (std::size_t i = 0; i < arena.vm_count(); ++i) {
+      const SimTime at = arena.vms[i].available_at;
+      if (at <= now) {
+        ++ctx.idle_vms;
+      } else {
+        if (!arena.vm_busy[i]) ++ctx.booting_vms;
+        next_avail = std::min(next_avail, at);
+      }
+    }
+    ctx.total_vms = arena.vm_count();
 
     // --- 1. provisioning -----------------------------------------------------
     // The policy's lease plan, granted request by request under the same
@@ -128,10 +134,17 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
       grant = std::min(grant, arena.pricing.family_free(req.family));
       if (req.tier == cloud::PurchaseTier::kReserved)
         grant = std::min(grant, arena.pricing.reserved_free());
-      const SimDuration boot = arena.pricing.families[req.family].boot_delay;
+      const SimTime ready = now + arena.pricing.families[req.family].boot_delay;
       for (std::size_t i = 0; i < grant; ++i) {
-        arena.push_vm(next_vm_id++, now, now + boot, /*fresh=*/true,
+        arena.push_vm(next_vm_id++, now, ready, /*fresh=*/true,
                       /*busy=*/false, req.family, static_cast<unsigned char>(req.tier));
+      }
+      // A zero boot delay leases VMs that are idle at once.
+      if (ready <= now) {
+        ctx.idle_vms += grant;
+      } else if (grant > 0) {
+        ctx.booting_vms += grant;
+        next_avail = std::min(next_avail, ready);
       }
       arena.pricing.families[req.family].in_use += grant;
       if (req.tier == cloud::PurchaseTier::kReserved)
@@ -142,11 +155,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
 
     // --- 2. allocation (shared planner; head-of-line or EASY backfill) -------
     policy::order_queue(pending, *policy.job_selection, now, arena.order);
-    arena.avail.clear();
-    for (std::size_t i = 0; i < arena.vm_count(); ++i)
-      arena.avail.push_back(
-          policy::VmAvail{arena.vm_id[i], arena.vm_lease[i], arena.vm_avail[i]});
-    policy::plan_allocation_into(now, pending, arena.avail, *policy.vm_selection,
+    policy::plan_allocation_into(now, pending, arena.vms, *policy.vm_selection,
                                  config_.allocation, snapshot.billing_quantum,
                                  arena.plan, arena.alloc);
     if (!arena.plan.empty()) {
@@ -157,8 +166,14 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
         const SimTime completion = now + job.predicted_runtime;
         for (const VmId chosen : arena.plan.vms_of(start)) {
           const std::size_t row = arena.vm_row[static_cast<std::size_t>(chosen)];
-          arena.vm_avail[row] = completion;
+          arena.vms[row].available_at = completion;
           arena.vm_busy[row] = 1;
+        }
+        // The chosen VMs were idle; they stay idle only if the job takes
+        // no time.
+        if (completion > now) {
+          ctx.idle_vms -= arena.plan.vms_of(start).size();
+          next_avail = std::min(next_avail, completion);
         }
         bsd_sum += workload::bounded_slowdown(job.wait(now), job.predicted_runtime,
                                               config_.slowdown_bound);
@@ -183,17 +198,17 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
       std::size_t reserve =
           pending.empty() ? 0 : static_cast<std::size_t>(pending.front().procs);
       for (std::size_t i = 0; i < arena.vm_count();) {
-        if (arena.vm_avail[i] <= now && reserve > 0) {
+        const policy::VmAvail& vm = arena.vms[i];
+        if (vm.available_at <= now && reserve > 0) {
           --reserve;
           ++i;
           continue;
         }
-        if (arena.vm_avail[i] <= now &&
-            cloud::remaining_paid_at(arena.vm_lease[i], now,
-                                     snapshot.billing_quantum) <=
+        if (vm.available_at <= now &&
+            cloud::remaining_paid_at(vm.lease_time, now, snapshot.billing_quantum) <=
                 config_.release_window) {
           double seconds =
-              charge_seconds(arena.vm_lease[i], arena.vm_fresh[i] != 0, now, t0,
+              charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, now, t0,
                              config_.cost_model, snapshot.billing_quantum);
           seconds *= price_weight(i);
           cloud::PricingView::Family& fam = arena.pricing.families[arena.vm_family[i]];
@@ -204,6 +219,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
             --arena.pricing.reserved_in_use;
           out.rv_charged_seconds += seconds;
           arena.remove_vm(i);
+          --ctx.idle_vms;
         } else {
           ++i;
         }
@@ -220,11 +236,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     // considering it. Quiet stretches still fast-forward directly to the
     // next event. Guaranteed to move forward (see DESIGN.md).
     const bool changed = to_lease > 0 || !arena.plan.empty();
-    SimTime next_avail = kTimeNever;
-    for (std::size_t i = 0; i < arena.vm_count(); ++i)
-      if (arena.vm_avail[i] > now) next_avail = std::min(next_avail, arena.vm_avail[i]);
-    // Re-observe: provisioning/allocation above changed the state.
-    observe();
+    ctx.queue = pending;
+    ctx.total_vms = arena.vm_count();
     const SimTime next_policy = policy.provisioning->next_change(ctx);
     SimTime next = std::min(next_avail, next_policy);
     if (changed) next = std::min(next, now + config_.schedule_period);
@@ -241,13 +254,14 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   // boot delay is not a multiple of the schedule period. (On the
   // differential oracle's ground rules the two coincide; see DESIGN.md §7.)
   for (std::size_t i = 0; i < arena.vm_count(); ++i) {
-    SimTime release = std::max(arena.vm_avail[i], now);
-    if (!arena.vm_busy[i] && arena.vm_avail[i] > now) {
-      release = std::ceil(arena.vm_avail[i] / config_.schedule_period) *
+    const policy::VmAvail& vm = arena.vms[i];
+    SimTime release = std::max(vm.available_at, now);
+    if (!arena.vm_busy[i] && vm.available_at > now) {
+      release = std::ceil(vm.available_at / config_.schedule_period) *
                 config_.schedule_period;
     }
     double seconds =
-        charge_seconds(arena.vm_lease[i], arena.vm_fresh[i] != 0, release, t0,
+        charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, release, t0,
                        config_.cost_model, snapshot.billing_quantum);
     seconds *= price_weight(i);
     out.rv_charged_seconds += seconds;

@@ -5,9 +5,13 @@
 //
 // This is intentionally NOT the outer DGSim-style engine: it is a tight,
 // allocation-light loop over plain vectors (the selection step runs it up to
-// 60 times per scheduling decision). Jobs run for their *predicted* runtime
-// — the simulator must not peek at actual runtimes (paper evaluates exactly
-// this information gap in §6.3).
+// 60 times per scheduling decision). Each decision pays only for what
+// changed: one pass over the fleet yields the idle and booting counts and
+// the next availability, and leases, starts and releases update them in
+// place; the planner reads the arena's VM rows without copying them, and an
+// already-ordered queue is not re-sorted. Jobs run for their *predicted*
+// runtime — the simulator must not peek at actual runtimes (paper evaluates
+// exactly this information gap in §6.3).
 //
 // Cost accounting mirrors the outer engine's billing but only counts cost
 // incurred *from the snapshot onward*: already-paid time on existing VMs is

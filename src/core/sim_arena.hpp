@@ -1,9 +1,9 @@
 #pragma once
 // Reusable scratch arena for the online simulator's fast path (DESIGN.md
 // §11). One SimArena holds every piece of mutable state a single inner
-// simulation needs — the struct-of-arrays VM table, the pending queue, the
-// availability view, the allocation plan and its scratch — as vectors that
-// are cleared (capacity kept) between candidates instead of reallocated.
+// simulation needs — the VM table, the pending queue, the allocation plan
+// and its scratch — as vectors that are cleared (capacity kept) between
+// candidates instead of reallocated.
 //
 // The selector owns one arena per batch lane, so concurrent candidate
 // evaluations never share an arena; the arena itself is strictly
@@ -19,15 +19,13 @@
 namespace psched::core {
 
 struct SimArena {
-  // --- VM table, struct-of-arrays --------------------------------------
-  // Rows are live VMs; the decision loop scans one column at a time
-  // (availability for idle counts and time advance, busy for boot counts),
-  // so columns keep those scans dense. Ids are assigned 0,1,2,... by the
-  // simulation and never reused, so `vm_row` is a dense id -> row map that
-  // survives swap-removal.
-  std::vector<VmId> vm_id;
-  std::vector<SimTime> vm_lease;
-  std::vector<SimTime> vm_avail;
+  // --- VM table ---------------------------------------------------------
+  // Row i is one live VM. `vms` holds the (id, lease, availability) rows the
+  // planner reads in place; the other columns run parallel to it. The
+  // decision loop's one fleet pass per decision reads `vms` and `vm_busy`.
+  // Ids are assigned 0,1,2,... by the simulation and never reused, so
+  // `vm_row` is a dense id -> row map that survives swap-removal.
+  std::vector<policy::VmAvail> vms;
   std::vector<unsigned char> vm_fresh;  ///< leased during this simulation
   std::vector<unsigned char> vm_busy;   ///< has (ever) run a job
   std::vector<std::uint32_t> vm_row;    ///< VmId -> row (stale for removed ids)
@@ -36,7 +34,6 @@ struct SimArena {
 
   // --- per-decision working state ---------------------------------------
   std::vector<policy::QueuedJob> pending;  ///< the simulated queue (AoS: policy API)
-  std::vector<policy::VmAvail> avail;      ///< availability view for the planner
   std::vector<unsigned char> served;       ///< queue-compaction mark bits
   policy::OrderScratch order;
   policy::AllocationScratch alloc;
@@ -48,20 +45,17 @@ struct SimArena {
   /// headroom. Market state stays frozen at the snapshot (DESIGN.md §12).
   cloud::PricingView pricing;
 
-  [[nodiscard]] std::size_t vm_count() const noexcept { return vm_id.size(); }
+  [[nodiscard]] std::size_t vm_count() const noexcept { return vms.size(); }
 
   /// Start a new simulation: empty every container, keep every capacity.
   void reset() noexcept {
-    vm_id.clear();
-    vm_lease.clear();
-    vm_avail.clear();
+    vms.clear();
     vm_fresh.clear();
     vm_busy.clear();
     vm_row.clear();
     vm_family.clear();
     vm_tier.clear();
     pending.clear();
-    avail.clear();
     served.clear();
     plan.clear();
     lease_requests.clear();
@@ -71,10 +65,8 @@ struct SimArena {
   /// id -> row map is positional at creation time).
   void push_vm(VmId id, SimTime lease, SimTime available, bool fresh, bool busy,
                std::uint32_t family, unsigned char tier) {
-    vm_row.push_back(static_cast<std::uint32_t>(vm_id.size()));
-    vm_id.push_back(id);
-    vm_lease.push_back(lease);
-    vm_avail.push_back(available);
+    vm_row.push_back(static_cast<std::uint32_t>(vms.size()));
+    vms.push_back(policy::VmAvail{id, lease, available});
     vm_fresh.push_back(fresh ? 1 : 0);
     vm_busy.push_back(busy ? 1 : 0);
     vm_family.push_back(family);
@@ -84,18 +76,14 @@ struct SimArena {
   /// Swap-remove the VM at `row` (same order semantics as the old
   /// vector<InnerVm> release loop: the last row moves into `row`).
   void remove_vm(std::size_t row) noexcept {
-    const std::size_t last = vm_id.size() - 1;
-    vm_id[row] = vm_id[last];
-    vm_lease[row] = vm_lease[last];
-    vm_avail[row] = vm_avail[last];
+    const std::size_t last = vms.size() - 1;
+    vms[row] = vms[last];
     vm_fresh[row] = vm_fresh[last];
     vm_busy[row] = vm_busy[last];
     vm_family[row] = vm_family[last];
     vm_tier[row] = vm_tier[last];
-    vm_row[static_cast<std::size_t>(vm_id[row])] = static_cast<std::uint32_t>(row);
-    vm_id.pop_back();
-    vm_lease.pop_back();
-    vm_avail.pop_back();
+    vm_row[static_cast<std::size_t>(vms[row].id)] = static_cast<std::uint32_t>(row);
+    vms.pop_back();
     vm_fresh.pop_back();
     vm_busy.pop_back();
     vm_family.pop_back();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 #include <string>
 
 #include "util/assert.hpp"
@@ -278,9 +279,9 @@ void ClusterSimulation::on_tick() {
   }
 
   // --- 2. allocation (shared planner; head-of-line or EASY backfill) ---------
-  policy::order_queue(annotated, *policy.job_selection, now);
-  std::vector<policy::VmAvail> avail;
-  avail.reserve(provider_.vms().size());
+  policy::order_queue(annotated, *policy.job_selection, now, order_scratch_);
+  std::vector<policy::VmAvail>& avail = avail_scratch_;
+  avail.clear();
   for (const cloud::VmInstance& vm : provider_.vms()) {
     // A doomed spot VM (revocation warning delivered) finishes what it has
     // but takes no new work; always false with pricing off.
@@ -301,13 +302,15 @@ void ClusterSimulation::on_tick() {
     }
     avail.push_back(policy::VmAvail{vm.id, vm.lease_time, available_at});
   }
-  const std::vector<policy::PlannedStart> plan = policy::plan_allocation(
-      now, annotated, std::move(avail), *policy.vm_selection, config_.allocation,
-      config_.provider.billing_quantum);
+  policy::AllocationPlan& plan = plan_scratch_;
+  policy::plan_allocation_into(now, annotated, avail, *policy.vm_selection,
+                               config_.allocation, config_.provider.billing_quantum, plan,
+                               alloc_scratch_);
 
   std::vector<bool> served(annotated.size(), false);
-  for (const policy::PlannedStart& start : plan) {
+  for (const policy::AllocationPlan::Start& start : plan.starts) {
     served[start.queue_index] = true;
+    const std::span<const VmId> vms = plan.vms_of(start);
     const policy::QueuedJob& entry = annotated[start.queue_index];
     // Locate the trace job behind this queue entry.
     const auto wit = std::find_if(queue_.begin(), queue_.end(), [&](const Waiting& w) {
@@ -322,14 +325,14 @@ void ClusterSimulation::on_tick() {
     running.job = &job;
     running.start = now;
     running.eligible = wit->eligible;
-    running.vms = start.vms;
-    for (const VmId vm : start.vms) {
+    running.vms.assign(vms.begin(), vms.end());
+    for (const VmId vm : vms) {
       provider_.assign(vm, job.id, actual_finish, now);
       predicted_free_[vm] = predicted_finish;
     }
     const JobId id = job.id;
     if (checker_)
-      checker_->on_job_started(id, job.procs, start.vms.size(), running.eligible,
+      checker_->on_job_started(id, job.procs, vms.size(), running.eligible,
                                job.submit, now);
     // Keep the finish event's id so a VM crash can cancel it.
     running.finish_event = sim_.at(actual_finish, [this, id] { on_job_finish(id); });
@@ -337,7 +340,7 @@ void ClusterSimulation::on_tick() {
     queue_.erase(wit);
   }
   if (recorder_ != nullptr && !plan.empty())
-    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan.size()));
+    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan.starts.size()));
   std::size_t head_unserved_procs = 0;  // first job left waiting, if any
   for (std::size_t i = 0; i < annotated.size(); ++i) {
     if (!served[i]) {

@@ -29,6 +29,8 @@
 #include "engine/resubmit_ledger.hpp"
 #include "metrics/collector.hpp"
 #include "obs/provider_tracer.hpp"
+#include "policy/allocation.hpp"
+#include "policy/job_selection.hpp"
 #include "predict/predictor.hpp"
 #include "sim/simulator.hpp"
 #include "validate/invariant_checker.hpp"
@@ -265,6 +267,13 @@ class ClusterSimulation {
   // Pricing state (inert when config_.pricing.enabled() is false).
   std::unique_ptr<cloud::PricingModel> pricing_model_;  // only when enabled
   std::vector<cloud::LeaseRequest> lease_plan_scratch_;
+
+  // Allocation-step scratch, reused every tick (contents meaningless
+  // between ticks).
+  policy::OrderScratch order_scratch_;
+  std::vector<policy::VmAvail> avail_scratch_;
+  policy::AllocationPlan plan_scratch_;
+  policy::AllocationScratch alloc_scratch_;
 };
 
 }  // namespace psched::engine

@@ -8,26 +8,21 @@ namespace psched::policy {
 
 namespace {
 
-/// Pick `count` VMs from the idle pool in the VM-selection policy's
-/// preference order, remove them from the pool, mark them busy in the
-/// working copy until `until`, and append their ids to `plan.vm_ids`.
-/// Returns the appended range as a Start (queue_index filled by the caller).
-AllocationPlan::Start take_vms(std::vector<VmCandidate>& idle, AllocationScratch& scratch,
-                               int count, double predicted_runtime, SimTime now,
-                               SimTime until, const VmSelectionPolicy& vm_selection,
-                               SimDuration billing_quantum, AllocationPlan& plan) {
-  vm_selection.order(idle, predicted_runtime, now, billing_quantum);
+/// Start `job` (at `queue_index`) on the first `job.procs` VMs of the idle
+/// pool in the VM-selection policy's preference order: append their ids to
+/// `plan` and remove them from the pool.
+void take_vms(std::vector<VmCandidate>& idle, const QueuedJob& job, std::size_t queue_index,
+              SimTime now, const VmSelectionPolicy& vm_selection,
+              SimDuration billing_quantum, AllocationPlan& plan) {
+  vm_selection.order(idle, job.predicted_runtime, now, billing_quantum);
+  const auto taken = idle.begin() + job.procs;
   AllocationPlan::Start start;
+  start.queue_index = queue_index;
   start.vm_begin = static_cast<std::uint32_t>(plan.vm_ids.size());
-  for (int p = 0; p < count; ++p) plan.vm_ids.push_back(idle[static_cast<std::size_t>(p)].id);
-  idle.erase(idle.begin(), idle.begin() + count);
+  for (auto it = idle.begin(); it != taken; ++it) plan.vm_ids.push_back(it->id);
   start.vm_end = static_cast<std::uint32_t>(plan.vm_ids.size());
-  for (std::uint32_t v = start.vm_begin; v < start.vm_end; ++v) {
-    const VmId id = plan.vm_ids[v];
-    // O(1) row lookup instead of the old per-VM linear search.
-    scratch.vms[scratch.vm_row[static_cast<std::size_t>(id)]].available_at = until;
-  }
-  return start;
+  idle.erase(idle.begin(), taken);
+  plan.starts.push_back(start);
 }
 
 }  // namespace
@@ -38,21 +33,9 @@ void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
                           SimDuration billing_quantum, AllocationPlan& out,
                           AllocationScratch& scratch) {
   out.clear();
-
-  // Working copy + id -> row map (ids are arbitrary; the map is a dense
-  // vector sized to the largest id, reused across calls).
-  scratch.vms.assign(vms.begin(), vms.end());
-  VmId max_id = -1;
-  for (const VmAvail& vm : vms) max_id = std::max(max_id, vm.id);
-  if (scratch.vm_row.size() < static_cast<std::size_t>(max_id + 1))
-    scratch.vm_row.resize(static_cast<std::size_t>(max_id + 1));
-  for (std::size_t row = 0; row < scratch.vms.size(); ++row)
-    scratch.vm_row[static_cast<std::size_t>(scratch.vms[row].id)] =
-        static_cast<std::uint32_t>(row);
-
   std::vector<VmCandidate>& idle = scratch.idle;
   idle.clear();
-  for (const VmAvail& vm : scratch.vms)
+  for (const VmAvail& vm : vms)
     if (vm.available_at <= now) idle.push_back({vm.id, vm.lease_time});
 
   // Phase 1 (both modes): serve from the head while jobs fit.
@@ -63,36 +46,38 @@ void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
       head = i;
       break;
     }
-    AllocationPlan::Start start =
-        take_vms(idle, scratch, job.procs, job.predicted_runtime, now,
-                 now + job.predicted_runtime, vm_selection, billing_quantum, out);
-    start.queue_index = i;
-    out.starts.push_back(start);
+    take_vms(idle, job, i, now, vm_selection, billing_quantum, out);
   }
   if (mode == AllocationMode::kHeadOfLine || head >= ordered_queue.size()) return;
 
   // Phase 2 (EASY): reservation for the blocked head job.
   const QueuedJob& blocked = ordered_queue[head];
   const auto need = static_cast<std::size_t>(blocked.procs);
-  if (scratch.vms.size() < need) {
+  if (vms.size() < need) {
     // The existing fleet can never host the head job — its start hinges on
     // future provisioning, for which no reservation can be computed.
     // Backfilling around an unbounded reservation could starve the head,
     // so serve nothing past it.
     return;
   }
+  // The predicted instant each VM is free: now for the VMs still idle, the
+  // predicted end for the VMs phase 1 just started, and its own
+  // availability for every VM that was not idle.
   std::vector<SimTime>& times = scratch.times;
-  times.clear();
-  times.reserve(scratch.vms.size());
-  for (const VmAvail& vm : scratch.vms) times.push_back(std::max(vm.available_at, now));
+  times.assign(idle.size(), now);
+  for (const AllocationPlan::Start& start : out.starts) {
+    const SimTime end = std::max(now + ordered_queue[start.queue_index].predicted_runtime, now);
+    times.insert(times.end(), start.vm_end - start.vm_begin, end);
+  }
+  for (const VmAvail& vm : vms)
+    if (vm.available_at > now) times.push_back(vm.available_at);
   std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(need) - 1,
                    times.end());
   const SimTime shadow = times[need - 1];  // earliest instant `need` VMs are free
   // VMs free by the shadow time beyond the head's need may be consumed by
   // backfilled jobs that run past the reservation.
-  std::size_t free_at_shadow = 0;
-  for (const VmAvail& vm : scratch.vms)
-    if (std::max(vm.available_at, now) <= shadow) ++free_at_shadow;
+  const auto free_at_shadow = static_cast<std::size_t>(
+      std::count_if(times.begin(), times.end(), [shadow](SimTime t) { return t <= shadow; }));
   PSCHED_ASSERT(free_at_shadow >= need);
   std::size_t extra = free_at_shadow - need;
 
@@ -101,36 +86,13 @@ void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
     const QueuedJob& job = ordered_queue[i];
     const auto width = static_cast<std::size_t>(job.procs);
     if (idle.size() < width) continue;
-    const SimTime finish = now + job.predicted_runtime;
-    const bool fits_window = finish <= shadow;
+    const bool fits_window = now + job.predicted_runtime <= shadow;
     if (!fits_window) {
       if (width > extra) continue;
       extra -= width;
     }
-    AllocationPlan::Start start = take_vms(idle, scratch, job.procs, job.predicted_runtime,
-                                           now, finish, vm_selection, billing_quantum, out);
-    start.queue_index = i;
-    out.starts.push_back(start);
+    take_vms(idle, job, i, now, vm_selection, billing_quantum, out);
   }
-}
-
-std::vector<PlannedStart> plan_allocation(SimTime now,
-                                          std::span<const QueuedJob> ordered_queue,
-                                          std::vector<VmAvail> vms,
-                                          const VmSelectionPolicy& vm_selection,
-                                          AllocationMode mode,
-                                          SimDuration billing_quantum) {
-  AllocationPlan flat;
-  AllocationScratch scratch;
-  plan_allocation_into(now, ordered_queue, vms, vm_selection, mode, billing_quantum,
-                       flat, scratch);
-  std::vector<PlannedStart> plan;
-  plan.reserve(flat.starts.size());
-  for (const AllocationPlan::Start& start : flat.starts) {
-    const std::span<const VmId> ids = flat.vms_of(start);
-    plan.push_back(PlannedStart{start.queue_index, {ids.begin(), ids.end()}});
-  }
-  return plan;
 }
 
 }  // namespace psched::policy

@@ -35,18 +35,11 @@ struct VmAvail {
   SimTime available_at = 0.0;  ///< <= now: idle; otherwise predicted free time
 };
 
-/// One planned start: queue position (into the ordered queue) + the VMs.
-struct PlannedStart {
-  std::size_t queue_index = 0;
-  std::vector<VmId> vms;
-};
-
 /// Allocation decisions in flat struct-of-arrays form: each start's chosen
-/// VM ids occupy the contiguous range [vm_begin, vm_end) of `vm_ids`. The
-/// hot caller (the online simulator) reuses one AllocationPlan across every
-/// decision of every candidate simulation — two vectors that only grow, no
-/// per-start allocations (PlannedStart's per-start vector is what made the
-/// boxed form expensive; see DESIGN.md §11).
+/// VM ids occupy the contiguous range [vm_begin, vm_end) of `vm_ids`. Both
+/// callers (the engine and the online simulator) own one AllocationPlan and
+/// reuse it across decisions — two vectors that only grow, no per-start
+/// allocations.
 struct AllocationPlan {
   struct Start {
     std::size_t queue_index = 0;
@@ -66,31 +59,22 @@ struct AllocationPlan {
   }
 };
 
-/// Reusable working state for plan_allocation_into: the idle-candidate
-/// pool, the EASY shadow-time scratch, the mutable VM working copy, and a
-/// VmId -> working-copy-row map (replaces the per-chosen-VM linear search).
-/// Plain scratch — contents are meaningless between calls; reuse across
-/// calls only to keep vector capacity warm.
+/// Reusable working state for plan_allocation_into: the idle-candidate pool
+/// and the EASY shadow-time scratch. Nothing in it is indexed by VM id, so
+/// its size follows the fleet, not the largest id ever leased. Contents are
+/// meaningless between calls; reuse only keeps vector capacity warm.
 struct AllocationScratch {
   std::vector<VmCandidate> idle;
   std::vector<SimTime> times;
-  std::vector<VmAvail> vms;            ///< working copy (mutated while planning)
-  std::vector<std::uint32_t> vm_row;   ///< VmId -> row in `vms` (dense by id)
 };
 
-/// Compute the starts for this scheduling decision. `ordered_queue` must
-/// already be in service order (see order_queue). Pure function: does not
-/// mutate external state; `vms` is taken by value as scratch.
-[[nodiscard]] std::vector<PlannedStart> plan_allocation(
-    SimTime now, std::span<const QueuedJob> ordered_queue, std::vector<VmAvail> vms,
-    const VmSelectionPolicy& vm_selection, AllocationMode mode,
-    SimDuration billing_quantum = kSecondsPerHour);
-
-/// Allocation-free variant of plan_allocation for the online simulator's
-/// inner loop: identical decisions (same starts, same VMs, same order), but
-/// the result lands in `out` and all working state lives in `scratch`, both
-/// reused across calls. `vms` is read-only here (the mutable working copy
-/// is scratch.vms).
+/// Compute the starts for this scheduling decision into `out` (cleared
+/// first). `ordered_queue` must already be in service order (see
+/// order_queue); VM ids must be unique. `vms` is read-only: the planner
+/// keeps no copy of it. Head-of-line mode reads only the idle VMs; EASY
+/// takes the head's shadow time from the predicted free instants — `now`
+/// for VMs still idle, the predicted end for VMs just started, each other
+/// VM's own `available_at`.
 void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
                           std::span<const VmAvail> vms,
                           const VmSelectionPolicy& vm_selection, AllocationMode mode,

@@ -54,6 +54,7 @@ struct SchedContext {
 struct VmCandidate {
   VmId id = kInvalidVm;
   SimTime lease_time = 0.0;  ///< billing clock zero, for remaining-paid math
+  double key = 0.0;          ///< sort key, written by VmSelectionPolicy::order
 };
 
 }  // namespace psched::policy

@@ -40,13 +40,17 @@ void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy
   keyed.resize(queue.size());
   for (std::size_t i = 0; i < queue.size(); ++i)
     keyed[i] = {policy.priority(queue[i], now), i};
-  std::stable_sort(keyed.begin(), keyed.end(), [&](const auto& a, const auto& b) {
+  const auto before = [&](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     const QueuedJob& ja = queue[a.second];
     const QueuedJob& jb = queue[b.second];
     if (ja.submit != jb.submit) return ja.submit < jb.submit;
     return ja.id < jb.id;
-  });
+  };
+  // A stable sort of a queue already in service order is the identity —
+  // always so for FCFS after the first decision — so skip it and the copy.
+  if (std::is_sorted(keyed.begin(), keyed.end(), before)) return;
+  std::stable_sort(keyed.begin(), keyed.end(), before);
   std::vector<QueuedJob>& ordered = scratch.reordered;
   ordered.clear();
   ordered.reserve(queue.size());

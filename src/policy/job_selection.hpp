@@ -56,7 +56,9 @@ class UnicefSelection final : public JobSelectionPolicy {
 };
 
 /// Sorts `queue` in service order for the given policy: descending priority,
-/// ties by (submit, id). In-place, stable with respect to identical jobs.
+/// ties by (submit, id). In-place, stable with respect to identical jobs; a
+/// queue already in service order is left untouched (neither sorted nor
+/// copied).
 void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
                  SimTime now);
 

@@ -22,18 +22,19 @@ void FirstFit::order(std::vector<VmCandidate>& candidates, double predicted_runt
 }
 
 namespace {
+/// Each candidate's key is computed once per call, not twice per
+/// comparison. VM ids are unique, so (key, id) is a total order and the
+/// sort needs no stability.
 template <bool Ascending>
 void sort_by_remaining(std::vector<VmCandidate>& candidates, double predicted_runtime,
                        SimTime now, SimDuration quantum) {
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](const VmCandidate& a, const VmCandidate& b) {
-                     const double ra =
-                         remaining_after_run(a, predicted_runtime, now, quantum);
-                     const double rb =
-                         remaining_after_run(b, predicted_runtime, now, quantum);
-                     if (ra != rb) return Ascending ? ra < rb : ra > rb;
-                     return a.id < b.id;
-                   });
+  for (VmCandidate& c : candidates)
+    c.key = remaining_after_run(c, predicted_runtime, now, quantum);
+  std::sort(candidates.begin(), candidates.end(),
+            [](const VmCandidate& a, const VmCandidate& b) {
+              if (a.key != b.key) return Ascending ? a.key < b.key : a.key > b.key;
+              return a.id < b.id;
+            });
 }
 }  // namespace
 

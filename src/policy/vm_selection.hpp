@@ -3,7 +3,8 @@
 // heuristics adapted to hourly-billed VMs. Idle VMs differ only in how much
 // already-paid time they have left before the next hourly charge; the
 // policies rank candidates by the paid time that would remain *after*
-// running the job (predicted runtime) on them.
+// running the job (predicted runtime) on them. BestFit and WorstFit key
+// each candidate once per order() call and sort on (key, id).
 
 #include <memory>
 #include <string>
@@ -19,7 +20,8 @@ class VmSelectionPolicy {
 
   /// Reorder `candidates` into preference order (most preferred first) for
   /// a job with the given predicted runtime starting at `now`. The caller
-  /// takes the first `procs` entries.
+  /// takes the first `procs` entries. Candidate ids must be unique; each
+  /// candidate's `key` is scratch the policy may overwrite.
   virtual void order(std::vector<VmCandidate>& candidates, double predicted_runtime,
                      SimTime now,
                      SimDuration billing_quantum = kSecondsPerHour) const = 0;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "util/state_digest.hpp"
 
 namespace psched::core {
 namespace {
@@ -242,6 +248,96 @@ TEST(OnlineSimulator, BestFitBeatsWorstFitOnCostHere) {
   const SimOutcome wf =
       sim.simulate(queue, profile, policy_by_name("ODB-FCFS-WorstFit"));
   EXPECT_LE(bf.rv_charged_seconds, wf.rv_charged_seconds);
+}
+
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Expected totals of one configuration over the 60 portfolio policies, in
+/// portfolio order: the sums of utility, rv_charged_seconds and decisions,
+/// and a bit-exact fold of every policy's three values.
+struct PinnedRun {
+  ReleaseRule release;
+  AllocationMode allocation;
+  double boot_delay;
+  double utility;
+  double rv_charged_seconds;
+  std::size_t decisions;
+  std::uint64_t fold;
+};
+
+TEST(OnlineSimulator, PinnedAcrossReleaseRuleAllocationModeAndBootDelay) {
+  // The decision loop's fleet bookkeeping branches on the release rule
+  // (kBoundary releases idle VMs mid-run), the allocation mode (EASY reads
+  // busy VMs' free instants) and the boot delay (with none, a lease is idle
+  // at once). A 40-job queue on a mixed fleet, all 60 policies, every
+  // combination; the values were printed with %.17g before the loop kept
+  // its counts incrementally, and must not move. The two release rules
+  // agree here: after allocation the idle VMs never outnumber the blocked
+  // head's width, so kBoundary keeps them all as its reserve.
+  // Every fifth job is shorter than the 20 s decision period, so the time
+  // advance must stop at its predicted end rather than at the next tick.
+  std::vector<policy::QueuedJob> queue;
+  for (int i = 0; i < 40; ++i)
+    queue.push_back(make_queued(i, 4000.0 + 37.0 * i, 1 + (i * 5) % 8,
+                                i % 5 == 4 ? 5.0 + 4.0 * (i % 3)
+                                           : 30.0 + 173.0 * ((i * 7) % 13)));
+  constexpr auto kEager = ReleaseRule::kEagerSurplus;
+  constexpr auto kBoundary = ReleaseRule::kBoundary;
+  constexpr auto kHol = AllocationMode::kHeadOfLine;
+  constexpr auto kEasy = AllocationMode::kEasyBackfill;
+  const PinnedRun pinned[] = {
+      {kEager, kHol, 0.0, 118.76713430897294, 13852800, 3336, 0xf8606910416bc9a2},
+      {kEager, kHol, 120.0, 107.69904660583268, 14115600, 3600, 0x13bfb0602af88d4d},
+      {kEager, kEasy, 0.0, 140.91235945093109, 12888000, 3399, 0xc4b5166a9f985523},
+      {kEager, kEasy, 120.0, 128.77723737425777, 13165200, 3834, 0x13b89ce67189e754},
+      {kBoundary, kHol, 0.0, 118.76713430897294, 13852800, 3336, 0xf8606910416bc9a2},
+      {kBoundary, kHol, 120.0, 107.69904660583268, 14115600, 3600, 0x13bfb0602af88d4d},
+      {kBoundary, kEasy, 0.0, 140.91235945093109, 12888000, 3399, 0xc4b5166a9f985523},
+      {kBoundary, kEasy, 120.0, 128.77723737425777, 13165200, 3834, 0x13b89ce67189e754},
+  };
+  for (const PinnedRun& want : pinned) {
+    OnlineSimConfig config = default_config();
+    config.release_rule = want.release;
+    config.allocation = want.allocation;
+    const OnlineSimulator sim(config);
+    cloud::CloudProfile profile = empty_cloud(6000.0, /*cap=*/24, want.boot_delay);
+    profile.vms = {
+        cloud::VmView{0.0, 6000.0},           // idle, 1200 s of its hour left
+        cloud::VmView{2420.0, 5000.0},        // idle, 20 s of its hour left
+        cloud::VmView{4500.0, 5900.0},        // idle, 2100 s left
+        cloud::VmView{1000.0, 6500.0, true},  // busy until 6500
+        cloud::VmView{3000.0, 7400.0, true},  // busy until 7400
+        cloud::VmView{5940.0, 6060.0},        // booting until 6060
+    };
+    double utility = 0.0;
+    double rv = 0.0;
+    std::size_t decisions = 0;
+    std::uint64_t fold = 0;
+    for (const policy::PolicyTriple& t : portfolio().policies()) {
+      const SimOutcome out = sim.simulate(queue, profile, t);
+      utility += out.utility;
+      rv += out.rv_charged_seconds;
+      decisions += out.decisions;
+      fold = util::digest_mix(fold, out.utility);
+      fold = util::digest_mix(fold, out.rv_charged_seconds);
+      fold = util::digest_mix(fold, static_cast<std::uint64_t>(out.decisions));
+    }
+    char fold_hex[24];
+    std::snprintf(fold_hex, sizeof fold_hex, "0x%016" PRIx64, fold);
+    const std::string where = std::string(want.release == kBoundary ? "kBoundary" : "kEagerSurplus") +
+                              (want.allocation == kEasy ? " kEasyBackfill" : " kHeadOfLine") +
+                              " boot " + g17(want.boot_delay) + ": utility " + g17(utility) +
+                              ", rv " + g17(rv) + ", decisions " + std::to_string(decisions) +
+                              ", fold " + fold_hex;
+    EXPECT_EQ(utility, want.utility) << where;
+    EXPECT_EQ(rv, want.rv_charged_seconds) << where;
+    EXPECT_EQ(decisions, want.decisions) << where;
+    EXPECT_EQ(fold, want.fold) << where;
+  }
 }
 
 }  // namespace
