@@ -132,7 +132,8 @@ void CloudProvider::finish_boot(VmId id, SimTime now) {
   if (observer_ != nullptr) observer_->on_finish_boot(*vm, now);
 }
 
-void CloudProvider::assign(VmId id, JobId job, SimTime until, SimTime now) {
+void CloudProvider::assign(VmId id, JobId job, SimTime until, SimTime predicted_end,
+                           SimTime now) {
   VmInstance* vm = find_mut(id);
   PSCHED_ASSERT_MSG(vm != nullptr, "assign to unknown VM");
   PSCHED_ASSERT_MSG(vm->state == VmState::kIdle, "assign to a non-idle VM");
@@ -141,6 +142,7 @@ void CloudProvider::assign(VmId id, JobId job, SimTime until, SimTime now) {
   vm->state = VmState::kBusy;
   vm->running_job = job;
   vm->busy_until = until;
+  vm->predicted_end = predicted_end;
 }
 
 void CloudProvider::unassign(VmId id, SimTime now) {
@@ -150,6 +152,7 @@ void CloudProvider::unassign(VmId id, SimTime now) {
   vm->state = VmState::kIdle;
   vm->running_job = kInvalidJob;
   vm->busy_until = 0.0;
+  vm->predicted_end = 0.0;
   if (observer_ != nullptr) observer_->on_unassign(*vm, now);
 }
 
@@ -297,41 +300,10 @@ double CloudProvider::charged_hours_total(SimTime now) const noexcept {
   return total;
 }
 
-std::vector<VmId> CloudProvider::idle_vms() const {
-  std::vector<VmId> ids;
+void CloudProvider::idle_vms(std::vector<VmId>& out) const {
+  out.clear();
   for (const VmInstance& vm : vms_)
-    if (vm.state == VmState::kIdle) ids.push_back(vm.id);
-  return ids;
-}
-
-CloudProfile CloudProvider::snapshot(SimTime now) const {
-  CloudProfile profile;
-  profile.now = now;
-  profile.max_vms = config_.max_vms;
-  profile.boot_delay = config_.boot_delay;
-  profile.billing_quantum = config_.billing_quantum;
-  profile.vms.reserve(vms_.size());
-  for (const VmInstance& vm : vms_) {
-    VmView view;
-    view.lease_time = vm.lease_time;
-    switch (vm.state) {
-      case VmState::kBooting:
-        view.available_at = vm.boot_complete;
-        break;
-      case VmState::kBusy:
-        view.available_at = vm.busy_until;
-        view.busy = true;
-        break;
-      case VmState::kIdle:
-        view.available_at = now;
-        break;
-    }
-    view.family = vm.family;
-    view.tier = vm.tier;
-    profile.vms.push_back(view);
-  }
-  fill_pricing_view(profile.pricing, now);
-  return profile;
+    if (vm.state == VmState::kIdle) out.push_back(vm.id);
 }
 
 void CloudProvider::fill_pricing_view(PricingView& view, SimTime now) const {

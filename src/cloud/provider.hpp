@@ -8,7 +8,6 @@
 
 #include "cloud/failure.hpp"
 #include "cloud/pricing.hpp"
-#include "cloud/profile.hpp"
 #include "cloud/vm.hpp"
 #include "util/types.hpp"
 #include "validate/fault.hpp"
@@ -126,10 +125,12 @@ class CloudProvider {
   /// Mark a booting VM usable. Called by the engine at boot_complete time.
   void finish_boot(VmId id, SimTime now);
 
-  /// Bind an idle VM to a job until `until`.
-  void assign(VmId id, JobId job, SimTime until, SimTime now);
+  /// Bind an idle VM to a job that actually ends at `until` and is
+  /// predicted to end at `predicted_end` (what schedulers see).
+  void assign(VmId id, JobId job, SimTime until, SimTime predicted_end, SimTime now);
 
-  /// Return a busy VM to idle (its job finished).
+  /// Return a busy VM to idle (its job finished or was killed); clears
+  /// both completion times.
   void unassign(VmId id, SimTime now);
 
   /// Release every idle VM whose paid period ends within `window` seconds
@@ -230,17 +231,15 @@ class CloudProvider {
   /// Stable iteration over live VMs in id order.
   [[nodiscard]] const std::vector<VmInstance>& vms() const noexcept { return vms_; }
 
-  /// Ids of VMs usable at `now` (idle), in id order.
-  [[nodiscard]] std::vector<VmId> idle_vms() const;
-
-  /// Snapshot for the online simulator.
-  [[nodiscard]] CloudProfile snapshot(SimTime now) const;
+  /// Replace `out` with the ids of the idle VMs, in id order (reuses its
+  /// capacity).
+  void idle_vms(std::vector<VmId>& out) const;
 
   /// Populate `view` with the live market state at `now` (family table with
   /// occupancy, frozen multiplier/epoch, commitment headroom). No-op with
-  /// the model detached, leaving the view disabled. For callers that build
-  /// their own CloudProfile (the engine's predicted-completion profile)
-  /// instead of using snapshot().
+  /// the model detached, leaving the view disabled. The engine calls it for
+  /// the CloudProfile it hands schedulers, whose busy VMs read predicted,
+  /// never actual, completion times.
   void fill_pricing_view(PricingView& view, SimTime now) const;
 
  private:

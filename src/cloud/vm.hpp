@@ -24,6 +24,9 @@ struct VmInstance {
   VmState state = VmState::kBooting;
   JobId running_job = kInvalidJob;  ///< valid iff state == kBusy
   SimTime busy_until = 0.0;         ///< actual completion time of running_job
+  /// Predicted completion of running_job (valid iff state == kBusy): the
+  /// only completion time schedulers may see; busy_until stays hidden.
+  SimTime predicted_end = 0.0;
 
   // Failure-model outcomes, drawn at lease time (cloud/failure.hpp). With
   // the model off both keep their defaults and nothing reads them.

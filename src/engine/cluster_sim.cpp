@@ -127,9 +127,8 @@ void ClusterSimulation::on_arrival() {
   }
 }
 
-std::vector<policy::QueuedJob> ClusterSimulation::annotate_queue() const {
-  std::vector<policy::QueuedJob> annotated;
-  annotated.reserve(queue_.size());
+void ClusterSimulation::annotate_queue() {
+  annotated_.clear();
   for (const Waiting& w : queue_) {
     policy::QueuedJob q;
     q.id = w.job->id;
@@ -138,21 +137,12 @@ std::vector<policy::QueuedJob> ClusterSimulation::annotate_queue() const {
     q.submit = w.eligible;
     q.procs = w.job->procs;
     q.predicted_runtime = predictor_.predict(*w.job);
-    annotated.push_back(q);
+    annotated_.push_back(q);
   }
-  return annotated;
 }
 
-SimTime ClusterSimulation::predicted_free_at(VmId id) const {
-  const auto it = predicted_free_.find(id);
-  PSCHED_ASSERT_MSG(it != predicted_free_.end(),
-                    "busy VM without a predicted completion");
-  return it->second;
-}
-
-cloud::CloudProfile ClusterSimulation::make_profile() const {
-  const SimTime now = sim_.now();
-  cloud::CloudProfile profile;
+ClusterSimulation::FleetCounts ClusterSimulation::scan_fleet(SimTime now) {
+  cloud::CloudProfile& profile = profile_;
   profile.now = now;
   // Planning cap, not the provider's live cap: under a multi-tenant arbiter
   // the live cap is the tenant's transient allowance, which can sit below a
@@ -163,29 +153,43 @@ cloud::CloudProfile ClusterSimulation::make_profile() const {
   profile.max_vms = config_.provider.max_vms;
   profile.boot_delay = provider_.config().boot_delay;
   profile.billing_quantum = provider_.config().billing_quantum;
-  profile.vms.reserve(provider_.vms().size());
+  profile.vms.clear();
+  avail_.clear();
+  FleetCounts counts;
   for (const cloud::VmInstance& vm : provider_.vms()) {
     cloud::VmView view;
     view.lease_time = vm.lease_time;
+    view.family = vm.family;
+    view.tier = vm.tier;
+    SimTime row_at = now;  // the planner's availability for this VM
     switch (vm.state) {
       case cloud::VmState::kBooting:
-        view.available_at = vm.boot_complete;
+        view.available_at = row_at = vm.boot_complete;
+        if (!vm.doomed) ++counts.booting;
         break;
       case cloud::VmState::kBusy:
-        // The scheduler sees the *predicted* completion, never the actual.
-        view.available_at = std::max(predicted_free_at(vm.id), now);
+        // Schedulers and the planner see the *predicted* completion, never
+        // the actual. A stale prediction (already in the past) reads as
+        // `now` in the profile, but must still read as "busy, free any
+        // moment" to the planner — never as idle-now, which only kIdle VMs
+        // are.
+        view.available_at = std::max(vm.predicted_end, now);
         view.busy = true;
+        row_at = std::max(vm.predicted_end, now + 1e-6);
         break;
       case cloud::VmState::kIdle:
         view.available_at = now;
+        if (!vm.doomed) ++counts.idle;
         break;
     }
-    view.family = vm.family;
-    view.tier = vm.tier;
     profile.vms.push_back(view);
+    // A doomed spot VM (revocation warning delivered) finishes what it has
+    // but takes no new work: no planner row, as no count above; always
+    // false with pricing off.
+    if (!vm.doomed) avail_.push_back(policy::VmAvail{vm.id, vm.lease_time, row_at});
   }
   provider_.fill_pricing_view(profile.pricing, now);
-  return profile;
+  return counts;
 }
 
 void ClusterSimulation::on_tick() {
@@ -197,10 +201,10 @@ void ClusterSimulation::on_tick() {
       static_cast<std::uint64_t>(std::llround(now / config_.schedule_period));
   ++ticks_run_;
 
-  std::vector<policy::QueuedJob> annotated = annotate_queue();
-  const cloud::CloudProfile profile = make_profile();
+  annotate_queue();
+  const FleetCounts counts = scan_fleet(now);
   const policy::PolicyTriple policy =
-      scheduler_.policy_for_tick(tick_index, annotated, profile);
+      scheduler_.policy_for_tick(tick_index, annotated_, profile_);
   if (policy != context_policy_) {
     // Re-format the context label only on a policy switch (rare).
     context_policy_ = policy;
@@ -210,24 +214,15 @@ void ClusterSimulation::on_tick() {
   // --- 1. provisioning -------------------------------------------------------
   policy::SchedContext ctx;
   ctx.now = now;
-  ctx.queue = annotated;
-  ctx.idle_vms = provider_.idle_count();
-  ctx.booting_vms = provider_.booting_count();
+  ctx.queue = annotated_;
+  // Doomed spot capacity is not supply: leaving it out of the counts makes
+  // the policy lease replacements during the warning lead time instead of
+  // waiting for the revocation to land.
+  ctx.idle_vms = counts.idle;
+  ctx.booting_vms = counts.booting;
   ctx.total_vms = provider_.leased_count();
   ctx.max_vms = provider_.config().max_vms;
-  ctx.pricing = &profile.pricing;
-  if (pricing_model_ != nullptr) {
-    // Doomed spot capacity is not supply: discounting it here makes the
-    // policy lease replacements during the warning lead time instead of
-    // waiting for the revocation to land.
-    for (const cloud::VmInstance& vm : provider_.vms()) {
-      if (!vm.doomed) continue;
-      if (vm.state == cloud::VmState::kIdle)
-        --ctx.idle_vms;
-      else if (vm.state == cloud::VmState::kBooting)
-        --ctx.booting_vms;
-    }
-  }
+  ctx.pricing = &profile_.pricing;
   // The policy plans (count, family, tier) requests against the market
   // view; with pricing off that is one on-demand family-0 request, the
   // paper's plain lease. `want` is the plan's total so the backoff gate
@@ -240,6 +235,8 @@ void ClusterSimulation::on_tick() {
   // deadline passes; the first successful attempt resets the schedule.
   // Without a failure model nothing is ever rejected, so this never holds.
   if (now < next_lease_attempt_) want = 0;
+  const std::vector<cloud::VmInstance>& fleet = provider_.vms();
+  const std::size_t leased_before = fleet.size();
   if (want > 0) {
     if (lease_backoff_.attempts() > 0) {
       ++fstats_.lease_retries;
@@ -247,24 +244,7 @@ void ClusterSimulation::on_tick() {
     }
     const std::size_t rejected_before = provider_.api_rejected_leases();
     for (const cloud::LeaseRequest& req : lease_plan_scratch_) {
-      for (const VmId id : provider_.lease(req, now)) {
-        const cloud::VmInstance* vm = provider_.find(id);
-        // Crashes (failure model) and spot revocations (warning first, then
-        // the revocation itself) are drawn at lease time; kTimeNever means
-        // none. Every one of these events tolerates the VM being gone.
-        if (vm->crash_at < kTimeNever)
-          sim_.at(vm->crash_at, [this, id] { on_vm_crash(id); });
-        if (vm->revoke_warning_at < kTimeNever)
-          sim_.at(vm->revoke_warning_at, [this, id] { on_spot_warning(id); });
-        if (vm->revoke_at < kTimeNever)
-          sim_.at(vm->revoke_at, [this, id] { on_spot_revoke(id); });
-        // Only VMs actually booting await a boot-complete event: with a zero
-        // boot delay (or the skip-boot-delay validation fault) the lease is
-        // born idle. Families boot at their own pace, so the event fires at
-        // the lease's boot_complete.
-        if (vm->state != cloud::VmState::kBooting) continue;
-        sim_.at(vm->boot_complete, [this, id] { on_boot_complete(id); });
-      }
+      provider_.lease(req, now);
       // An API outage rejects the tick's whole provisioning pass: once one
       // request is rejected, later requests this tick would be rejected by
       // the same window, and issuing them would inflate the reject counter.
@@ -277,41 +257,39 @@ void ClusterSimulation::on_tick() {
       next_lease_attempt_ = 0.0;
     }
   }
+  // This tick's leases sit at the fleet's tail, after every VM the pass saw:
+  // lease() only appends and ids only grow. Arm their events and append
+  // their planner rows behind the pass's, which keeps the rows in id order.
+  for (std::size_t i = leased_before; i < fleet.size(); ++i) {
+    const cloud::VmInstance& vm = fleet[i];
+    const VmId id = vm.id;
+    // Crashes (failure model) and spot revocations (warning first, then the
+    // revocation itself) are drawn at lease time; kTimeNever means none.
+    // Every one of these events tolerates the VM being gone.
+    if (vm.crash_at < kTimeNever) sim_.at(vm.crash_at, [this, id] { on_vm_crash(id); });
+    if (vm.revoke_warning_at < kTimeNever)
+      sim_.at(vm.revoke_warning_at, [this, id] { on_spot_warning(id); });
+    if (vm.revoke_at < kTimeNever)
+      sim_.at(vm.revoke_at, [this, id] { on_spot_revoke(id); });
+    // A fresh lease is booting, or idle at once under a zero boot delay (or
+    // the skip-boot-delay validation fault); only a booting one awaits a
+    // boot-complete event, at its family's boot_complete.
+    const bool booting = vm.state == cloud::VmState::kBooting;
+    if (booting) sim_.at(vm.boot_complete, [this, id] { on_boot_complete(id); });
+    avail_.push_back(policy::VmAvail{id, vm.lease_time, booting ? vm.boot_complete : now});
+  }
 
   // --- 2. allocation (shared planner; head-of-line or EASY backfill) ---------
-  policy::order_queue(annotated, *policy.job_selection, now, order_scratch_);
-  std::vector<policy::VmAvail>& avail = avail_scratch_;
-  avail.clear();
-  for (const cloud::VmInstance& vm : provider_.vms()) {
-    // A doomed spot VM (revocation warning delivered) finishes what it has
-    // but takes no new work; always false with pricing off.
-    if (vm.doomed) continue;
-    SimTime available_at = now;
-    switch (vm.state) {
-      case cloud::VmState::kBooting:
-        available_at = vm.boot_complete;
-        break;
-      case cloud::VmState::kBusy:
-        // Predicted, not actual: the planner must not peek. A stale
-        // prediction (already in the past) must still read as "busy, free
-        // any moment" — never as idle-now, which only kIdle VMs are.
-        available_at = std::max(predicted_free_at(vm.id), now + 1e-6);
-        break;
-      case cloud::VmState::kIdle:
-        break;
-    }
-    avail.push_back(policy::VmAvail{vm.id, vm.lease_time, available_at});
-  }
-  policy::AllocationPlan& plan = plan_scratch_;
-  policy::plan_allocation_into(now, annotated, avail, *policy.vm_selection,
-                               config_.allocation, config_.provider.billing_quantum, plan,
+  policy::order_queue(annotated_, *policy.job_selection, now, order_scratch_);
+  policy::plan_allocation_into(now, annotated_, avail_, *policy.vm_selection,
+                               config_.allocation, config_.provider.billing_quantum, plan_,
                                alloc_scratch_);
 
-  std::vector<bool> served(annotated.size(), false);
-  for (const policy::AllocationPlan::Start& start : plan.starts) {
-    served[start.queue_index] = true;
-    const std::span<const VmId> vms = plan.vms_of(start);
-    const policy::QueuedJob& entry = annotated[start.queue_index];
+  served_.assign(annotated_.size(), false);
+  for (const policy::AllocationPlan::Start& start : plan_.starts) {
+    served_[start.queue_index] = true;
+    const std::span<const VmId> vms = plan_.vms_of(start);
+    const policy::QueuedJob& entry = annotated_[start.queue_index];
     // Locate the trace job behind this queue entry.
     const auto wit = std::find_if(queue_.begin(), queue_.end(), [&](const Waiting& w) {
       return w.job->id == entry.id;
@@ -326,10 +304,8 @@ void ClusterSimulation::on_tick() {
     running.start = now;
     running.eligible = wit->eligible;
     running.vms.assign(vms.begin(), vms.end());
-    for (const VmId vm : vms) {
-      provider_.assign(vm, job.id, actual_finish, now);
-      predicted_free_[vm] = predicted_finish;
-    }
+    for (const VmId vm : vms)
+      provider_.assign(vm, job.id, actual_finish, predicted_finish, now);
     const JobId id = job.id;
     if (checker_)
       checker_->on_job_started(id, job.procs, vms.size(), running.eligible,
@@ -339,12 +315,12 @@ void ClusterSimulation::on_tick() {
     running_.emplace(id, std::move(running));
     queue_.erase(wit);
   }
-  if (recorder_ != nullptr && !plan.empty())
-    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan.starts.size()));
+  if (recorder_ != nullptr && !plan_.empty())
+    recorder_->counter_add("engine.jobs_started", static_cast<double>(plan_.starts.size()));
   std::size_t head_unserved_procs = 0;  // first job left waiting, if any
-  for (std::size_t i = 0; i < annotated.size(); ++i) {
-    if (!served[i]) {
-      head_unserved_procs = static_cast<std::size_t>(annotated[i].procs);
+  for (std::size_t i = 0; i < annotated_.size(); ++i) {
+    if (!served_[i]) {
+      head_unserved_procs = static_cast<std::size_t>(annotated_[i].procs);
       break;
     }
   }
@@ -353,18 +329,19 @@ void ClusterSimulation::on_tick() {
   if (pricing_model_ != nullptr) {
     // A doomed idle VM can never serve the queue again (the allocator skips
     // it); hand it back now instead of holding it as useless reserve.
-    std::vector<VmId> doomed_idle;
+    release_ids_.clear();
     for (const cloud::VmInstance& vm : provider_.vms())
-      if (vm.doomed && vm.state == cloud::VmState::kIdle) doomed_idle.push_back(vm.id);
-    if (!doomed_idle.empty() &&
-        !provider_.api_rejects(cloud::FailureOp::kRelease, doomed_idle.size(), now)) {
-      for (const VmId id : doomed_idle) provider_.release(id, now);
+      if (vm.doomed && vm.state == cloud::VmState::kIdle) release_ids_.push_back(vm.id);
+    if (!release_ids_.empty() &&
+        !provider_.api_rejects(cloud::FailureOp::kRelease, release_ids_.size(), now)) {
+      for (const VmId id : release_ids_) provider_.release(id, now);
     }
   }
   if (config_.release_rule == ReleaseRule::kEagerSurplus) {
     // Keep only what the first still-waiting job needs as a reserve;
     // everything else goes back to the provider (full hours charged).
-    const std::vector<VmId> idle = provider_.idle_vms();
+    provider_.idle_vms(release_ids_);
+    const std::vector<VmId>& idle = release_ids_;
     const std::size_t surplus =
         idle.size() > head_unserved_procs ? idle.size() - head_unserved_procs : 0;
     // One API call releases the whole surplus; an outage rejects it wholesale
@@ -435,7 +412,6 @@ void ClusterSimulation::on_vm_crash(VmId id) {
   detail::sim_context().set(now, "vm-crash");
   if (vm->state == cloud::VmState::kBusy) kill_running_job(vm->running_job, id, now);
   fstats_.paid_wasted_seconds += provider_.crash(id, now) * kSecondsPerHour;
-  predicted_free_.erase(id);
   if (recorder_ != nullptr) recorder_->counter_add("engine.vm_crashes", 1.0);
   // No arm_tick: whenever a live VM exists a tick is already armed, and the
   // resubmission path re-arms through enqueue().
@@ -461,7 +437,6 @@ void ClusterSimulation::on_spot_revoke(VmId id) {
   // differs (spot-priced, counted as revocation waste).
   if (vm->state == cloud::VmState::kBusy) kill_running_job(vm->running_job, id, now);
   provider_.revoke(id, now);
-  predicted_free_.erase(id);
   if (recorder_ != nullptr) recorder_->counter_add("engine.spot_revocations", 1.0);
 }
 
@@ -471,7 +446,6 @@ void ClusterSimulation::kill_running_job(JobId id, VmId crashed_vm, SimTime now)
   const Running& running = it->second;
   sim_.cancel(running.finish_event);
   for (const VmId vm : running.vms) {
-    predicted_free_.erase(vm);
     if (vm == crashed_vm) continue;  // the caller settles the crashed lease
     provider_.unassign(vm, now);
   }
@@ -528,10 +502,7 @@ void ClusterSimulation::on_job_finish(JobId id) {
   const Running& running = it->second;
   const SimTime now = sim_.now();
 
-  for (const VmId vm : running.vms) {
-    provider_.unassign(vm, now);
-    predicted_free_.erase(vm);
-  }
+  for (const VmId vm : running.vms) provider_.unassign(vm, now);
 
   metrics::JobRecord record;
   record.id = id;
@@ -701,6 +672,7 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
     fleet = util::digest_mix(fleet, static_cast<std::uint64_t>(vm.state));
     fleet = util::digest_mix(fleet, static_cast<std::uint64_t>(vm.running_job));
     fleet = util::digest_mix(fleet, vm.busy_until);
+    fleet = util::digest_mix(fleet, vm.predicted_end);
     fleet = util::digest_mix(fleet, static_cast<std::uint64_t>(vm.boot_failed));
     fleet = util::digest_mix(fleet, vm.crash_at);
     fleet = util::digest_mix(fleet, static_cast<std::uint64_t>(vm.family));
@@ -729,7 +701,7 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   digest.add_u64("engine.queue", waiting);
   digest.add_size("engine.queue_len", queue_.size());
 
-  // Running jobs and predicted-free map (unordered containers: commutative folds).
+  // Running jobs (unordered container: commutative fold).
   util::UnorderedFold running;
   // psched-lint: order-insensitive(UnorderedFold is commutative)
   for (const auto& [id, r] : running_) {
@@ -740,11 +712,6 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
     running.absorb(item);
   }
   digest.add_fold("engine.running", running);
-  util::UnorderedFold predicted;
-  // psched-lint: order-insensitive(UnorderedFold is commutative)
-  for (const auto& [vm, at] : predicted_free_)
-    predicted.absorb(util::digest_mix(util::digest_mix(0, static_cast<std::uint64_t>(vm)), at));
-  digest.add_fold("engine.predicted_free", predicted);
 
   // Workflow dependency tracking.
   util::UnorderedFold deps;

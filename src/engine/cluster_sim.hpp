@@ -204,12 +204,17 @@ class ClusterSimulation {
   /// machinery as a crash) and settles the lease at the spot price.
   void on_spot_revoke(VmId id);
 
-  /// Predicted completion of busy VM `id` (possibly already past; callers
-  /// clamp). Asserts the engine recorded one when it started the VM's job.
-  [[nodiscard]] SimTime predicted_free_at(VmId id) const;
-  /// Cloud profile with *predicted* completion times for busy VMs.
-  [[nodiscard]] cloud::CloudProfile make_profile() const;
-  [[nodiscard]] std::vector<policy::QueuedJob> annotate_queue() const;
+  /// Idle and booting VMs that can take new work (doomed spot VMs left out).
+  struct FleetCounts {
+    std::size_t idle = 0;
+    std::size_t booting = 0;
+  };
+  /// The tick's one pass over the fleet: refills profile_ (every VM, busy
+  /// ones at their predicted end) and avail_ (the planner's rows, doomed VMs
+  /// left out) and returns the counts the provisioning policy sees.
+  FleetCounts scan_fleet(SimTime now);
+  /// Refill annotated_ from queue_ (submit order, predicted runtimes).
+  void annotate_queue();
   /// fstats_ plus the provider's boot-failure, crash and API-rejection counts.
   [[nodiscard]] metrics::FailureStats failure_stats() const;
 
@@ -240,7 +245,6 @@ class ClusterSimulation {
     sim::EventId finish_event = sim::kInvalidEvent;  // cancelled on a crash kill
   };
   std::unordered_map<JobId, Running> running_;
-  std::unordered_map<VmId, SimTime> predicted_free_;  // busy VMs only
 
   // Workflow dependency tracking. A job enters queue_ only when it has
   // arrived AND all of its dependencies completed.
@@ -268,12 +272,17 @@ class ClusterSimulation {
   std::unique_ptr<cloud::PricingModel> pricing_model_;  // only when enabled
   std::vector<cloud::LeaseRequest> lease_plan_scratch_;
 
-  // Allocation-step scratch, reused every tick (contents meaningless
-  // between ticks).
+  // Per-tick buffers, refilled every tick (contents meaningless between
+  // ticks; reuse only keeps capacity warm, so a steady-state tick does not
+  // allocate).
+  std::vector<policy::QueuedJob> annotated_;
+  cloud::CloudProfile profile_;
   policy::OrderScratch order_scratch_;
-  std::vector<policy::VmAvail> avail_scratch_;
-  policy::AllocationPlan plan_scratch_;
+  std::vector<policy::VmAvail> avail_;
+  policy::AllocationPlan plan_;
   policy::AllocationScratch alloc_scratch_;
+  std::vector<bool> served_;       // per annotated_ entry: started this tick
+  std::vector<VmId> release_ids_;  // VMs the release step hands back
 };
 
 }  // namespace psched::engine

@@ -53,13 +53,6 @@ TEST(BillingQuantum, ReleaseExpiringUsesQuantum) {
   EXPECT_EQ(provider.release_expiring_idle(55.0, 20.0), 1u);
 }
 
-TEST(BillingQuantum, SnapshotCarriesQuantum) {
-  ProviderConfig config;
-  config.billing_quantum = 1.0;
-  CloudProvider provider(config);
-  EXPECT_DOUBLE_EQ(provider.snapshot(0.0).billing_quantum, 1.0);
-}
-
 // Regression pins: a VM released exactly on an hour boundary pays exactly
 // the elapsed hours — no phantom extra hour from ceil() landing on an
 // integral quotient. Crash-terminated leases follow the same rule.

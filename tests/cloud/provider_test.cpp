@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/profile.hpp"
+
 namespace psched::cloud {
 namespace {
 
@@ -49,12 +51,16 @@ TEST(CloudProvider, AssignUnassignCycle) {
   CloudProvider p(small_config());
   const auto ids = p.lease(1, 0.0);
   p.finish_boot(ids[0], 120.0);
-  p.assign(ids[0], /*job=*/7, /*until=*/500.0, /*now=*/120.0);
+  p.assign(ids[0], /*job=*/7, /*until=*/500.0, /*predicted_end=*/900.0, /*now=*/120.0);
   EXPECT_EQ(p.busy_count(), 1u);
   EXPECT_EQ(p.find(ids[0])->running_job, 7);
+  EXPECT_DOUBLE_EQ(p.find(ids[0])->busy_until, 500.0);
+  EXPECT_DOUBLE_EQ(p.find(ids[0])->predicted_end, 900.0);
   p.unassign(ids[0], 500.0);
   EXPECT_EQ(p.idle_count(), 1u);
   EXPECT_EQ(p.find(ids[0])->running_job, kInvalidJob);
+  EXPECT_DOUBLE_EQ(p.find(ids[0])->busy_until, 0.0);
+  EXPECT_DOUBLE_EQ(p.find(ids[0])->predicted_end, 0.0);
 }
 
 TEST(CloudProvider, ReleaseChargesRoundedHours) {
@@ -89,7 +95,7 @@ TEST(CloudProvider, ReleaseExpiringSkipsBusyAndFresh) {
   const auto ids = p.lease(2, 0.0);
   p.finish_boot(ids[0], 120.0);
   p.finish_boot(ids[1], 120.0);
-  p.assign(ids[0], 1, 4000.0, 120.0);
+  p.assign(ids[0], 1, 4000.0, 4000.0, 120.0);
   // Busy VM must survive; the idle one has 3480 s left -> not expiring.
   EXPECT_EQ(p.release_expiring_idle(120.0, 20.0), 0u);
   EXPECT_EQ(p.leased_count(), 2u);
@@ -107,8 +113,9 @@ TEST(CloudProvider, IdleVmsListsIdsInOrder) {
   CloudProvider p(small_config());
   const auto ids = p.lease(3, 0.0);
   for (const auto id : ids) p.finish_boot(id, 120.0);
-  p.assign(ids[1], 5, 1000.0, 120.0);
-  const auto idle = p.idle_vms();
+  p.assign(ids[1], 5, 1000.0, 1000.0, 120.0);
+  std::vector<VmId> idle{99, 98, 97, 96};  // stale content is replaced
+  p.idle_vms(idle);
   ASSERT_EQ(idle.size(), 2u);
   EXPECT_EQ(idle[0], ids[0]);
   EXPECT_EQ(idle[1], ids[2]);
@@ -122,27 +129,11 @@ TEST(CloudProvider, TotalLeasesAccumulates) {
   EXPECT_EQ(p.total_leases(), 4u);
 }
 
-TEST(CloudProvider, SnapshotReflectsStates) {
-  CloudProvider p(small_config());
-  const auto ids = p.lease(3, 0.0);
-  p.finish_boot(ids[0], 120.0);
-  p.finish_boot(ids[1], 120.0);
-  p.assign(ids[0], 9, 700.0, 120.0);
-  const CloudProfile profile = p.snapshot(120.0);
-  ASSERT_EQ(profile.vms.size(), 3u);
-  EXPECT_DOUBLE_EQ(profile.vms[0].available_at, 700.0);  // busy
-  EXPECT_DOUBLE_EQ(profile.vms[1].available_at, 120.0);  // idle
-  EXPECT_DOUBLE_EQ(profile.vms[2].available_at, 120.0);  // booting until 120
-  EXPECT_EQ(profile.max_vms, 4u);
-  EXPECT_DOUBLE_EQ(profile.boot_delay, 120.0);
-  EXPECT_EQ(profile.idle_count(), 2u);  // idle + boot-finished-at-now
-}
-
 TEST(CloudProvider, ContractViolationsAbort) {
   CloudProvider p(small_config());
   const auto ids = p.lease(1, 0.0);
   EXPECT_DEATH(p.release(ids[0], 1.0), "non-idle");       // still booting
-  EXPECT_DEATH(p.assign(ids[0], 1, 5.0, 1.0), "non-idle");
+  EXPECT_DEATH(p.assign(ids[0], 1, 5.0, 5.0, 1.0), "non-idle");
   EXPECT_DEATH(p.unassign(ids[0], 1.0), "non-busy");
   EXPECT_DEATH(p.release(999, 1.0), "unknown");
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "engine/experiment.hpp"
 #include "workload/generator.hpp"
 
@@ -38,6 +41,26 @@ RunResult run_one(const workload::Trace& trace, const std::string& policy_name,
       .run;
 }
 
+/// Answers like a SinglePolicyScheduler and keeps a copy of every profile
+/// the engine hands it.
+class RecordingScheduler final : public core::Scheduler {
+ public:
+  explicit RecordingScheduler(policy::PolicyTriple policy) : inner_(std::move(policy)) {}
+
+  [[nodiscard]] policy::PolicyTriple policy_for_tick(
+      std::uint64_t tick, std::span<const policy::QueuedJob> queue,
+      const cloud::CloudProfile& profile) override {
+    profiles.push_back(profile);
+    return inner_.policy_for_tick(tick, queue, profile);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  std::vector<cloud::CloudProfile> profiles;
+
+ private:
+  core::SinglePolicyScheduler inner_;
+};
+
 TEST(ClusterSimulation, SingleJobHandComputed) {
   // Arrival at 10 -> first tick at 20 -> lease, boot until 140 -> start at
   // 140 (wait 130), finish at 240 -> BSD (130+100)/100 = 2.3. The idle VM
@@ -50,6 +73,64 @@ TEST(ClusterSimulation, SingleJobHandComputed) {
   EXPECT_DOUBLE_EQ(r.metrics.rj_proc_seconds, 100.0);
   EXPECT_DOUBLE_EQ(r.metrics.makespan, 240.0);
   EXPECT_EQ(r.total_leases, 1u);
+}
+
+TEST(ClusterSimulation, SchedulerProfileShowsPredictedEndsNeverActualOnes) {
+  // Serial jobs under user estimates, 120 s boot: jobs 0-2 start at 120 on
+  // VMs 0-2 (job 0 over-estimated, job 1 under-estimated, job 2 exact and
+  // done at 510); job 3 arrives at 490 and leases VM 3 at the 500 tick. The
+  // 520 tick's profile, taken before that tick acts, holds all four states.
+  EngineConfig config = paper_engine_config();
+  config.provider.max_vms = 8;
+  config.provider.billing_quantum = 60.0;
+  const auto job = [](JobId id, double submit, double runtime, double estimate) {
+    workload::Job j = make_job(id, submit, runtime, 1);
+    j.estimate = estimate;
+    return j;
+  };
+  const workload::Trace trace("t", 8,
+                              {job(0, 0.0, 5000.0, 10000.0), job(1, 0.0, 5000.0, 100.0),
+                               job(2, 0.0, 390.0, 390.0), job(3, 490.0, 100.0, 100.0)});
+  RecordingScheduler scheduler(policy_by_name("ODA-FCFS-FirstFit"));
+  const auto predictor = make_predictor(PredictorKind::kUserEstimate);
+  ClusterSimulation sim(config, trace, scheduler, *predictor);
+  EXPECT_EQ(sim.run().metrics.jobs, 4u);
+
+  const auto at =
+      std::find_if(scheduler.profiles.begin(), scheduler.profiles.end(),
+                   [](const cloud::CloudProfile& p) { return p.now == 520.0; });
+  ASSERT_NE(at, scheduler.profiles.end());
+  const cloud::CloudProfile& profile = *at;
+  ASSERT_EQ(profile.vms.size(), 4u);  // every leased VM: three at 0, one at 500
+  // Busy VMs read max(start + estimate, now), never start + runtime (5120).
+  EXPECT_TRUE(profile.vms[0].busy);
+  EXPECT_DOUBLE_EQ(profile.vms[0].available_at, 120.0 + 10000.0);
+  EXPECT_TRUE(profile.vms[1].busy);
+  EXPECT_DOUBLE_EQ(profile.vms[1].available_at, 520.0);  // predicted 220, passed
+  // An idle VM reads now; a booting one its boot_complete.
+  EXPECT_FALSE(profile.vms[2].busy);
+  EXPECT_DOUBLE_EQ(profile.vms[2].available_at, 520.0);
+  EXPECT_FALSE(profile.vms[3].busy);
+  EXPECT_DOUBLE_EQ(profile.vms[3].lease_time, 500.0);
+  EXPECT_DOUBLE_EQ(profile.vms[3].available_at, 620.0);
+  EXPECT_EQ(profile.max_vms, 8u);
+  EXPECT_DOUBLE_EQ(profile.boot_delay, 120.0);
+  EXPECT_DOUBLE_EQ(profile.billing_quantum, 60.0);
+}
+
+TEST(ClusterSimulation, ZeroBootDelayStartsJobsOnTheLeasingTick) {
+  // Without a boot delay a lease is idle at once, so the VMs a tick leases
+  // must reach that tick's planner: the job starts at 0, not at the next
+  // tick (20 s).
+  EngineConfig config = paper_engine_config();
+  config.provider.boot_delay = 0.0;
+  config.keep_job_records = true;
+  const workload::Trace trace("t", 64, {make_job(0, 0.0, 100.0, 4)});
+  const auto result = run_single_policy(config, trace, policy_by_name("ODA-FCFS-FirstFit"),
+                                        PredictorKind::kPerfect);
+  ASSERT_EQ(result.run.job_records.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.run.job_records[0].start, 0.0);
+  EXPECT_EQ(result.run.total_leases, 4u);
 }
 
 TEST(ClusterSimulation, ParallelJobUsesOneVmPerProcessor) {
