@@ -28,6 +28,77 @@ double charge_seconds(SimTime lease_time, bool fresh, SimTime release, SimTime t
   return std::max(0.0, total - sunk);
 }
 
+/// Whether `vm_selection`, replaying each start of this decision on its own
+/// pool (its own order(), then the first procs VMs), takes the same set of
+/// VMs as the plan at every start before `checked_end`; `arena.taken_ids`
+/// holds each start's planned ids sorted. Starts from `checked_end` on
+/// leave no choice.
+bool sibling_agrees(const policy::VmSelectionPolicy& vm_selection, SimTime now,
+                    std::span<const policy::QueuedJob> queue, SimDuration quantum,
+                    std::size_t checked_end, SimArena& arena) {
+  std::vector<policy::VmCandidate>& pool = arena.sibling_pool;
+  pool.assign(arena.idle_rows.begin(), arena.idle_rows.end());
+  for (std::size_t s = 0; s < checked_end; ++s) {
+    const policy::AllocationPlan::Start& start = arena.plan.starts[s];
+    const auto taken = pool.begin() + (start.vm_end - start.vm_begin);
+    if (taken != pool.end()) {
+      vm_selection.order(pool, queue[start.queue_index].predicted_runtime, now, quantum);
+      // The taken VMs leave the pool next, so their order is free to use.
+      std::sort(pool.begin(), taken,
+                [](const policy::VmCandidate& a, const policy::VmCandidate& b) {
+                  return a.id < b.id;
+                });
+      if (!std::equal(pool.begin(), taken, arena.taken_ids.begin() + start.vm_begin,
+                      [](const policy::VmCandidate& c, VmId id) { return c.id == id; }))
+        return false;
+    }
+    pool.erase(pool.begin(), taken);
+  }
+  return true;
+}
+
+/// Drops from `arena.agreeing` every sibling that would have taken other VMs
+/// than the plan at some start of this decision (DESIGN.md §11.5). Runs
+/// before the plan is applied, while the rows still hold the planner's idle
+/// pool of `idle` VMs. Only starts whose pool holds more VMs than they take
+/// are checked: the fit tests read only pool sizes, so every sibling makes
+/// the same starts, and a start that takes the whole pool has no choice.
+void check_siblings(SimTime now, std::span<const policy::QueuedJob> queue, std::size_t idle,
+                    SimDuration quantum,
+                    std::span<const policy::VmSelectionPolicy* const> siblings,
+                    SimArena& arena) {
+  const policy::AllocationPlan& plan = arena.plan;
+  std::size_t checked_end = 0;
+  std::size_t left = idle;
+  for (std::size_t s = 0; s < plan.starts.size(); ++s) {
+    const std::size_t taken = plan.starts[s].vm_end - plan.starts[s].vm_begin;
+    PSCHED_ASSERT(taken <= left);
+    if (left > taken) checked_end = s + 1;
+    left -= taken;
+  }
+  if (checked_end == 0) return;
+  arena.idle_rows.clear();
+  for (const policy::VmAvail& vm : arena.vms)
+    if (vm.available_at <= now) arena.idle_rows.push_back({vm.id, vm.lease_time});
+  PSCHED_ASSERT(arena.idle_rows.size() == idle);
+  arena.taken_ids.assign(plan.vm_ids.begin(), plan.vm_ids.end());
+  for (std::size_t s = 0; s < checked_end; ++s)
+    std::sort(arena.taken_ids.begin() + plan.starts[s].vm_begin,
+              arena.taken_ids.begin() + plan.starts[s].vm_end);
+  std::size_t kept = 0;
+  for (const std::uint32_t i : arena.agreeing) {
+    bool agrees = false;
+    try {
+      agrees = sibling_agrees(*siblings[i], now, queue, quantum, checked_end, arena);
+    } catch (const std::exception&) {
+      // Its own run would throw here too; simulated alone, it is
+      // quarantined exactly as it would be without the check.
+    }
+    if (agrees) arena.agreeing[kept++] = i;
+  }
+  arena.agreeing.resize(kept);
+}
+
 }  // namespace
 
 OnlineSimulator::OnlineSimulator(OnlineSimConfig config) : config_(config) {
@@ -47,14 +118,26 @@ SimOutcome OnlineSimulator::simulate(std::span<const policy::QueuedJob> queue,
 SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
                                      const policy::PolicyTriple& policy,
                                      SimArena& arena) const {
+  return simulate(snapshot, policy, {}, {}, arena);
+}
+
+SimOutcome OnlineSimulator::simulate(
+    const RoundSnapshot& snapshot, const policy::PolicyTriple& policy,
+    std::span<const policy::VmSelectionPolicy* const> siblings,
+    std::span<unsigned char> agreed, SimArena& arena) const {
   // Const-thread-safe for distinct arenas (see header): all mutable state
   // lives in `arena`; config_, the snapshot, and the policies are only read.
+  PSCHED_ASSERT(agreed.size() == siblings.size());
+  std::fill(agreed.begin(), agreed.end(), 0);
   PSCHED_ASSERT(policy.provisioning && policy.job_selection && policy.vm_selection);
   if (config_.inject_fault == validate::FaultInjection::kCandidateThrow)
     throw std::runtime_error("injected fault: candidate simulation throw");
   const SimTime t0 = snapshot.t0;
 
   arena.reset();
+  arena.agreeing.clear();
+  for (std::size_t i = 0; i < siblings.size(); ++i)
+    arena.agreeing.push_back(static_cast<std::uint32_t>(i));
   // The arena keeps a mutable copy of the round's market (DESIGN.md §12):
   // occupancy (family in_use, reserved_in_use) tracks the inner fleet live
   // so tier-aware policies see real headroom, while the market itself stays
@@ -158,6 +241,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     policy::plan_allocation_into(now, pending, arena.vms, *policy.vm_selection,
                                  config_.allocation, snapshot.billing_quantum,
                                  arena.plan, arena.alloc);
+    if (!arena.agreeing.empty() && !arena.plan.empty())
+      check_siblings(now, pending, ctx.idle_vms, snapshot.billing_quantum, siblings, arena);
     if (!arena.plan.empty()) {
       arena.served.assign(pending.size(), 0);
       for (const policy::AllocationPlan::Start& start : arena.plan.starts) {
@@ -272,6 +357,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   out.utility = metrics::utility(config_.utility, out.rj_proc_seconds,
                                  out.rv_charged_seconds, out.avg_bounded_slowdown);
   PSCHED_ASSERT(finished == total_jobs);
+  for (const std::uint32_t i : arena.agreeing) agreed[i] = 1;
   return out;
 }
 

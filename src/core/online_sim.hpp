@@ -9,7 +9,9 @@
 // changed: one pass over the fleet yields the idle and booting counts and
 // the next availability, and leases, starts and releases update them in
 // place; the planner reads the arena's VM rows without copying them, and an
-// already-ordered queue is not re-sorted. Jobs run for their *predicted*
+// already-ordered queue is not re-sorted. One run can also stand for the
+// candidates that differ from it only in VM selection, for as long as their
+// VM choices agree (DESIGN.md §11.5). Jobs run for their *predicted*
 // runtime — the simulator must not peek at actual runtimes (paper evaluates
 // exactly this information gap in §6.3).
 //
@@ -148,6 +150,20 @@ class OnlineSimulator {
   [[nodiscard]] SimOutcome simulate(const RoundSnapshot& snapshot,
                                     const policy::PolicyTriple& policy,
                                     SimArena& arena) const;
+
+  /// The same run, checked against VM-selection siblings (DESIGN.md §11.5):
+  /// `siblings` are the VM-selection policies of candidates that share
+  /// `policy`'s provisioning and job selection. On return `agreed[i]` is 1
+  /// iff `siblings[i]` would have taken the same VMs as
+  /// `policy.vm_selection` at every start of this run, in which case
+  /// simulating (policy.provisioning, policy.job_selection, siblings[i])
+  /// returns this outcome bit for bit. `agreed` must be as long as
+  /// `siblings`; it is all 0 when the call throws. With no siblings this is
+  /// the overload above.
+  [[nodiscard]] SimOutcome simulate(
+      const RoundSnapshot& snapshot, const policy::PolicyTriple& policy,
+      std::span<const policy::VmSelectionPolicy* const> siblings,
+      std::span<unsigned char> agreed, SimArena& arena) const;
 
  private:
   OnlineSimConfig config_;  ///< immutable after construction

@@ -12,6 +12,8 @@ namespace psched::core {
 
 namespace {
 
+constexpr std::uint32_t kNoGroup = UINT32_MAX;
+
 /// Trace-args payload for one candidate simulation.
 std::string candidate_args(std::size_t index) {
   return "{\"policy\":" + std::to_string(index) + '}';
@@ -46,6 +48,26 @@ TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfo
   slots_.resize(portfolio_.size());
   list_.reserve(portfolio_.size());
   wave_ends_.reserve(portfolio_.size());
+  // Candidates that share provisioning and job selection (by pointer) differ
+  // only in VM selection; their key is the first index with that pair.
+  const std::vector<policy::PolicyTriple>& policies = portfolio_.policies();
+  group_key_.resize(policies.size());
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const auto same_pair = [&](const policy::PolicyTriple& t) {
+      return t.provisioning == policies[i].provisioning &&
+             t.job_selection == policies[i].job_selection;
+    };
+    group_key_[i] = static_cast<std::uint32_t>(
+        std::find_if(policies.begin(), policies.end(), same_pair) - policies.begin());
+  }
+  key_group_.assign(policies.size(), kNoGroup);
+  group_begin_.resize(policies.size());
+  group_end_.resize(policies.size());
+  group_runs_.resize(policies.size());
+  members_.resize(policies.size());
+  member_vm_.resize(policies.size());
+  member_agreed_.resize(policies.size());
+  span_order_.reserve(policies.size());
   reset();
 }
 
@@ -77,26 +99,93 @@ void TimeConstrainedSelector::capture_state(util::StateDigest& digest) const {
   digest.add_size("selector.poor_len", poor_.size());
 }
 
-void TimeConstrainedSelector::evaluate(std::size_t first, std::size_t last) {
+std::size_t TimeConstrainedSelector::evaluate(std::size_t first, std::size_t last) {
   PSCHED_ASSERT(first <= last && last <= slots_.size());
   const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
   // Candidate trace spans use the recorder's clock (obs.cpp), independent of
   // the budget clock, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  // Position p writes only slots_[p]; lane l owns arenas_[l] for the whole
-  // batch. Exceptions are trapped per candidate so that one never escapes
-  // run_batch onto the coordinating thread. kFixedCount reads no budget
-  // clock at all.
-  util::run_batch(pool_, last - first, wave_width_, [&](std::size_t k, std::size_t lane) {
-    SlotResult& slot = slots_[first + k];
+
+  // Group the positions by (provisioning, job selection): groups are
+  // numbered by their first member, members kept in list order (a counting
+  // sort: sizes into group_end_, then offsets, then placement).
+  std::size_t groups = 0;
+  for (std::size_t p = first; p < last; ++p) {
+    std::uint32_t& g = key_group_[group_key_[list_[p]]];
+    if (g == kNoGroup) {
+      g = static_cast<std::uint32_t>(groups++);
+      group_end_[g] = 0;
+    }
+    ++group_end_[g];
+  }
+  std::size_t offset = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    group_begin_[g] = offset;
+    offset += group_end_[g];
+    group_end_[g] = group_begin_[g];
+  }
+  for (std::size_t p = first; p < last; ++p)
+    members_[group_end_[key_group_[group_key_[list_[p]]]]++] = p;
+  for (std::size_t p = first; p < last; ++p) key_group_[group_key_[list_[p]]] = kNoGroup;
+
+  // Group g writes only its members' slots, its members_ range and
+  // group_runs_[g]; lane l owns arenas_[l] for the whole batch.
+  util::run_batch(pool_, groups, wave_width_, [&](std::size_t g, std::size_t lane) {
+    group_runs_[g] = evaluate_group(group_begin_[g], group_end_[g], lane, fixed, tracing);
+  });
+  std::size_t runs = 0;
+  for (std::size_t g = 0; g < groups; ++g) runs += group_runs_[g];
+
+  if (tracing) {
+    // Spans go out per lane in execution order, which is time order: a
+    // lane's runs do not overlap, and a shared sibling's zero-length span
+    // sits at its leader's end.
+    span_order_.clear();
+    for (std::size_t p = first; p < last; ++p) span_order_.push_back(p);
+    std::sort(span_order_.begin(), span_order_.end(), [this](std::size_t a, std::size_t b) {
+      const SlotResult& x = slots_[a];
+      const SlotResult& y = slots_[b];
+      if (x.lane != y.lane) return x.lane < y.lane;
+      if (x.begin_us != y.begin_us) return x.begin_us < y.begin_us;
+      if (x.end_us != y.end_us) return x.end_us < y.end_us;
+      return a < b;
+    });
+    for (const std::size_t p : span_order_) {
+      const SlotResult& slot = slots_[p];
+      const auto lane = static_cast<std::uint32_t>(1 + slot.lane);
+      recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B', slot.begin_us,
+                                              lane, candidate_args(list_[p])});
+      recorder_->append_event(
+          obs::TraceEvent{"selector.candidate", 'E', slot.end_us, lane, {}});
+    }
+  }
+  return runs;
+}
+
+std::size_t TimeConstrainedSelector::evaluate_group(std::size_t begin, std::size_t end,
+                                                    std::size_t lane, bool fixed,
+                                                    bool tracing) {
+  std::size_t runs = 0;
+  while (begin < end) {
+    const std::size_t leader = members_[begin];
+    for (std::size_t m = begin + 1; m < end; ++m)
+      member_vm_[m] = portfolio_.policies()[list_[members_[m]]].vm_selection;
+    const std::span<const policy::VmSelectionPolicy* const> siblings(
+        member_vm_.data() + begin + 1, end - begin - 1);
+    const std::span<unsigned char> agreed(member_agreed_.data() + begin + 1, end - begin - 1);
+
+    // Exceptions are trapped per run so that one never escapes run_batch
+    // onto the coordinating thread; a leader that throws vouches for no
+    // sibling. kFixedCount reads no budget clock at all.
+    SlotResult& slot = slots_[leader];
     slot.lane = lane;
     slot.begin_us = tracing ? recorder_->now_us() : 0;
     slot.failed = false;
     std::chrono::steady_clock::time_point start;
     if (!fixed) start = std::chrono::steady_clock::now();
     try {
-      slot.outcome = simulator_.simulate(snapshot_, portfolio_.policies()[list_[first + k]],
-                                         arenas_[lane]);
+      slot.outcome = simulator_.simulate(snapshot_, portfolio_.policies()[list_[leader]],
+                                         siblings, agreed, arenas_[lane]);
     } catch (const std::exception&) {
       slot.failed = true;
     }
@@ -106,20 +195,36 @@ void TimeConstrainedSelector::evaluate(std::size_t first, std::size_t last) {
                     std::chrono::steady_clock::now() - start)
                     .count();
     slot.end_us = tracing ? recorder_->now_us() : 0;
-  });
+    ++runs;
+
+    // Siblings that agreed get the leader's result (and its lane and
+    // measured time) with a zero-length span at its end; the others move
+    // up, in list order, to form the next group.
+    std::size_t kept = begin + 1;
+    for (std::size_t m = begin + 1; m < end; ++m) {
+      if (agreed[m - begin - 1] != 0) {
+        SlotResult& shared = slots_[members_[m]];
+        shared = slot;
+        shared.begin_us = slot.end_us;
+      } else {
+        members_[kept++] = members_[m];
+      }
+    }
+    ++begin;
+    end = kept;
+  }
+  return runs;
 }
 
 double TimeConstrainedSelector::charge(std::size_t first, std::size_t last,
                                        std::vector<PolicyScore>& scores,
                                        std::vector<std::size_t>& quarantined) {
   const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
-  const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
-  // Charge in list order, so the ranking input and the trace stream are
-  // independent of which lane ran what. A candidate costs one unit
-  // (kFixedCount) or synthetic + measured ms; a failed one spent its time
-  // too, so it is charged either way. The wave costs its size, or one
-  // synthetic overhead plus its slowest member: concurrent members overlap
-  // in wall time.
+  // Charge in list order, so the ranking input is independent of which lane
+  // ran what. A candidate costs one unit (kFixedCount) or synthetic +
+  // measured ms; a failed one spent its time too, so it is charged either
+  // way. The wave costs its size, or one synthetic overhead plus its slowest
+  // member: concurrent members overlap in wall time.
   double slowest_ms = 0.0;
   for (std::size_t p = first; p < last; ++p) {
     SlotResult& slot = slots_[p];
@@ -139,13 +244,6 @@ double TimeConstrainedSelector::charge(std::size_t first, std::size_t last,
       quarantined.push_back(list_[p]);
     else
       scores.push_back(PolicyScore{list_[p], slot.outcome.utility, cost});
-    if (tracing) {
-      const auto lane = static_cast<std::uint32_t>(1 + slot.lane);
-      recorder_->append_event(obs::TraceEvent{"selector.candidate", 'B', slot.begin_us,
-                                              lane, candidate_args(list_[p])});
-      recorder_->append_event(
-          obs::TraceEvent{"selector.candidate", 'E', slot.end_us, lane, {}});
-    }
   }
   return fixed ? static_cast<double>(last - first)
                : config_.synthetic_overhead_ms + slowest_ms;
@@ -211,6 +309,7 @@ SelectionResult TimeConstrainedSelector::select(
   std::vector<std::size_t> quarantined;  // threw / blew per-candidate budget
   double charged_ms = 0.0;  // budget actually charged (sum of wave costs)
   std::size_t batches = 0;  // evaluate() calls, pooled or inline
+  std::size_t simulations = 0;  // simulator runs: leaders + re-run siblings
 
   // The round's candidates are listed on the coordinating thread in
   // Algorithm 1's order (front-of-set for Smart and Stale; RNG draws for
@@ -243,7 +342,7 @@ SelectionResult TimeConstrainedSelector::select(
       quota -= static_cast<double>(list_.size() - first);
       return;
     }
-    evaluate(first, list_.size());
+    simulations += evaluate(first, list_.size());
     ++batches;
     const double cost = charge(first, list_.size(), scores, quarantined);
     quota -= cost;
@@ -278,7 +377,7 @@ SelectionResult TimeConstrainedSelector::select(
     close_wave(first, quota);
   }
   if (one_batch) {
-    evaluate(0, list_.size());
+    simulations += evaluate(0, list_.size());
     ++batches;
     std::size_t first = 0;
     for (const std::size_t last : wave_ends_) {
@@ -386,6 +485,7 @@ SelectionResult TimeConstrainedSelector::select(
     recorder_->counter_add("selector.rounds", 1.0);
     recorder_->counter_add("selector.candidates",
                            static_cast<double>(result.scores.size()));
+    recorder_->counter_add("selector.simulations", static_cast<double>(simulations));
     recorder_->counter_add("selector.batches", static_cast<double>(batches));
     recorder_->counter_add("selector.budget_charged", charged_ms);
     if (result.quarantined > 0)

@@ -20,8 +20,10 @@
 //
 // Every candidate goes through one evaluation routine, which simulates a
 // run of the round's candidate list in one util::ThreadPool::run_batch (or
-// inline without a pool). The list is built on the coordinating thread in
-// Algorithm 1's order and grouped per set into waves of up to
+// inline without a pool), one task per group of candidates that differ only
+// in VM selection: a group shares one online-sim run for as long as its VM
+// choices agree (DESIGN.md §11.5). The list is built on the coordinating
+// thread in Algorithm 1's order and grouped per set into waves of up to
 // SelectorConfig::eval_threads candidates; a wave is charged against the
 // budget as the maximum of its members' measured costs plus one synthetic
 // overhead — concurrent simulations overlap in wall time, so Delta buys up
@@ -230,12 +232,20 @@ class TimeConstrainedSelector {
 
   /// The single candidate-evaluation routine: simulates list_[first, last)
   /// against the current round snapshot in one batch (util::run_batch,
-  /// inline without a pool, at most wave_width_ lanes). Position p reports
-  /// into slots_[p] and simulates in the arena of the lane that runs it.
-  void evaluate(std::size_t first, std::size_t last);
+  /// inline without a pool, at most wave_width_ lanes), one task per group
+  /// of VM-selection siblings (DESIGN.md §11.5). Position p reports into
+  /// slots_[p]; a group simulates in the arena of the lane that runs it.
+  /// Trace spans go to lane 1 + the run_batch lane. Returns the number of
+  /// simulator runs.
+  std::size_t evaluate(std::size_t first, std::size_t last);
+  /// Simulates the sibling group members_[begin, end) in arenas_[lane]:
+  /// the first member leads, the siblings that agreed with it take its
+  /// result, and the rest form the next, smaller group. Returns the runs.
+  std::size_t evaluate_group(std::size_t begin, std::size_t end, std::size_t lane,
+                             bool fixed, bool tracing);
   /// Charges the evaluated wave list_[first, last) in list order: scores
-  /// append to `scores`, failed members to `quarantined`, and trace spans
-  /// go to lane 1 + the run_batch lane. Returns the budget cost of the wave.
+  /// append to `scores` and failed members to `quarantined`. Returns the
+  /// budget cost of the wave.
   double charge(std::size_t first, std::size_t last, std::vector<PolicyScore>& scores,
                 std::vector<std::size_t>& quarantined);
 
@@ -269,6 +279,21 @@ class TimeConstrainedSelector {
   std::vector<SlotResult> slots_;
   std::vector<std::size_t> list_;       ///< the round's candidates, in order
   std::vector<std::size_t> wave_ends_;  ///< one-batch rounds: wave boundaries
+
+  // Sibling groups (DESIGN.md §11.5). group_key_[i] is the first portfolio
+  // index with index i's (provisioning, job selection) pointer pair.
+  // Per batch, group g's list positions are members_[group_begin_[g],
+  // group_end_[g]) in list order; member_vm_ and member_agreed_ run
+  // parallel to members_. A group task owns its range and group_runs_[g].
+  std::vector<std::uint32_t> group_key_;
+  std::vector<std::uint32_t> key_group_;  ///< key -> batch group, or none
+  std::vector<std::size_t> group_begin_;
+  std::vector<std::size_t> group_end_;
+  std::vector<std::size_t> group_runs_;
+  std::vector<std::size_t> members_;
+  std::vector<const policy::VmSelectionPolicy*> member_vm_;
+  std::vector<unsigned char> member_agreed_;
+  std::vector<std::size_t> span_order_;  ///< tracing: positions by lane, time
 };
 
 }  // namespace psched::core

@@ -2,8 +2,9 @@
 // Reusable scratch arena for the online simulator's fast path (DESIGN.md
 // §11). One SimArena holds every piece of mutable state a single inner
 // simulation needs — the VM table, the pending queue, the allocation plan
-// and its scratch — as vectors that are cleared (capacity kept) between
-// candidates instead of reallocated.
+// and its scratch, and the pools of the VM-selection sibling check — as
+// vectors that are cleared (capacity kept) between candidates instead of
+// reallocated.
 //
 // The selector owns one arena per batch lane, so concurrent candidate
 // evaluations never share an arena; the arena itself is strictly
@@ -44,6 +45,12 @@ struct SimArena {
   /// current as it leases and releases so tier-aware policies see live
   /// headroom. Market state stays frozen at the snapshot (DESIGN.md §12).
   cloud::PricingView pricing;
+
+  // --- VM-selection sibling check (DESIGN.md §11.5) ----------------------
+  std::vector<std::uint32_t> agreeing;  ///< siblings that agreed so far
+  std::vector<policy::VmCandidate> idle_rows;     ///< the decision's idle pool
+  std::vector<policy::VmCandidate> sibling_pool;  ///< one sibling's replayed pool
+  std::vector<VmId> taken_ids;  ///< the plan's ids, sorted within each start
 
   [[nodiscard]] std::size_t vm_count() const noexcept { return vms.size(); }
 

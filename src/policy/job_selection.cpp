@@ -36,21 +36,29 @@ double UnicefSelection::priority(const QueuedJob& job, SimTime now) const {
 void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
                  SimTime now, OrderScratch& scratch) {
   // Compute priorities once (they are pure in the job), then sort on them.
+  // NaN has no place in the order below (std::sort would be undefined on
+  // it), so it is rejected; infinities order like any other value.
   std::vector<std::pair<double, std::size_t>>& keyed = scratch.keyed;
   keyed.resize(queue.size());
-  for (std::size_t i = 0; i < queue.size(); ++i)
+  for (std::size_t i = 0; i < queue.size(); ++i) {
     keyed[i] = {policy.priority(queue[i], now), i};
+    if (std::isnan(keyed[i].first) || std::isnan(queue[i].submit))
+      throw std::invalid_argument("order_queue: NaN job priority or submit time");
+  }
+  // A total order: the queue position breaks the last ties, so the result
+  // equals a stable sort on (priority, submit, id) without its buffer.
   const auto before = [&](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     const QueuedJob& ja = queue[a.second];
     const QueuedJob& jb = queue[b.second];
     if (ja.submit != jb.submit) return ja.submit < jb.submit;
-    return ja.id < jb.id;
+    if (ja.id != jb.id) return ja.id < jb.id;
+    return a.second < b.second;
   };
-  // A stable sort of a queue already in service order is the identity —
-  // always so for FCFS after the first decision — so skip it and the copy.
+  // Sorting a queue already in service order is the identity — always so
+  // for FCFS after the first decision — so skip it and the copy.
   if (std::is_sorted(keyed.begin(), keyed.end(), before)) return;
-  std::stable_sort(keyed.begin(), keyed.end(), before);
+  std::sort(keyed.begin(), keyed.end(), before);
   std::vector<QueuedJob>& ordered = scratch.reordered;
   ordered.clear();
   ordered.reserve(queue.size());

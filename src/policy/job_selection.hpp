@@ -56,9 +56,10 @@ class UnicefSelection final : public JobSelectionPolicy {
 };
 
 /// Sorts `queue` in service order for the given policy: descending priority,
-/// ties by (submit, id). In-place, stable with respect to identical jobs; a
-/// queue already in service order is left untouched (neither sorted nor
-/// copied).
+/// ties by (submit, id), then by queue position, so jobs with equal keys
+/// keep their order. A queue already in service order is left untouched
+/// (neither sorted nor copied). Throws std::invalid_argument on a NaN
+/// priority or submit time.
 void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
                  SimTime now);
 
@@ -70,8 +71,8 @@ struct OrderScratch {
   std::vector<QueuedJob> reordered;
 };
 
-/// Allocation-free order_queue for the online simulator's decision loop
-/// (identical resulting order; see DESIGN.md §11).
+/// Allocation-free order_queue for the online simulator's decision loop and
+/// the engine tick (identical resulting order; see DESIGN.md §11).
 void order_queue(std::vector<QueuedJob>& queue, const JobSelectionPolicy& policy,
                  SimTime now, OrderScratch& scratch);
 

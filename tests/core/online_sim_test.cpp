@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -248,6 +249,94 @@ TEST(OnlineSimulator, BestFitBeatsWorstFitOnCostHere) {
   const SimOutcome wf =
       sim.simulate(queue, profile, policy_by_name("ODB-FCFS-WorstFit"));
   EXPECT_LE(bf.rv_charged_seconds, wf.rv_charged_seconds);
+}
+
+/// Runs `leader` with the VM-selection policies of the `siblings` triples
+/// checked alongside it and returns the agreement flags. A sibling reported
+/// as agreeing must score exactly like the leader when simulated alone.
+std::vector<unsigned char> sibling_report(const OnlineSimulator& sim,
+                                          const std::vector<policy::QueuedJob>& queue,
+                                          const cloud::CloudProfile& profile,
+                                          const std::string& leader,
+                                          const std::vector<std::string>& siblings) {
+  RoundSnapshot snapshot;
+  snapshot.build(queue, profile);
+  SimArena arena;
+  std::vector<const policy::VmSelectionPolicy*> vm_selection;
+  for (const std::string& name : siblings)
+    vm_selection.push_back(policy_by_name(name).vm_selection);
+  std::vector<unsigned char> agreed(siblings.size(), 2);
+  const SimOutcome lead =
+      sim.simulate(snapshot, policy_by_name(leader), vm_selection, agreed, arena);
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    if (agreed[i] == 0) continue;
+    const SimOutcome alone = sim.simulate(snapshot, policy_by_name(siblings[i]), arena);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.utility),
+              std::bit_cast<std::uint64_t>(lead.utility))
+        << siblings[i];
+    EXPECT_EQ(alone.rv_charged_seconds, lead.rv_charged_seconds) << siblings[i];
+    EXPECT_EQ(alone.decisions, lead.decisions) << siblings[i];
+  }
+  return agreed;
+}
+
+/// Two idle VMs: 600 s and 3500 s of their paid hour left at t = 3000.
+cloud::CloudProfile two_idle_phases() {
+  cloud::CloudProfile profile = empty_cloud(3000.0);
+  profile.vms.push_back(cloud::VmView{0.0, 3000.0});
+  profile.vms.push_back(cloud::VmView{2900.0, 3000.0});
+  return profile;
+}
+
+TEST(OnlineSimSiblings, DifferentLeasePhasesSplitBestFitFromWorstFit) {
+  // One serial job: BestFit and FirstFit take the VM with 600 s left,
+  // WorstFit the one with 3500 s left.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 3000.0, 1, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-FCFS-BestFit",
+                           {"ODB-FCFS-FirstFit", "ODB-FCFS-WorstFit"}),
+            (std::vector<unsigned char>{1, 0}));
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-FCFS-WorstFit",
+                           {"ODB-FCFS-BestFit", "ODB-FCFS-FirstFit"}),
+            (std::vector<unsigned char>{0, 0}));
+}
+
+TEST(OnlineSimSiblings, PoolAsWideAsTheJobLeavesNoChoice) {
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 3000.0, 2, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-FCFS-BestFit",
+                           {"ODB-FCFS-FirstFit", "ODB-FCFS-WorstFit"}),
+            (std::vector<unsigned char>{1, 1}));
+}
+
+TEST(OnlineSimSiblings, ZeroLengthJobStillChoosesAVm) {
+  // The zero-length job leaves its VM idle, but it took one VM of two at
+  // its start, so WorstFit's other choice counts as a disagreement; the
+  // wide job behind it then takes both VMs without a choice.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 3000.0, 1, 0.0),
+                                             make_queued(1, 3000.0, 2, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-FCFS-BestFit",
+                           {"ODB-FCFS-FirstFit", "ODB-FCFS-WorstFit"}),
+            (std::vector<unsigned char>{1, 0}));
+}
+
+TEST(OnlineSimSiblings, ThrowingLeaderVouchesForNoSibling) {
+  OnlineSimConfig config = default_config();
+  config.inject_fault = validate::FaultInjection::kCandidateThrow;
+  const OnlineSimulator sim(config);
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 3000.0, 2, 400.0)};
+  RoundSnapshot snapshot;
+  snapshot.build(queue, two_idle_phases());
+  SimArena arena;
+  const std::vector<const policy::VmSelectionPolicy*> siblings{
+      policy_by_name("ODB-FCFS-FirstFit").vm_selection,
+      policy_by_name("ODB-FCFS-WorstFit").vm_selection};
+  std::vector<unsigned char> agreed(2, 1);
+  EXPECT_THROW((void)sim.simulate(snapshot, policy_by_name("ODB-FCFS-BestFit"), siblings,
+                                  agreed, arena),
+               std::runtime_error);
+  EXPECT_EQ(agreed, (std::vector<unsigned char>{0, 0}));
 }
 
 std::string g17(double v) {

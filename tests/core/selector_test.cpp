@@ -304,10 +304,15 @@ OnlineSimConfig throwing_sim_config() {
 TEST(SelectorDegradation, ThrowingCandidatesAreQuarantinedToPoor) {
   TimeConstrainedSelector s(portfolio(), OnlineSimulator(throwing_sim_config()),
                             unbounded());
+  obs::Recorder rec(obs::ObsConfig{obs::ObsLevel::kCounters});
+  s.set_recorder(&rec);
   const auto queue = small_queue();
   const SelectionResult result = s.select(queue, empty_cloud(), 3);
   EXPECT_TRUE(result.degraded);
   EXPECT_EQ(result.quarantined, 60u);
+  // A throwing leader vouches for no VM-selection sibling: each one is
+  // simulated on its own and quarantined, as without grouping.
+  EXPECT_DOUBLE_EQ(rec.counters().at("selector.simulations"), 60.0);
   EXPECT_TRUE(result.scores.empty());
   EXPECT_EQ(result.best_index, 3u);  // last-known-good carried forward
   EXPECT_DOUBLE_EQ(result.best_utility, 0.0);

@@ -416,6 +416,13 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
     // An unbounded round is one evaluation batch, pooled or inline.
     EXPECT_DOUBLE_EQ(rec.counters().at("selector.batches"),
                      rec.counters().at("selector.rounds"));
+    // VM-selection siblings share runs, so there are never more simulator
+    // runs than attempted candidates.
+    const double quarantined = rec.counters().count("selector.quarantined") != 0
+                                   ? rec.counters().at("selector.quarantined")
+                                   : 0.0;
+    EXPECT_LE(rec.counters().at("selector.simulations"),
+              rec.counters().at("selector.candidates") + quarantined);
     // Every attempted candidate has exactly one span, on lane 1 + the
     // run_batch lane that simulated it.
     std::size_t spans = 0;

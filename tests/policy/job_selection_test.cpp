@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "util/rng.hpp"
 
 namespace psched::policy {
 namespace {
@@ -96,6 +100,60 @@ TEST(OrderQueue, EmptyQueueIsFine) {
   std::vector<QueuedJob> queue;
   order_queue(queue, FcfsSelection{}, 0.0);
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(OrderQueue, MatchesAStableSortReferenceOnRandomQueues) {
+  // Few distinct submit times, ids, widths and runtimes, so priorities tie
+  // and (submit, id) pairs repeat; jobs that tie on every key differ in
+  // width or runtime, so a reordering among them shows. One scratch serves
+  // every call, as in the decision loop.
+  util::Rng rng(0x0de7);
+  OrderScratch scratch;
+  for (const auto& policy : all_job_selection()) {
+    for (int trial = 0; trial < 300; ++trial) {
+      std::vector<QueuedJob> queue;
+      const auto size = rng.uniform_int(0, 24);
+      for (std::int64_t i = 0; i < size; ++i) {
+        queue.push_back(make_queued(static_cast<JobId>(rng.uniform_int(0, 3)),
+                                    10.0 * static_cast<double>(rng.uniform_int(0, 2)),
+                                    1 << rng.uniform_int(0, 2),
+                                    rng.bernoulli(0.5) ? 10.0 : 100.0));
+      }
+      std::vector<QueuedJob> want = queue;
+      std::stable_sort(want.begin(), want.end(), [&](const QueuedJob& a, const QueuedJob& b) {
+        const double pa = policy->priority(a, 100.0);
+        const double pb = policy->priority(b, 100.0);
+        if (pa != pb) return pa > pb;
+        if (a.submit != b.submit) return a.submit < b.submit;
+        return a.id < b.id;
+      });
+      order_queue(queue, *policy, 100.0, scratch);
+      ASSERT_EQ(queue.size(), want.size());
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        EXPECT_EQ(queue[i].id, want[i].id) << policy->name() << " trial " << trial;
+        EXPECT_EQ(queue[i].submit, want[i].submit) << policy->name() << " trial " << trial;
+        EXPECT_EQ(queue[i].procs, want[i].procs) << policy->name() << " trial " << trial;
+        EXPECT_EQ(queue[i].predicted_runtime, want[i].predicted_runtime)
+            << policy->name() << " trial " << trial;
+      }
+    }
+  }
+}
+
+/// A job-selection policy whose every priority is NaN.
+class NanSelection final : public JobSelectionPolicy {
+ public:
+  [[nodiscard]] double priority(const QueuedJob&, SimTime) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  [[nodiscard]] std::string name() const override { return "NaN"; }
+};
+
+TEST(OrderQueue, RejectsNanKeys) {
+  std::vector<QueuedJob> queue{make_queued(0, 10, 1, 10), make_queued(1, 20, 1, 10)};
+  EXPECT_THROW(order_queue(queue, NanSelection{}, 100.0), std::invalid_argument);
+  queue[1].submit = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(order_queue(queue, FcfsSelection{}, 100.0), std::invalid_argument);
 }
 
 TEST(JobSelectionFactory, KnownNames) {
