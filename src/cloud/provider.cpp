@@ -90,6 +90,7 @@ std::vector<VmId> CloudProvider::lease(const LeaseRequest& request, SimTime now)
     }
     ids.push_back(vm.id);
     vms_.push_back(vm);
+    ++tally(vms_.back());
     ++total_leases_;
     if (observer_ != nullptr) observer_->on_lease(vms_.back(), vms_.size(), now);
   }
@@ -120,6 +121,17 @@ void CloudProvider::release(VmId id, SimTime now) {
   charged_hours_ += charge;
   if (observer_ != nullptr) observer_->on_release(*vm, charge, now);
   settle_price(*vm, now);
+  erase(vm);
+}
+
+void CloudProvider::set_state(VmInstance& vm, VmState state) noexcept {
+  --tally(vm);
+  vm.state = state;
+  ++tally(vm);
+}
+
+void CloudProvider::erase(const VmInstance* vm) noexcept {
+  --tally(*vm);
   vms_.erase(vms_.begin() + (vm - vms_.data()));
 }
 
@@ -128,7 +140,7 @@ void CloudProvider::finish_boot(VmId id, SimTime now) {
   PSCHED_ASSERT_MSG(vm != nullptr, "finish_boot of unknown VM");
   PSCHED_ASSERT_MSG(vm->state == VmState::kBooting, "finish_boot of non-booting VM");
   PSCHED_ASSERT(now >= vm->boot_complete);
-  vm->state = VmState::kIdle;
+  set_state(*vm, VmState::kIdle);
   if (observer_ != nullptr) observer_->on_finish_boot(*vm, now);
 }
 
@@ -139,7 +151,7 @@ void CloudProvider::assign(VmId id, JobId job, SimTime until, SimTime predicted_
   PSCHED_ASSERT_MSG(vm->state == VmState::kIdle, "assign to a non-idle VM");
   PSCHED_ASSERT(until >= now);
   if (observer_ != nullptr) observer_->on_assign(*vm, job, now);  // pre-state
-  vm->state = VmState::kBusy;
+  set_state(*vm, VmState::kBusy);
   vm->running_job = job;
   vm->busy_until = until;
   vm->predicted_end = predicted_end;
@@ -149,7 +161,7 @@ void CloudProvider::unassign(VmId id, SimTime now) {
   VmInstance* vm = find_mut(id);
   PSCHED_ASSERT_MSG(vm != nullptr, "unassign of unknown VM");
   PSCHED_ASSERT_MSG(vm->state == VmState::kBusy, "unassign of a non-busy VM");
-  vm->state = VmState::kIdle;
+  set_state(*vm, VmState::kIdle);
   vm->running_job = kInvalidJob;
   vm->busy_until = 0.0;
   vm->predicted_end = 0.0;
@@ -158,6 +170,8 @@ void CloudProvider::unassign(VmId id, SimTime now) {
 
 std::size_t CloudProvider::release_expiring_idle(SimTime now, SimDuration window,
                                                  std::size_t keep_reserve) {
+  // Every idle VM in the reserve: nothing can expire, and no walk is needed.
+  if (idle_count() <= keep_reserve) return 0;
   std::vector<VmId> expiring;
   std::size_t idle_seen = 0;
   for (const VmInstance& vm : vms_) {
@@ -188,7 +202,7 @@ double CloudProvider::terminate(VmInstance* vm, SimTime now, Settlement kind) {
     }
   }
   settle_price(*vm, now);
-  vms_.erase(vms_.begin() + (vm - vms_.data()));
+  erase(vm);
   return charge;
 }
 
@@ -242,7 +256,9 @@ void CloudProvider::mark_doomed(VmId id, SimTime now) {
   PSCHED_ASSERT_MSG(vm != nullptr, "mark_doomed of unknown VM");
   PSCHED_ASSERT_MSG(vm->tier == PurchaseTier::kSpot,
                     "mark_doomed of a non-spot VM");
+  --tally(*vm);
   vm->doomed = true;
+  ++tally(*vm);
   ++spot_warnings_;
   if (observer_ != nullptr) observer_->on_spot_warning(*vm, now);
 }
@@ -268,26 +284,8 @@ bool CloudProvider::api_rejects(FailureOp op, std::size_t ops, SimTime now) {
 
 void CloudProvider::release_all(SimTime now) {
   // Jobs must have drained; force-idle any stragglers defensively.
-  for (VmInstance& vm : vms_) vm.state = VmState::kIdle;
+  for (VmInstance& vm : vms_) set_state(vm, VmState::kIdle);
   while (!vms_.empty()) release(vms_.back().id, now);
-}
-
-std::size_t CloudProvider::idle_count() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      vms_.begin(), vms_.end(),
-      [](const VmInstance& vm) { return vm.state == VmState::kIdle; }));
-}
-
-std::size_t CloudProvider::booting_count() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      vms_.begin(), vms_.end(),
-      [](const VmInstance& vm) { return vm.state == VmState::kBooting; }));
-}
-
-std::size_t CloudProvider::busy_count() const noexcept {
-  return static_cast<std::size_t>(std::count_if(
-      vms_.begin(), vms_.end(),
-      [](const VmInstance& vm) { return vm.state == VmState::kBusy; }));
 }
 
 std::size_t CloudProvider::lease_headroom() const noexcept {

@@ -173,10 +173,21 @@ class CloudProvider {
   [[nodiscard]] bool api_rejects(FailureOp op, std::size_t ops, SimTime now);
 
   // --- introspection -------------------------------------------------------
+  // The counts are tallies kept at every transition, so each read is O(1).
   [[nodiscard]] std::size_t leased_count() const noexcept { return vms_.size(); }
-  [[nodiscard]] std::size_t idle_count() const noexcept;
-  [[nodiscard]] std::size_t booting_count() const noexcept;
-  [[nodiscard]] std::size_t busy_count() const noexcept;
+  /// Live VMs in `state` whose doomed flag equals `doomed`.
+  [[nodiscard]] std::size_t count(VmState state, bool doomed) const noexcept {
+    return tally_[static_cast<std::size_t>(state)][doomed ? 1 : 0];
+  }
+  [[nodiscard]] std::size_t idle_count() const noexcept {
+    return count(VmState::kIdle, false) + count(VmState::kIdle, true);
+  }
+  [[nodiscard]] std::size_t booting_count() const noexcept {
+    return count(VmState::kBooting, false) + count(VmState::kBooting, true);
+  }
+  [[nodiscard]] std::size_t busy_count() const noexcept {
+    return count(VmState::kBusy, false) + count(VmState::kBusy, true);
+  }
   [[nodiscard]] std::size_t lease_headroom() const noexcept;
 
   /// Hours charged for already-released VMs.
@@ -247,6 +258,14 @@ class CloudProvider {
   enum class Settlement { kBootFail, kCrash, kRevoke };
 
   [[nodiscard]] VmInstance* find_mut(VmId id) noexcept;
+  /// The tally `vm` currently counts toward.
+  [[nodiscard]] std::size_t& tally(const VmInstance& vm) noexcept {
+    return tally_[static_cast<std::size_t>(vm.state)][vm.doomed ? 1 : 0];
+  }
+  /// Move `vm` to `state`, keeping the tallies in step.
+  void set_state(VmInstance& vm, VmState state) noexcept;
+  /// Erase a live VM (release or termination), keeping the tallies in step.
+  void erase(const VmInstance* vm) noexcept;
   /// Charge a live VM's lease to `now`, notify the observer (crash,
   /// boot-fail, or revoke flavor), and erase it (shared terminal path of
   /// fail_boot/crash/revoke). Returns the charged hours.
@@ -263,6 +282,8 @@ class CloudProvider {
   /// planning stays feasible for jobs wider than a transient allowance.
   std::size_t structural_max_vms_ = 0;
   std::vector<VmInstance> vms_;  // live VMs, sorted by id (append + erase)
+  /// Live VMs per (state, doomed) pair: count() reads it.
+  std::size_t tally_[3][2] = {{0, 0}, {0, 0}, {0, 0}};
   VmId next_id_ = 0;
   double charged_hours_ = 0.0;
   std::size_t total_leases_ = 0;

@@ -24,6 +24,12 @@ class Scheduler {
 
   /// The policy governing this scheduling tick. `tick` counts scheduling
   /// periods from 0; the queue carries predicted runtimes.
+  ///
+  /// Profile contract: with a non-empty queue `profile.vms` lists every
+  /// leased VM. With an empty queue the engine skips its fleet pass, so
+  /// `profile.vms` is empty; `now`, the caps and the market view are still
+  /// current. An implementation must therefore not read `profile.vms` when
+  /// `queue` is empty (every scheduler in the tree returns at once then).
   [[nodiscard]] virtual policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) = 0;

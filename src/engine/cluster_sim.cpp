@@ -141,7 +141,7 @@ void ClusterSimulation::annotate_queue() {
   }
 }
 
-ClusterSimulation::FleetCounts ClusterSimulation::scan_fleet(SimTime now) {
+void ClusterSimulation::scan_fleet(SimTime now) {
   cloud::CloudProfile& profile = profile_;
   profile.now = now;
   // Planning cap, not the provider's live cap: under a multi-tenant arbiter
@@ -155,7 +155,10 @@ ClusterSimulation::FleetCounts ClusterSimulation::scan_fleet(SimTime now) {
   profile.billing_quantum = provider_.config().billing_quantum;
   profile.vms.clear();
   avail_.clear();
-  FleetCounts counts;
+  // Market view first: provisioning reads it (SchedContext::pricing) whether
+  // or not anything is queued.
+  provider_.fill_pricing_view(profile.pricing, now);
+  if (annotated_.empty()) return;
   for (const cloud::VmInstance& vm : provider_.vms()) {
     cloud::VmView view;
     view.lease_time = vm.lease_time;
@@ -165,7 +168,6 @@ ClusterSimulation::FleetCounts ClusterSimulation::scan_fleet(SimTime now) {
     switch (vm.state) {
       case cloud::VmState::kBooting:
         view.available_at = row_at = vm.boot_complete;
-        if (!vm.doomed) ++counts.booting;
         break;
       case cloud::VmState::kBusy:
         // Schedulers and the planner see the *predicted* completion, never
@@ -179,17 +181,13 @@ ClusterSimulation::FleetCounts ClusterSimulation::scan_fleet(SimTime now) {
         break;
       case cloud::VmState::kIdle:
         view.available_at = now;
-        if (!vm.doomed) ++counts.idle;
         break;
     }
     profile.vms.push_back(view);
     // A doomed spot VM (revocation warning delivered) finishes what it has
-    // but takes no new work: no planner row, as no count above; always
-    // false with pricing off.
+    // but takes no new work: no planner row; always false with pricing off.
     if (!vm.doomed) avail_.push_back(policy::VmAvail{vm.id, vm.lease_time, row_at});
   }
-  provider_.fill_pricing_view(profile.pricing, now);
-  return counts;
 }
 
 void ClusterSimulation::on_tick() {
@@ -202,7 +200,7 @@ void ClusterSimulation::on_tick() {
   ++ticks_run_;
 
   annotate_queue();
-  const FleetCounts counts = scan_fleet(now);
+  scan_fleet(now);
   const policy::PolicyTriple policy =
       scheduler_.policy_for_tick(tick_index, annotated_, profile_);
   if (policy != context_policy_) {
@@ -218,8 +216,8 @@ void ClusterSimulation::on_tick() {
   // Doomed spot capacity is not supply: leaving it out of the counts makes
   // the policy lease replacements during the warning lead time instead of
   // waiting for the revocation to land.
-  ctx.idle_vms = counts.idle;
-  ctx.booting_vms = counts.booting;
+  ctx.idle_vms = provider_.count(cloud::VmState::kIdle, false);
+  ctx.booting_vms = provider_.count(cloud::VmState::kBooting, false);
   ctx.total_vms = provider_.leased_count();
   ctx.max_vms = provider_.config().max_vms;
   ctx.pricing = &profile_.pricing;
@@ -281,9 +279,16 @@ void ClusterSimulation::on_tick() {
 
   // --- 2. allocation (shared planner; head-of-line or EASY backfill) ---------
   policy::order_queue(annotated_, *policy.job_selection, now, order_scratch_);
-  policy::plan_allocation_into(now, annotated_, avail_, *policy.vm_selection,
-                               config_.allocation, config_.provider.billing_quantum, plan_,
-                               alloc_scratch_);
+  // A start takes at least one VM, and only an idle one that is not doomed:
+  // with none (this tick's leases included) or nothing queued, the plan is
+  // empty without asking the planner.
+  if (annotated_.empty() || provider_.count(cloud::VmState::kIdle, false) == 0) {
+    plan_.clear();
+  } else {
+    policy::plan_allocation_into(now, annotated_, avail_, *policy.vm_selection,
+                                 config_.allocation, config_.provider.billing_quantum,
+                                 plan_, alloc_scratch_);
+  }
 
   served_.assign(annotated_.size(), false);
   for (const policy::AllocationPlan::Start& start : plan_.starts) {
@@ -326,29 +331,31 @@ void ClusterSimulation::on_tick() {
   }
 
   // --- 3. idle-VM release ------------------------------------------------------
-  if (pricing_model_ != nullptr) {
+  // Each step walks the fleet only when the tallies say it has something to
+  // hand back; a skipped step releases nothing and makes no API call.
+  if (provider_.count(cloud::VmState::kIdle, true) > 0) {
     // A doomed idle VM can never serve the queue again (the allocator skips
     // it); hand it back now instead of holding it as useless reserve.
     release_ids_.clear();
     for (const cloud::VmInstance& vm : provider_.vms())
       if (vm.doomed && vm.state == cloud::VmState::kIdle) release_ids_.push_back(vm.id);
-    if (!release_ids_.empty() &&
-        !provider_.api_rejects(cloud::FailureOp::kRelease, release_ids_.size(), now)) {
+    if (!provider_.api_rejects(cloud::FailureOp::kRelease, release_ids_.size(), now)) {
       for (const VmId id : release_ids_) provider_.release(id, now);
     }
   }
   if (config_.release_rule == ReleaseRule::kEagerSurplus) {
     // Keep only what the first still-waiting job needs as a reserve;
     // everything else goes back to the provider (full hours charged).
-    provider_.idle_vms(release_ids_);
-    const std::vector<VmId>& idle = release_ids_;
-    const std::size_t surplus =
-        idle.size() > head_unserved_procs ? idle.size() - head_unserved_procs : 0;
-    // One API call releases the whole surplus; an outage rejects it wholesale
-    // (api_rejects is a no-op for zero ops or without a failure model).
-    if (!provider_.api_rejects(cloud::FailureOp::kRelease, surplus, now)) {
-      for (std::size_t i = head_unserved_procs; i < idle.size(); ++i)
-        provider_.release(idle[i], now);
+    if (provider_.idle_count() > head_unserved_procs) {
+      provider_.idle_vms(release_ids_);
+      const std::vector<VmId>& idle = release_ids_;
+      // One API call releases the whole surplus; an outage rejects it
+      // wholesale (api_rejects is a no-op without a failure model).
+      if (!provider_.api_rejects(cloud::FailureOp::kRelease,
+                                 idle.size() - head_unserved_procs, now)) {
+        for (std::size_t i = head_unserved_procs; i < idle.size(); ++i)
+          provider_.release(idle[i], now);
+      }
     }
   } else {
     provider_.release_expiring_idle(now, config_.schedule_period,

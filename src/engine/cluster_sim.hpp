@@ -204,15 +204,12 @@ class ClusterSimulation {
   /// machinery as a crash) and settles the lease at the spot price.
   void on_spot_revoke(VmId id);
 
-  /// Idle and booting VMs that can take new work (doomed spot VMs left out).
-  struct FleetCounts {
-    std::size_t idle = 0;
-    std::size_t booting = 0;
-  };
-  /// The tick's one pass over the fleet: refills profile_ (every VM, busy
-  /// ones at their predicted end) and avail_ (the planner's rows, doomed VMs
-  /// left out) and returns the counts the provisioning policy sees.
-  FleetCounts scan_fleet(SimTime now);
+  /// Refill profile_'s header and market view. With jobs queued, also make
+  /// the tick's one pass over the fleet: profile_'s VMs (every VM, busy ones
+  /// at their predicted end) and avail_ (the planner's rows, doomed VMs left
+  /// out). With none queued both stay empty: schedulers ignore the VMs then
+  /// (Scheduler::policy_for_tick) and the planner has nothing to place.
+  void scan_fleet(SimTime now);
   /// Refill annotated_ from queue_ (submit order, predicted runtimes).
   void annotate_queue();
   /// fstats_ plus the provider's boot-failure, crash and API-rejection counts.

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -8,40 +9,68 @@ namespace psched::sim {
 
 EventId EventQueue::schedule(SimTime t, Callback cb) {
   PSCHED_ASSERT_MSG(std::isfinite(t), "cannot schedule an event at infinity");
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
   const EventId id = next_id_++;
-  heap_.push(Entry{t, id, std::move(cb)});
-  pending_.insert(id);
+  heap_.push_back(Entry{t, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++total_scheduled_;
   return id;
 }
 
+EventQueue::Callback EventQueue::take(std::uint32_t slot) {
+  Callback cb = std::move(slots_[slot]);
+  slots_[slot] = nullptr;  // drop whatever the moved-from callback still holds
+  free_.push_back(slot);
+  return cb;
+}
+
 void EventQueue::cancel(EventId id) {
-  // Lazy deletion: drop the id from the pending set; the heap entry is
-  // skipped when it surfaces. Unknown/fired ids are simply absent.
-  if (pending_.erase(id) > 0) ++total_cancelled_;
+  // Fired, cancelled and unknown ids are simply absent from the heap.
+  const auto it = std::find_if(heap_.begin(), heap_.end(),
+                               [id](const Entry& e) { return e.id == id; });
+  if (it == heap_.end()) return;
+  (void)take(it->slot);
+  ++total_cancelled_;
+  // Fill the hole with the last entry and sift that entry up or down until
+  // the heap property holds again. Ids are unique, so the pop order of the
+  // remaining events does not depend on where it settles.
+  auto i = static_cast<std::size_t>(it - heap_.begin());
+  const Entry moved = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the cancelled entry was the last one
+  const Later later{};
+  while (i > 0 && later(heap_[(i - 1) / 2], moved)) {
+    heap_[i] = heap_[(i - 1) / 2];
+    i = (i - 1) / 2;
+  }
+  for (std::size_t child = 2 * i + 1; child < heap_.size(); child = 2 * i + 1) {
+    if (child + 1 < heap_.size() && later(heap_[child], heap_[child + 1])) ++child;
+    if (!later(moved, heap_[child])) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = moved;
 }
 
-void EventQueue::skim() {
-  while (!heap_.empty() && !pending_.contains(heap_.top().id)) heap_.pop();
-}
-
-SimTime EventQueue::next_time() const {
-  // Logically const: only discards dead heap entries.
-  auto& self = const_cast<EventQueue&>(*this);
-  self.skim();
-  return self.heap_.empty() ? kTimeNever : self.heap_.top().time;
+bool EventQueue::is_pending(EventId id) const noexcept {
+  return std::any_of(heap_.begin(), heap_.end(),
+                     [id](const Entry& e) { return e.id == id; });
 }
 
 EventQueue::Fired EventQueue::pop() {
-  skim();
   PSCHED_ASSERT_MSG(!heap_.empty(), "pop() on empty event queue");
-  // priority_queue::top() is const; the POD parts are copied and the callback
-  // moved out via const_cast — the entry is popped on the next line.
-  const Entry& top = heap_.top();
-  Fired fired{top.time, top.id, std::move(const_cast<Entry&>(top).callback)};
-  pending_.erase(fired.id);
-  heap_.pop();
-  return fired;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  return Fired{top.time, top.id, take(top.slot)};
 }
 
 }  // namespace psched::sim

@@ -3,13 +3,17 @@
 //
 // Ordering is total: (time, sequence). Two events scheduled for the same
 // simulated instant fire in scheduling order, so simulation results never
-// depend on heap-internal tie-breaking. Cancellation is O(1) by id
-// (lazy deletion on pop).
+// depend on heap-internal tie-breaking.
+//
+// Layout: the binary heap holds plain 24-byte entries (time, id, slot); the
+// callbacks live in a slot array whose slots are reused through a free list,
+// so a steady-state schedule/pop allocates nothing and a heap sift moves no
+// callback. Cancellation (rare: one per killed job) finds its entry by a
+// linear scan of the heap and removes it in place, so the heap holds only
+// live events and size() is the heap's size.
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/types.hpp"
@@ -27,20 +31,24 @@ class EventQueue {
   /// with cancel(). Requires t to be finite.
   EventId schedule(SimTime t, Callback cb);
 
-  /// Cancel a pending event. Cancelling an already-fired or unknown id is a
-  /// harmless no-op (common when a completion races a timeout).
+  /// Cancel a pending event. Cancelling an already-fired, already-cancelled
+  /// or unknown id is a harmless no-op (common when a completion races a
+  /// timeout). Linear in the number of pending events.
   void cancel(EventId id);
 
-  [[nodiscard]] bool empty() const noexcept { return pending_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return pending_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
   /// True if the event id is scheduled and not yet fired or cancelled.
-  [[nodiscard]] bool is_pending(EventId id) const { return pending_.contains(id); }
+  /// Linear in the number of pending events.
+  [[nodiscard]] bool is_pending(EventId id) const noexcept;
 
-  /// Time of the earliest live event; kTimeNever when empty.
-  [[nodiscard]] SimTime next_time() const;
+  /// Time of the earliest pending event; kTimeNever when empty.
+  [[nodiscard]] SimTime next_time() const noexcept {
+    return heap_.empty() ? kTimeNever : heap_.front().time;
+  }
 
-  /// Pop and return the earliest live event. Requires !empty().
+  /// Pop and return the earliest pending event. Requires !empty().
   struct Fired {
     SimTime time;
     EventId id;
@@ -57,8 +65,8 @@ class EventQueue {
  private:
   struct Entry {
     SimTime time;
-    EventId id;  // also the monotone sequence number
-    Callback callback;
+    EventId id;          // also the monotone sequence number
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -67,11 +75,12 @@ class EventQueue {
     }
   };
 
-  /// Drop cancelled entries from the heap top.
-  void skim();
+  /// Move the callback out of `slot` and return the slot to the free list.
+  Callback take(std::uint32_t slot);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> pending_;  // scheduled, not fired, not cancelled
+  std::vector<Entry> heap_;          // std heap under Later: front() is earliest
+  std::vector<Callback> slots_;      // callbacks of pending events, by slot
+  std::vector<std::uint32_t> free_;  // slots_ indices not holding a callback
   EventId next_id_ = 1;
   std::uint64_t total_scheduled_ = 0;
   std::uint64_t total_cancelled_ = 0;  // live cancels only (no-op cancels excluded)

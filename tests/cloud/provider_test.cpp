@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cloud/profile.hpp"
+#include "util/rng.hpp"
 
 namespace psched::cloud {
 namespace {
@@ -136,6 +140,171 @@ TEST(CloudProvider, ContractViolationsAbort) {
   EXPECT_DEATH(p.assign(ids[0], 1, 5.0, 5.0, 1.0), "non-idle");
   EXPECT_DEATH(p.unassign(ids[0], 1.0), "non-busy");
   EXPECT_DEATH(p.release(999, 1.0), "unknown");
+}
+
+/// Every (state, doomed) tally equals a recount over the live fleet.
+void expect_tallies_match_fleet(const CloudProvider& p, const char* after) {
+  for (const VmState state : {VmState::kBooting, VmState::kIdle, VmState::kBusy}) {
+    for (const bool doomed : {false, true}) {
+      const auto recount = static_cast<std::size_t>(
+          std::count_if(p.vms().begin(), p.vms().end(), [&](const VmInstance& vm) {
+            return vm.state == state && vm.doomed == doomed;
+          }));
+      ASSERT_EQ(p.count(state, doomed), recount)
+          << "after " << after << ": state " << static_cast<int>(state) << ", doomed "
+          << doomed;
+    }
+  }
+  ASSERT_EQ(p.idle_count() + p.booting_count() + p.busy_count(), p.leased_count())
+      << "after " << after;
+}
+
+TEST(CloudProvider, TalliesMatchARecountAfterEveryTransition) {
+  // Random walks over every transition with both models attached: boot
+  // failures, API outages, two families (one booting instantly), spot and
+  // reserved tiers. Crashes and spot warnings land on VMs in every state.
+  FailureConfig failure;
+  failure.p_boot_fail = 0.25;
+  failure.vm_mtbf_seconds = 20000.0;
+  failure.api_outage_gap_seconds = 3000.0;
+  failure.api_outage_duration_seconds = 300.0;
+  PricingConfig pricing;
+  pricing.families = {VmFamily{"std", 1.0, 120.0, 0}, VmFamily{"instant", 2.0, 0.0, 6}};
+  pricing.spot_price_fraction = 0.3;
+  pricing.spot_mtbf_seconds = 7200.0;
+  pricing.reserved_count = 3;
+  std::size_t crashed_in[3] = {0, 0, 0};
+  std::size_t warned_in[3] = {0, 0, 0};
+  std::size_t boot_failures = 0;
+  std::size_t revocations = 0;
+  std::size_t expired = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    failure.seed = seed;
+    pricing.seed = seed;
+    FailureModel failure_model(failure);
+    PricingModel pricing_model(pricing);
+    CloudProvider p({.max_vms = 16, .boot_delay = 120.0, .billing_quantum = 600.0});
+    p.set_failure_model(&failure_model);
+    p.set_pricing_model(&pricing_model);
+    util::Rng rng(seed);
+    SimTime now = 0.0;
+    std::vector<VmId> matches;
+    // A random live VM satisfying `pred`, or kInvalidVm when none does.
+    const auto pick = [&](auto pred) {
+      matches.clear();
+      for (const VmInstance& vm : p.vms())
+        if (pred(vm)) matches.push_back(vm.id);
+      if (matches.empty()) return kInvalidVm;
+      return matches[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(matches.size()) - 1))];
+    };
+    const auto state_of = [&](VmId id) {
+      return static_cast<std::size_t>(p.find(id)->state);
+    };
+    for (int step = 0; step < 400; ++step) {
+      now += rng.uniform(0.0, 90.0);
+      const char* op = "nothing";
+      VmId id = kInvalidVm;
+      switch (rng.uniform_int(0, 10)) {
+        case 0:
+        case 1: {
+          const LeaseRequest request{static_cast<std::size_t>(rng.uniform_int(1, 3)),
+                                     static_cast<std::uint32_t>(rng.uniform_int(0, 1)),
+                                     static_cast<PurchaseTier>(rng.uniform_int(0, 2))};
+          (void)p.lease(request, now);
+          op = "lease";
+          break;
+        }
+        case 2:
+          id = pick([&](const VmInstance& vm) {
+            return vm.state == VmState::kBooting && !vm.boot_failed && vm.boot_complete <= now;
+          });
+          if (id != kInvalidVm) {
+            p.finish_boot(id, now);
+            op = "finish_boot";
+          }
+          break;
+        case 3:
+          id = pick([](const VmInstance& vm) {
+            return vm.state == VmState::kBooting && vm.boot_failed;
+          });
+          if (id != kInvalidVm) {
+            (void)p.fail_boot(id, now);
+            ++boot_failures;
+            op = "fail_boot";
+          }
+          break;
+        case 4:
+          id = pick([](const VmInstance& vm) { return vm.state == VmState::kIdle; });
+          if (id != kInvalidVm) {
+            p.assign(id, step, now + 100.0, now + 80.0, now);
+            op = "assign";
+          }
+          break;
+        case 5:
+          id = pick([](const VmInstance& vm) { return vm.state == VmState::kBusy; });
+          if (id != kInvalidVm) {
+            p.unassign(id, now);
+            op = "unassign";
+          }
+          break;
+        case 6:
+          id = pick([](const VmInstance& vm) { return vm.state == VmState::kIdle; });
+          if (id != kInvalidVm) {
+            p.release(id, now);
+            op = "release";
+          }
+          break;
+        case 7:
+          id = pick([](const VmInstance&) { return true; });
+          if (id != kInvalidVm) {
+            ++crashed_in[state_of(id)];
+            (void)p.crash(id, now);
+            op = "crash";
+          }
+          break;
+        case 8:
+          id = pick([](const VmInstance& vm) {
+            return vm.tier == PurchaseTier::kSpot && !vm.doomed;
+          });
+          if (id != kInvalidVm) {
+            ++warned_in[state_of(id)];
+            p.mark_doomed(id, now);
+            op = "mark_doomed";
+          }
+          break;
+        case 9:
+          id = pick([](const VmInstance& vm) { return vm.tier == PurchaseTier::kSpot; });
+          if (id != kInvalidVm) {
+            (void)p.revoke(id, now);
+            ++revocations;
+            op = "revoke";
+          }
+          break;
+        default:
+          expired += p.release_expiring_idle(now, rng.uniform(0.0, 600.0),
+                                             static_cast<std::size_t>(rng.uniform_int(0, 2)));
+          op = "release_expiring_idle";
+          break;
+      }
+      expect_tallies_match_fleet(p, op);
+      if (step == 200) {
+        p.release_all(now);  // mid-walk, with VMs in every state
+        expect_tallies_match_fleet(p, "release_all");
+      }
+    }
+    p.release_all(now);
+    expect_tallies_match_fleet(p, "release_all");
+    EXPECT_EQ(p.leased_count(), 0u);
+  }
+  // The walks reached every transition the tallies follow.
+  for (std::size_t state = 0; state < 3; ++state) {
+    EXPECT_GT(crashed_in[state], 0u) << "no crash in state " << state;
+    EXPECT_GT(warned_in[state], 0u) << "no spot warning in state " << state;
+  }
+  EXPECT_GT(boot_failures, 0u);
+  EXPECT_GT(revocations, 0u);
+  EXPECT_GT(expired, 0u);
 }
 
 TEST(CloudProfileViews, HeadroomAndCounts) {

@@ -42,7 +42,7 @@ RunResult run_one(const workload::Trace& trace, const std::string& policy_name,
 }
 
 /// Answers like a SinglePolicyScheduler and keeps a copy of every profile
-/// the engine hands it.
+/// the engine hands it, with the length of the queue that came with it.
 class RecordingScheduler final : public core::Scheduler {
  public:
   explicit RecordingScheduler(policy::PolicyTriple policy) : inner_(std::move(policy)) {}
@@ -51,11 +51,13 @@ class RecordingScheduler final : public core::Scheduler {
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) override {
     profiles.push_back(profile);
+    queue_sizes.push_back(queue.size());
     return inner_.policy_for_tick(tick, queue, profile);
   }
   [[nodiscard]] std::string name() const override { return inner_.name(); }
 
   std::vector<cloud::CloudProfile> profiles;
+  std::vector<std::size_t> queue_sizes;
 
  private:
   core::SinglePolicyScheduler inner_;
@@ -116,6 +118,67 @@ TEST(ClusterSimulation, SchedulerProfileShowsPredictedEndsNeverActualOnes) {
   EXPECT_EQ(profile.max_vms, 8u);
   EXPECT_DOUBLE_EQ(profile.boot_delay, 120.0);
   EXPECT_DOUBLE_EQ(profile.billing_quantum, 60.0);
+}
+
+TEST(ClusterSimulation, SchedulerProfileListsTheFleetOnlyWhileJobsWait) {
+  // Scheduler::policy_for_tick's contract: with jobs queued the profile
+  // lists every leased VM; with none it lists no VM but keeps `now` and the
+  // caps current. Failures and pricing are off, so the fleet changes only
+  // inside ticks, and the fleet a tick starts with is the one the previous
+  // tick's telemetry sample saw at its end.
+  EngineConfig config = paper_engine_config();
+  config.telemetry_every_ticks = 1;
+  const auto trace =
+      workload::TraceGenerator(workload::kth_sp2_like(1.0)).generate(3).cleaned(64);
+  RecordingScheduler scheduler(policy_by_name("ODA-FCFS-FirstFit"));
+  const auto predictor = make_predictor(PredictorKind::kUserEstimate);
+  ClusterSimulation sim(config, trace, scheduler, *predictor);
+  const RunResult r = sim.run();
+  ASSERT_EQ(scheduler.profiles.size(), r.ticks);
+  ASSERT_EQ(r.telemetry.size(), r.ticks);
+  std::size_t leased_at_start = 0;
+  std::size_t with_jobs = 0;
+  std::size_t empty_with_fleet = 0;
+  for (std::size_t i = 0; i < r.ticks; ++i) {
+    const cloud::CloudProfile& profile = scheduler.profiles[i];
+    EXPECT_DOUBLE_EQ(profile.now, r.telemetry[i].when);
+    EXPECT_EQ(profile.max_vms, config.provider.max_vms);
+    EXPECT_DOUBLE_EQ(profile.boot_delay, config.provider.boot_delay);
+    if (scheduler.queue_sizes[i] > 0) {
+      EXPECT_EQ(profile.vms.size(), leased_at_start) << "tick at " << profile.now;
+      ++with_jobs;
+    } else {
+      EXPECT_TRUE(profile.vms.empty()) << "tick at " << profile.now;
+      if (leased_at_start > 0) ++empty_with_fleet;
+    }
+    leased_at_start = r.telemetry[i].leased_vms;
+  }
+  EXPECT_GT(with_jobs, 0u);
+  EXPECT_GT(empty_with_fleet, 0u);
+}
+
+TEST(ClusterSimulation, EmptyQueueTickStillReleasesIdleSurplus) {
+  // Job 0 runs 120..220 on one VM. Its finish event precedes the 220 tick,
+  // which finds the queue empty and the VM idle: the eager rule releases it
+  // there, although that tick skips the fleet pass.
+  EngineConfig config = paper_engine_config();
+  config.telemetry_every_ticks = 1;
+  const workload::Trace trace(
+      "t", 64, {make_job(0, 0.0, 100.0, 1), make_job(1, 400.0, 50.0, 1)});
+  RecordingScheduler scheduler(policy_by_name("ODB-FCFS-FirstFit"));
+  const auto predictor = make_predictor(PredictorKind::kPerfect);
+  ClusterSimulation sim(config, trace, scheduler, *predictor);
+  const RunResult r = sim.run();
+  ASSERT_EQ(r.telemetry.size(), r.ticks);
+  const auto at = std::find_if(r.telemetry.begin(), r.telemetry.end(),
+                               [](const TelemetrySample& s) { return s.when == 220.0; });
+  ASSERT_NE(at, r.telemetry.end());
+  const auto i = static_cast<std::size_t>(at - r.telemetry.begin());
+  ASSERT_GT(i, 0u);
+  EXPECT_EQ(scheduler.queue_sizes[i], 0u);
+  EXPECT_EQ(r.telemetry[i - 1].leased_vms, 1u);
+  EXPECT_EQ(r.telemetry[i].leased_vms, 0u);
+  EXPECT_EQ(r.total_leases, 2u);
 }
 
 TEST(ClusterSimulation, ZeroBootDelayStartsJobsOnTheLeasingTick) {

@@ -260,6 +260,49 @@ TEST(PricingEngine, ReservedCommitmentBilledUpFrontOnce) {
   EXPECT_DOUBLE_EQ(p.spot_savings_dollars, 0.0);  // no spot market configured
 }
 
+TEST(PricingEngine, EmptyQueueTickReleasesADoomedIdleSpotVm) {
+  // One spot VM runs job 0 over 120..220 and then idles. Under the boundary
+  // rule it would linger until its paid hour ends; its revocation warning,
+  // placed at about 1010 s, dooms it instead, and the 1020 tick, whose queue
+  // is empty, hands it back before the revocation lands.
+  cloud::PricingConfig pricing;
+  pricing.spot_price_fraction = 0.3;
+  pricing.spot_mtbf_seconds = 4.0 * kSecondsPerHour;
+  pricing.seed = 5;
+  // The run's first spot lease draws the same revocation instant as this.
+  const SimTime revoke_at = [&] {
+    cloud::PricingModel model(pricing);
+    cloud::CloudProvider provider({.max_vms = 8, .boot_delay = 120.0});
+    provider.set_pricing_model(&model);
+    const auto ids = provider.lease(cloud::LeaseRequest{1, 0, cloud::PurchaseTier::kSpot}, 0.0);
+    return provider.find(ids.at(0))->revoke_at;
+  }();
+  ASSERT_GT(revoke_at, 2000.0);
+  pricing.spot_warning_seconds = revoke_at - 1010.0;
+
+  EngineConfig config = checked_config();
+  config.release_rule = core::ReleaseRule::kBoundary;
+  config.telemetry_every_ticks = 1;
+  config.pricing = pricing;
+  const workload::Trace trace("t", 64, {make_job(0, 0.0, 100.0, 1)});
+  const RunResult run =
+      run_single_policy(config, trace, policy_by_name("SPT-FCFS-FirstFit"),
+                        PredictorKind::kPerfect).run;
+  EXPECT_EQ(run.metrics.jobs, 1u);
+  EXPECT_EQ(run.total_leases, 1u);
+  EXPECT_EQ(run.metrics.pricing.spot_warnings, 1u);
+  EXPECT_EQ(run.metrics.pricing.spot_revocations, 0u);  // released first
+  ASSERT_GE(run.telemetry.size(), 2u);
+  const TelemetrySample& last = run.telemetry.back();
+  const TelemetrySample& before = run.telemetry[run.telemetry.size() - 2];
+  EXPECT_DOUBLE_EQ(last.when, 1020.0);
+  EXPECT_EQ(last.queued_jobs, 0u);
+  EXPECT_EQ(before.leased_vms, 1u);
+  EXPECT_EQ(before.idle_vms, 1u);
+  EXPECT_EQ(last.leased_vms, 0u);
+  EXPECT_DOUBLE_EQ(run.metrics.rv_charged_seconds, 3600.0);
+}
+
 TEST(PricingEngine, PricingStatsReachTheRunReport) {
   const workload::Trace trace("t", 64, mixed_jobs(6));
   EngineConfig config = checked_config();
