@@ -291,7 +291,7 @@ SimOutcome OnlineSimulator::simulate(
         }
         if (vm.available_at <= now &&
             cloud::remaining_paid_at(vm.lease_time, now, snapshot.billing_quantum) <=
-                config_.release_window) {
+                config_.schedule_period) {
           double seconds =
               charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, now, t0,
                              config_.cost_model, snapshot.billing_quantum);

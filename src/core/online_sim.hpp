@@ -73,8 +73,9 @@ enum class InnerCostModel {
 struct OnlineSimConfig {
   metrics::UtilityParams utility;
   double slowdown_bound = 10.0;     ///< bounded-slowdown floor (s)
-  double schedule_period = 20.0;    ///< decision cadence inside the sim (s)
-  double release_window = 20.0;     ///< idle-release lookahead (s, kBoundary)
+  /// Decision cadence inside the sim (s); also kBoundary's idle-release
+  /// lookahead, as in the engine's release step.
+  double schedule_period = 20.0;
   ReleaseRule release_rule = ReleaseRule::kEagerSurplus;
   AllocationMode allocation = AllocationMode::kHeadOfLine;
   InnerCostModel cost_model = InnerCostModel::kChargedHours;

@@ -4,6 +4,13 @@
 
 namespace psched::core {
 
+namespace {
+
+/// Reflection hints fed to the selector per round (use_reflection_hints).
+constexpr std::size_t kReflectionHints = 6;
+
+}  // namespace
+
 SinglePolicyScheduler::SinglePolicyScheduler(policy::PolicyTriple policy)
     : policy_(policy) {
   PSCHED_ASSERT(policy.provisioning && policy.job_selection && policy.vm_selection);
@@ -46,8 +53,7 @@ policy::PolicyTriple PortfolioScheduler::policy_for_tick(
   if (due) {
     std::vector<std::size_t> hints;
     if (config_.use_reflection_hints) {
-      hints = reflection_.top_for_context(signature_key(signature),
-                                          config_.reflection_hint_count);
+      hints = reflection_.top_for_context(signature_key(signature), kReflectionHints);
     }
     const SelectionResult result =
         selector_.select(queue, profile, current_index_, hints);

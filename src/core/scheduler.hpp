@@ -83,11 +83,11 @@ struct PortfolioSchedulerConfig {
   /// kOnChange: re-select at the latest after this many ticks even if the
   /// workload signature has not changed.
   std::uint64_t max_stale_ticks = 32;
-  /// The paper's reflection step (future-work item #1): feed the policies
-  /// that historically won under the current workload signature to the
-  /// selector as front-of-Smart hints. Matters under tight time budgets.
+  /// The paper's reflection step (future-work item #1): feed up to six
+  /// policies that historically won under the current workload signature
+  /// to the selector as front-of-Smart hints. Matters under tight time
+  /// budgets.
   bool use_reflection_hints = false;
-  std::size_t reflection_hint_count = 6;
 };
 
 class PortfolioScheduler final : public Scheduler {

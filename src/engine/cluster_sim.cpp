@@ -463,8 +463,7 @@ void ClusterSimulation::kill_running_job(JobId id, VmId crashed_vm, SimTime now)
   const workload::Job* job = running.job;
   running_.erase(it);
 
-  const std::size_t resubmits = resubmits_->record_kill(tenant_id_, id);
-  if (resubmits <= config_.resilience.max_resubmits) {
+  if (++kills_[id] <= config_.resilience.max_resubmits) {
     ++fstats_.job_resubmissions;
     if (recorder_ != nullptr) recorder_->counter_add("engine.job_resubmissions", 1.0);
     // Re-queued with eligibility at the kill instant: its wait clock restarts.
@@ -545,14 +544,6 @@ void ClusterSimulation::on_job_finish(JobId id) {
   }
 }
 
-void ClusterSimulation::set_tenant(std::size_t tenant_id, ResubmitLedger* ledger) {
-  PSCHED_ASSERT_MSG(!started_, "set_tenant after start()");
-  PSCHED_ASSERT_MSG(ledger != nullptr && tenant_id < ledger->tenants(),
-                    "tenant id outside the shared ledger");
-  tenant_id_ = tenant_id;
-  resubmits_ = ledger;
-}
-
 void ClusterSimulation::set_vm_allowance(std::size_t allowance) {
   PSCHED_ASSERT_MSG(allowance >= provider_.leased_count(),
                     "allowance below the live fleet (arbiter floors violated)");
@@ -571,10 +562,6 @@ void ClusterSimulation::start() {
   PSCHED_ASSERT_MSG(!started_ && collector_.jobs() == 0,
                     "ClusterSimulation is single-shot");
   started_ = true;
-  // Resubmission budgets must never leak across experiments: the owned
-  // ledger is cleared here; a shared ledger is reset once by the experiment
-  // before any tenant starts.
-  if (resubmits_ == &owned_resubmits_) resubmits_->reset(tenant_id_ + 1);
   // All arrivals are scheduled up front so they carry lower sequence
   // numbers than any tick: a batch of jobs submitted at the same instant is
   // fully enqueued before the scheduling tick at that instant fires.
@@ -738,7 +725,12 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   lease_backoff_.capture_digest(digest);
   digest.add_double("engine.next_lease_attempt", next_lease_attempt_);
   if (pricing_model_ != nullptr) pricing_model_->capture_digest(digest);
-  resubmits_->capture_digest(digest, tenant_id_);
+  util::UnorderedFold kills;
+  // psched-lint: order-insensitive(UnorderedFold is commutative)
+  for (const auto& [id, count] : kills_)
+    kills.absorb(util::digest_mix(util::digest_mix(0, static_cast<std::uint64_t>(id)),
+                                  static_cast<std::uint64_t>(count)));
+  digest.add_fold("resubmits.kills", kills);
   const metrics::FailureStats failures = failure_stats();
   metrics::visit_fields(
       [&](const char* key, metrics::Fold, const auto& value) {

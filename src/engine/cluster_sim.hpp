@@ -26,7 +26,6 @@
 
 #include "cloud/provider.hpp"
 #include "core/scheduler.hpp"
-#include "engine/resubmit_ledger.hpp"
 #include "metrics/collector.hpp"
 #include "obs/provider_tracer.hpp"
 #include "policy/allocation.hpp"
@@ -120,6 +119,8 @@ class ClusterSimulation {
   // A MultiTenantExperiment interleaves N simulations on shared provider
   // capacity: start() each once, advance_until() them wave by wave, adjust
   // allowances between waves, then finish() each when no events remain.
+  // A tenant is an ordinary simulation: each owns all of its state,
+  // crash-kill counts included, so the waves share nothing mutable.
 
   /// Schedule every trace arrival. Single-shot, implied by run().
   void start();
@@ -130,11 +131,6 @@ class ClusterSimulation {
   /// Final end-of-trace assertions, stats, and metrics. Call once, after
   /// active() turns false.
   [[nodiscard]] RunResult finish();
-
-  /// Identify this simulation as tenant `tenant_id` of a shared experiment
-  /// and charge crash resubmissions to `ledger` (borrowed; sized by the
-  /// caller via ResubmitLedger::reset). Must precede start().
-  void set_tenant(std::size_t tenant_id, ResubmitLedger* ledger);
 
   /// Clamp the provider's lease cap to the arbiter's allowance for the next
   /// epoch. Policies see the allowance as the cloud's max_vms; the cap never
@@ -159,7 +155,7 @@ class ClusterSimulation {
 
   /// Determinism probe (DESIGN.md §7.5): fold every piece of deterministic
   /// simulation state — event-queue clock, fleet, waiting/running/blocked
-  /// jobs, failure/pricing RNG stream positions, resubmission ledger,
+  /// jobs, failure/pricing RNG stream positions, crash-kill counts,
   /// metrics collector, and the scheduler's own state — into `digest`.
   /// Captured between advance_until calls; two runs that reached the same
   /// horizon through any start/advance split produce identical digests.
@@ -231,6 +227,7 @@ class ClusterSimulation {
   std::vector<Waiting> queue_;                 // submit order
   std::size_t next_arrival_ = 0;               // index into trace jobs
   bool tick_armed_ = false;
+  bool started_ = false;
   std::uint64_t ticks_run_ = 0;
   std::vector<TelemetrySample> telemetry_;
 
@@ -256,12 +253,10 @@ class ClusterSimulation {
   std::unique_ptr<cloud::FailureModel> failure_model_;  // only when enabled
   cloud::BackoffSchedule lease_backoff_;
   SimTime next_lease_attempt_ = 0.0;  // lease calls held back until here
-  // Crash-kill counts, keyed (tenant, job). Standalone runs use the owned
-  // ledger (reset in start()); set_tenant() points at a shared one.
-  ResubmitLedger owned_resubmits_;
-  ResubmitLedger* resubmits_ = &owned_resubmits_;
-  std::size_t tenant_id_ = 0;
-  bool started_ = false;
+  // Crash kills per job, against config_.resilience.max_resubmits. The
+  // engine is single-shot, so counts never outlive the run, and tenants of a
+  // shared experiment never pool budgets over colliding job ids.
+  std::unordered_map<JobId, std::size_t> kills_;
   std::unordered_set<JobId> dead_jobs_;  // killed-final + dead dependents
   metrics::FailureStats fstats_;
 

@@ -94,23 +94,6 @@ obs::RunReportInputs report_inputs(const ScenarioResult& result,
   return inputs;
 }
 
-bool write_observability_outputs(const ScenarioResult& result,
-                                 const EngineConfig& config,
-                                 const obs::Recorder* recorder,
-                                 const std::string& report_path,
-                                 const std::string& trace_path) {
-  bool ok = true;
-  if (!report_path.empty()) {
-    const std::string report =
-        obs::run_report_json(report_inputs(result, config), recorder);
-    ok = obs::write_text_file(report_path, report) && ok;
-  }
-  if (!trace_path.empty() && recorder != nullptr) {
-    ok = obs::write_text_file(trace_path, obs::chrome_trace_json(*recorder)) && ok;
-  }
-  return ok;
-}
-
 EngineConfig paper_engine_config() {
   EngineConfig config;
   config.provider.max_vms = 256;
@@ -133,7 +116,6 @@ core::PortfolioSchedulerConfig paper_portfolio_config(const EngineConfig& engine
   pc.online_sim.utility = engine.utility;
   pc.online_sim.slowdown_bound = engine.slowdown_bound;
   pc.online_sim.schedule_period = engine.schedule_period;
-  pc.online_sim.release_window = engine.schedule_period;
   pc.online_sim.release_rule = engine.release_rule;
   pc.online_sim.allocation = engine.allocation;
   pc.selection_period_ticks = 1;

@@ -68,17 +68,6 @@ struct ScenarioResult {
 [[nodiscard]] obs::RunReportInputs report_inputs(const ScenarioResult& result,
                                                  const EngineConfig& config);
 
-/// Write the end-of-run artifacts a caller asked for: the
-/// "psched-run-report/v1" JSON to `report_path` and/or the Chrome trace to
-/// `trace_path` (empty path = skip). Returns false if any write failed.
-/// `recorder` may be null (the report then has empty obs sections; a trace
-/// request needs a recorder at ObsLevel::kTrace to contain events).
-bool write_observability_outputs(const ScenarioResult& result,
-                                 const EngineConfig& config,
-                                 const obs::Recorder* recorder,
-                                 const std::string& report_path,
-                                 const std::string& trace_path);
-
 /// Run `tasks` scenario thunks on `threads` threads (0 = hardware
 /// concurrency): the caller plus a private pool of threads - 1 workers, in
 /// one run_batch. Results keep task order. Each task owns its engine:

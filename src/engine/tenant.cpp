@@ -183,8 +183,6 @@ MultiTenantResult MultiTenantExperiment::run() {
   // Per-tenant engine stacks. Tenant simulations never see a Recorder (it
   // is not safe to share across concurrent engines); the service report is
   // assembled from results instead.
-  ResubmitLedger ledger;
-  ledger.reset(n);
   std::vector<std::unique_ptr<core::Scheduler>> schedulers;
   std::vector<std::unique_ptr<predict::RuntimePredictor>> predictors;
   std::vector<std::unique_ptr<ClusterSimulation>> sims;
@@ -195,7 +193,6 @@ MultiTenantResult MultiTenantExperiment::run() {
     const TenantConfig& t = config_.tenants[i];
     EngineConfig ec = config_.engine;
     ec.failure = t.failure;
-    ec.resilience = t.resilience;
     if (config_.portfolio != nullptr) {
       schedulers.push_back(std::make_unique<core::PortfolioScheduler>(
           *config_.portfolio, config_.scheduler, pool_));
@@ -206,7 +203,6 @@ MultiTenantResult MultiTenantExperiment::run() {
     predictors.push_back(make_predictor(config_.predictor));
     sims.push_back(std::make_unique<ClusterSimulation>(
         ec, *t.trace, *schedulers.back(), *predictors.back(), nullptr));
-    sims.back()->set_tenant(i, &ledger);
   }
 
   // Service-level checker: arbitration decisions and per-tenant conservation
@@ -329,7 +325,7 @@ MultiTenantResult MultiTenantExperiment::run() {
   for (std::size_t i = 0; i < n; ++i) {
     const TenantConfig& t = config_.tenants[i];
     TenantResult tr;
-    tr.name = t.name.empty() ? "tenant-" + std::to_string(i) : t.name;
+    tr.name = "tenant-" + std::to_string(i);
     tr.weight = t.weight;
     tr.budget_vm_hours = t.budget_vm_hours;
     tr.scenario.run = sims[i]->finish();

@@ -5,14 +5,13 @@
 // The paper evaluates one portfolio scheduler driving one virtual cluster;
 // a scheduling *service* runs many. MultiTenantExperiment instantiates one
 // ClusterSimulation per tenant — each with its own workload trace, scheduler
-// (portfolio or fixed policy), runtime predictor, failure seeds, resilience
-// knobs, and VM-hour budget — over one shared capacity pool, and steps them
-// in lockstep epochs:
+// (portfolio or fixed policy), runtime predictor, failure seeds, and VM-hour
+// budget — over one shared capacity pool, and steps them in lockstep epochs:
 //
 //   1. every tenant advances to the epoch boundary, wave-parallel on the
-//      shared thread pool (tenant simulations share no mutable state — the
-//      crash-resubmission ledger is sharded per tenant — so a wave is
-//      embarrassingly parallel and bit-identical at any worker count);
+//      shared thread pool (a tenant is an ordinary engine that owns all of
+//      its state, crash-kill counts included, so a wave is embarrassingly
+//      parallel and bit-identical at any worker count);
 //   2. the coordinator reads each tenant's demand (live fleet + queued
 //      width) and runs the deterministic fairness arbiter;
 //   3. each tenant's provider cap is set to its allowance for the next
@@ -48,8 +47,6 @@ namespace psched::engine {
 /// One tenant of a multi-tenant experiment. The trace is borrowed and must
 /// outlive the experiment's run().
 struct TenantConfig {
-  /// Report label; defaults to "tenant-<id>" when empty.
-  std::string name;
   /// Fairness weight: quota share = global_cap * weight / sum(weights).
   double weight = 1.0;
   /// VM-hour budget; past it the tenant keeps its live fleet but drops to
@@ -59,9 +56,6 @@ struct TenantConfig {
   /// Per-tenant failure injection; derive the seed via tenant_failure_seed()
   /// so tenants draw uncorrelated failure streams from one root.
   cloud::FailureConfig failure;
-  /// Per-tenant resilience knobs (retry backoff state is per-tenant: each
-  /// tenant's engine owns its own BackoffSchedule seeded from `failure`).
-  cloud::ResilienceConfig resilience;
   /// The tenant's workload (borrowed).
   const workload::Trace* trace = nullptr;
 };
@@ -69,8 +63,8 @@ struct TenantConfig {
 /// Configuration of a multi-tenant run.
 struct MultiTenantConfig {
   /// Global template: `engine.provider.max_vms` is the SHARED capacity cap;
-  /// validation and pricing settings apply to every tenant. Per-tenant
-  /// failure/resilience come from each TenantConfig instead.
+  /// every other setting applies to every tenant, except `engine.failure`,
+  /// which each TenantConfig replaces.
   EngineConfig engine;
   /// Portfolio mode when non-null (borrowed): every tenant runs its own
   /// PortfolioScheduler over this portfolio with `scheduler` below.
@@ -110,7 +104,7 @@ struct TenantDemand {
 
 /// One tenant's slice of a finished multi-tenant run.
 struct TenantResult {
-  std::string name;
+  std::string name;              ///< "tenant-<id>"
   double weight = 1.0;
   double budget_vm_hours = 0.0;
   bool over_budget = false;      ///< budget exhausted by the end of the run

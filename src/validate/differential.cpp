@@ -54,7 +54,6 @@ DifferentialResult run_differential(const engine::EngineConfig& config,
   sconfig.utility = config.utility;
   sconfig.slowdown_bound = config.slowdown_bound;
   sconfig.schedule_period = config.schedule_period;
-  sconfig.release_window = config.schedule_period;
   sconfig.release_rule = config.release_rule;
   sconfig.allocation = config.allocation;
   sconfig.cost_model = core::InnerCostModel::kChargedHours;

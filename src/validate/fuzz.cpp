@@ -268,7 +268,6 @@ RunOutcome run_scenario(const Scenario& s, std::size_t job_count,
       engine::TenantConfig t;
       t.weight = s.tenant_weights[i];
       t.budget_vm_hours = s.tenant_budgets[i];
-      t.resilience = s.config.resilience;
       t.failure = s.config.failure;
       if (t.failure.enabled())
         t.failure.seed = engine::tenant_failure_seed(s.config.failure.seed, i);

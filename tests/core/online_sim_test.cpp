@@ -19,7 +19,6 @@ OnlineSimConfig default_config() {
   c.utility = metrics::UtilityParams{100.0, 1.0, 1.0};
   c.slowdown_bound = 10.0;
   c.schedule_period = 20.0;
-  c.release_window = 20.0;
   // Hand-computed expectations below use the paper-literal billing model;
   // the marginal model has its own tests.
   c.cost_model = InnerCostModel::kChargedHours;

@@ -1,9 +1,9 @@
 // Multi-tenant service mode (DESIGN.md §13): the fairness arbiter, the
-// per-tenant seed streams, the (tenant, job) resubmission ledger, the
-// service-level invariants, and the two equivalence proofs the mode rests
-// on — a single tenant reproduces the standalone engine bit for bit, and N
-// identical tenants each reproduce a standalone run at their quota share
-// (which fails if crash-resubmission state bleeds across tenants).
+// per-tenant seed streams, the service-level invariants, and the two
+// equivalence proofs the mode rests on — a single tenant reproduces the
+// standalone engine bit for bit, and N identical tenants each reproduce a
+// standalone run at their quota share (which fails if crash-resubmission
+// state bleeds across tenants).
 #include "engine/tenant.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/experiment.hpp"
-#include "engine/resubmit_ledger.hpp"
 #include "obs/report.hpp"
 #include "util/thread_pool.hpp"
 #include "validate/invariant_checker.hpp"
@@ -113,29 +112,6 @@ TEST(TenantSeedStreams, StableAndDecorrelated) {
   EXPECT_EQ(tenant_failure_seed(42, 3), tenant_failure_seed(42, 3));
   EXPECT_NE(tenant_failure_seed(42, 0), tenant_failure_seed(42, 1));
   EXPECT_NE(tenant_workload_seed(42, 0), tenant_failure_seed(42, 0));
-}
-
-TEST(ResubmitLedger, KeysByTenantAndJob) {
-  // The cross-tenant state-bleed bugfix: the kill count for job 7 in tenant
-  // 0 must be independent of job 7 in tenant 1.
-  ResubmitLedger ledger;
-  ledger.reset(2);
-  EXPECT_EQ(ledger.record_kill(0, 7), 1u);
-  EXPECT_EQ(ledger.record_kill(1, 7), 1u);
-  EXPECT_EQ(ledger.record_kill(0, 7), 2u);
-  EXPECT_EQ(ledger.kills(0, 7), 2u);
-  EXPECT_EQ(ledger.kills(1, 7), 1u);
-  EXPECT_EQ(ledger.kills(0, 9), 0u);
-}
-
-TEST(ResubmitLedger, ResetClearsEveryCount) {
-  // Counts must not survive into the next experiment.
-  ResubmitLedger ledger;
-  ledger.reset(1);
-  ledger.record_kill(0, 3);
-  ledger.record_kill(0, 3);
-  ledger.reset(1);
-  EXPECT_EQ(ledger.kills(0, 3), 0u);
 }
 
 // --- service-level invariants (record mode, direct hook calls) --------------
@@ -320,10 +296,10 @@ TEST(MultiTenantEquivalence, IdenticalTenantsMatchStandaloneUnderCrashes) {
   // with the SAME failure seed over twice the standalone cap: symmetric
   // demands make the arbiter grant each tenant exactly the standalone cap,
   // so each must reproduce the standalone crash/resubmit run bit for bit.
-  // Under the old bare-JobId resubmission keying the two tenants' kill
-  // counts pooled in the shared map — colliding job ids burned each other's
-  // resubmission budgets and jobs died final too early. This test fails on
-  // that keying and pins the (tenant, job) ledger.
+  // When kill counts lived in one map shared by every tenant, the two
+  // tenants' colliding job ids burned each other's resubmission budgets and
+  // jobs died final too early. This test fails on any such sharing and pins
+  // that each engine owns its own counts.
   const workload::Trace trace = small_trace(5, 0.3, 16);
   ASSERT_FALSE(trace.empty());
   engine::EngineConfig standalone_config = paper_engine_config();
@@ -351,7 +327,6 @@ TEST(MultiTenantEquivalence, IdenticalTenantsMatchStandaloneUnderCrashes) {
   for (std::size_t i = 0; i < 2; ++i) {
     TenantConfig tenant;
     tenant.failure = standalone_config.failure;  // same seed on purpose
-    tenant.resilience = standalone_config.resilience;
     tenant.trace = &trace;
     mt.tenants.push_back(tenant);
   }

@@ -131,9 +131,8 @@ TEST(TenantGoldenTrace, MixedFailurePricingTenantsOnKthSp2) {
 TEST(TenantGoldenTrace, TenantsOffReproducesTheCommittedFig5Golden) {
   // The exact fig5_kth_sp2 scenario through the plain single-tenant entry
   // point: every metric pinned by the pre-tenant golden must still match,
-  // so the multi-tenant refactor (start/advance/finish split, the shared
-  // resubmission ledger, the planning-cap snapshot) is a proven no-op when
-  // tenants are off. Compares against the *committed* snapshot, so this
+  // so the multi-tenant refactor (start/advance/finish split, the
+  // planning-cap snapshot) is a proven no-op when tenants are off. Compares against the *committed* snapshot, so this
   // test never regenerates it (golden_tests owns it).
   if (std::getenv("PSCHED_UPDATE_GOLDEN") != nullptr)
     GTEST_SKIP() << "fig5_kth_sp2 is owned by golden_tests";

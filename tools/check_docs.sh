@@ -35,6 +35,10 @@ check_config_fields() {
   done
 }
 check_config_fields SelectorConfig src/core/selector.hpp
+check_config_fields OnlineSimConfig src/core/online_sim.hpp
+check_config_fields PortfolioSchedulerConfig src/core/scheduler.hpp
+check_config_fields EngineConfig src/engine/cluster_sim.hpp
+check_config_fields ProviderConfig src/cloud/provider.hpp
 check_config_fields ValidationConfig src/validate/validation.hpp
 check_config_fields FuzzConfig src/validate/fuzz.hpp
 check_config_fields ObsConfig src/obs/obs.hpp

@@ -310,6 +310,118 @@ int cmd_differential(const engine::EngineConfig& config, const workload::Trace& 
   return report.pass() ? 0 : 2;
 }
 
+/// The Metric/Value table of a finished run, built from the inputs of its
+/// JSON report: the tenant rows when the run had tenants, the workflow,
+/// portfolio, failure and pricing rows when the run has them, and the
+/// invariant rows when `checking`.
+util::Table results_table(const obs::RunReportInputs& in,
+                          engine::PredictorKind predictor, bool checking) {
+  const metrics::RunMetrics& m = in.metrics;
+  util::Table table({"Metric", "Value"});
+  table.add_row({"scheduler", in.scheduler_name});
+  table.add_row({"trace", in.trace_name});
+  table.add_row({"predictor", engine::to_string(predictor)});
+  if (in.tenants.present) {
+    const obs::ReportTenants& t = in.tenants;
+    table.add_row({"tenants", t.tenants.size()});
+    table.add_row({"global cap [VMs]", t.global_cap});
+    table.add_row({"arbitration period [ticks]", t.arbitration_period_ticks});
+    table.add_row({"epochs / arbitrations",
+                   std::to_string(t.epochs) + "/" + std::to_string(t.arbitrations)});
+    table.add_row({"peak leased [VMs]", t.peak_leased});
+  }
+  table.add_row({"jobs", m.jobs});
+  table.add_row({"avg bounded slowdown", util::Cell(m.avg_bounded_slowdown, 3)});
+  table.add_row({"avg wait [s]", util::Cell(m.avg_wait, 1)});
+  table.add_row({"charged cost [VM-h]", util::Cell(m.charged_hours(), 1)});
+  table.add_row({"utilization [%]", util::Cell(100.0 * m.utilization(), 1)});
+  table.add_row({"utility", util::Cell(m.utility(in.utility), 2)});
+  if (m.workflows > 0) {
+    table.add_row({"workflows", m.workflows});
+    table.add_row({"avg workflow makespan [min]",
+                   util::Cell(m.avg_workflow_makespan / 60.0, 1)});
+  }
+  if (in.portfolio) {
+    table.add_row({"selection invocations", in.portfolio->invocations});
+    table.add_row({"policies simulated/selection",
+                   util::Cell(in.portfolio->mean_simulated_per_invocation, 1)});
+  }
+  if (in.failures_enabled) {
+    const metrics::FailureStats& f = m.failures;
+    table.add_row({"boot failures", f.boot_failures});
+    table.add_row({"vm crashes", f.vm_crashes});
+    table.add_row({"api rejections (lease/release)",
+                   std::to_string(f.api_rejected_leases) + "/" +
+                       std::to_string(f.api_rejected_releases)});
+    table.add_row({"lease retries", f.lease_retries});
+    table.add_row({"job kills / resubmits / killed for good",
+                   std::to_string(f.job_kills) + "/" +
+                       std::to_string(f.job_resubmissions) + "/" +
+                       std::to_string(f.jobs_killed_final)});
+    table.add_row({"goodput [proc-h]", util::Cell(m.goodput_proc_seconds() / 3600.0, 1)});
+    table.add_row({"paid-but-wasted [VM-h]", util::Cell(f.paid_wasted_seconds / 3600.0, 1)});
+  }
+  if (in.pricing_enabled) {
+    const metrics::PricingStats& p = m.pricing;
+    table.add_row({"vm families", p.families});
+    table.add_row({"leases od/spot/reserved",
+                   std::to_string(p.on_demand_leases) + "/" +
+                       std::to_string(p.spot_leases) + "/" +
+                       std::to_string(p.reserved_leases)});
+    table.add_row({"spot warnings / revocations",
+                   std::to_string(p.spot_warnings) + "/" +
+                       std::to_string(p.spot_revocations)});
+    char spend[96];
+    std::snprintf(spend, sizeof spend, "%.2f/%.2f/%.2f", p.spend_on_demand_dollars,
+                  p.spend_spot_dollars, p.spend_reserved_dollars);
+    table.add_row({"spend od/spot/reserved [$]", spend});
+    table.add_row({"total spend [$]", util::Cell(p.total_spend_dollars(), 2)});
+    table.add_row({"spot savings [$]", util::Cell(p.spot_savings_dollars, 2)});
+    table.add_row({"revocation waste [VM-h]",
+                   util::Cell(p.revoked_charged_seconds / 3600.0, 1)});
+  }
+  if (checking) {
+    table.add_row({"invariant checks", in.invariant_checks});
+    table.add_row({"invariant violations", in.invariant_violations});
+  }
+  return table;
+}
+
+/// Print a finished run's results table (then `per_tenant`, if any) and its
+/// invariant violations, and write what --csv, --report-out and --trace-out
+/// ask for. Returns the command's exit code.
+int finish_run(const util::ArgParser& args, const obs::RunReportInputs& inputs,
+               engine::PredictorKind predictor, bool checking,
+               const std::vector<validate::Violation>& violations,
+               const obs::Recorder* rec, const util::Table* per_tenant) {
+  const util::Table table = results_table(inputs, predictor, checking);
+  std::fputs(table.render(inputs.tenants.present ? "psched run --tenants" : "psched run")
+                 .c_str(),
+             stdout);
+  if (per_tenant != nullptr) std::fputs(per_tenant->render("tenants").c_str(), stdout);
+
+  for (const validate::Violation& v : violations)
+    std::fprintf(stderr, "invariant violated: %s at t=%.3f s\n  %s\n",
+                 v.invariant.c_str(), v.when, v.detail.c_str());
+
+  const std::string csv = args.get("csv", "");
+  if (!csv.empty() && !table.save_csv(csv)) {
+    std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
+    return 2;
+  }
+  const std::string report_out = args.get("report-out", "");
+  const std::string trace_out = args.get("trace-out", "");
+  bool written = report_out.empty() ||
+                 obs::write_text_file(report_out, obs::run_report_json(inputs, rec));
+  if (!trace_out.empty() && rec != nullptr)
+    written = obs::write_text_file(trace_out, obs::chrome_trace_json(*rec)) && written;
+  if (!written) {
+    std::fputs("error: cannot write --report-out/--trace-out file\n", stderr);
+    return 2;
+  }
+  return violations.empty() ? 0 : 2;
+}
+
 /// Per-tenant workloads for `run --tenants N`. A generated archetype gives
 /// every tenant its own independently seeded instance via the registered
 /// "tenant-workload" stream; a trace file or --workflows campaign is sharded
@@ -351,8 +463,8 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
                     const policy::Portfolio* portfolio,
                     const core::PortfolioSchedulerConfig& pconfig,
                     const policy::PolicyTriple* triple,
-                    engine::PredictorKind predictor, obs::Recorder* rec,
-                    const std::string& report_out, std::size_t count) {
+                    engine::PredictorKind predictor, const obs::Recorder* rec,
+                    std::size_t count) {
   const std::int64_t ticks = args.get_int("arbitration-ticks", 1, 1);
   const double budget = args.get_double("tenant-budget", 0.0);
   if (budget < 0.0) {
@@ -408,7 +520,6 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
     engine::TenantConfig tenant;
     tenant.weight = weights[i];
     tenant.budget_vm_hours = budget;
-    tenant.resilience = config.resilience;
     tenant.failure = config.failure;
     if (config.failure.enabled())
       tenant.failure.seed = engine::tenant_failure_seed(config.failure.seed, i);
@@ -426,34 +537,6 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
   if (eval_threads > 1) pool = std::make_unique<util::ThreadPool>(eval_threads - 1);
   engine::MultiTenantExperiment experiment(mt, pool.get());
   const engine::MultiTenantResult result = experiment.run();
-
-  const auto& m = result.metrics;
-  util::Table table({"Metric", "Value"});
-  table.add_row({"scheduler", result.scheduler_name});
-  table.add_row({"trace", result.trace_name});
-  table.add_row({"predictor", engine::to_string(predictor)});
-  table.add_row({"tenants", count});
-  table.add_row({"global cap [VMs]", config.provider.max_vms});
-  table.add_row({"arbitration period [ticks]", static_cast<std::size_t>(ticks)});
-  table.add_row({"epochs / arbitrations",
-                 std::to_string(result.epochs) + "/" +
-                     std::to_string(result.arbitrations)});
-  table.add_row({"peak leased [VMs]", result.peak_leased});
-  table.add_row({"jobs", m.jobs});
-  table.add_row({"avg bounded slowdown", util::Cell(m.avg_bounded_slowdown, 3)});
-  table.add_row({"avg wait [s]", util::Cell(m.avg_wait, 1)});
-  table.add_row({"charged cost [VM-h]", util::Cell(m.charged_hours(), 1)});
-  table.add_row({"utility", util::Cell(m.utility(config.utility), 2)});
-  if (result.is_portfolio) {
-    table.add_row({"selection invocations", result.portfolio.invocations});
-    table.add_row({"policies simulated/selection",
-                   util::Cell(result.portfolio.mean_simulated_per_invocation, 1)});
-  }
-  if (config.validation.check_invariants) {
-    table.add_row({"invariant checks", result.invariant_checks});
-    table.add_row({"invariant violations", result.invariant_violations.size()});
-  }
-  std::fputs(table.render("psched run --tenants").c_str(), stdout);
 
   util::Table per_tenant({"Tenant", "Weight", "Jobs", "Killed", "BSD",
                           "Cost [VM-h]", "Budget [VM-h]", "Alloc min/mean/max"});
@@ -474,25 +557,9 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
                         util::Cell(tm.avg_bounded_slowdown, 3),
                         util::Cell(t.charged_hours, 1), budget_cell, alloc});
   }
-  std::fputs(per_tenant.render("tenants").c_str(), stdout);
-
-  for (const validate::Violation& v : result.invariant_violations)
-    std::fprintf(stderr, "invariant violated: %s at t=%.3f s\n  %s\n",
-                 v.invariant.c_str(), v.when, v.detail.c_str());
-
-  const std::string csv = args.get("csv", "");
-  if (!csv.empty() && !table.save_csv(csv)) {
-    std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
-    return 2;
-  }
-  if (!report_out.empty()) {
-    const obs::RunReportInputs inputs = engine::multi_tenant_report_inputs(result, mt);
-    if (!obs::write_text_file(report_out, obs::run_report_json(inputs, rec))) {
-      std::fputs("error: cannot write --report-out file\n", stderr);
-      return 2;
-    }
-  }
-  return result.invariant_violations.empty() ? 0 : 2;
+  return finish_run(args, engine::multi_tenant_report_inputs(result, mt), predictor,
+                    config.validation.check_invariants, result.invariant_violations,
+                    rec, &per_tenant);
 }
 
 int cmd_run(const util::ArgParser& args) {
@@ -672,8 +739,7 @@ int cmd_run(const util::ArgParser& args) {
       pconfig.online_sim.inject_fault = validate::FaultInjection::kCandidateThrow;
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, &portfolio, pconfig,
-                             /*triple=*/nullptr, predictor, rec, report_out,
-                             tenant_count);
+                             /*triple=*/nullptr, predictor, rec, tenant_count);
     result = engine::run_portfolio(config, trace, portfolio, pconfig, predictor,
                                    /*eval_pool=*/nullptr, rec);
   } else {
@@ -686,86 +752,13 @@ int cmd_run(const util::ArgParser& args) {
     if (tenant_count > 0)
       return cmd_run_tenants(args, config, trace, /*portfolio=*/nullptr,
                              core::PortfolioSchedulerConfig{}, triple, predictor,
-                             rec, report_out, tenant_count);
+                             rec, tenant_count);
     result = engine::run_single_policy(config, trace, *triple, predictor, rec);
   }
 
-  const auto& m = result.run.metrics;
-  util::Table table({"Metric", "Value"});
-  table.add_row({"scheduler", result.run.scheduler_name});
-  table.add_row({"trace", trace.name()});
-  table.add_row({"predictor", engine::to_string(predictor)});
-  table.add_row({"jobs", m.jobs});
-  table.add_row({"avg bounded slowdown", util::Cell(m.avg_bounded_slowdown, 3)});
-  table.add_row({"avg wait [s]", util::Cell(m.avg_wait, 1)});
-  table.add_row({"charged cost [VM-h]", util::Cell(m.charged_hours(), 1)});
-  table.add_row({"utilization [%]", util::Cell(100.0 * m.utilization(), 1)});
-  table.add_row({"utility", util::Cell(m.utility(config.utility), 2)});
-  if (m.workflows > 0) {
-    table.add_row({"workflows", m.workflows});
-    table.add_row({"avg workflow makespan [min]",
-                   util::Cell(m.avg_workflow_makespan / 60.0, 1)});
-  }
-  if (result.is_portfolio) {
-    table.add_row({"selection invocations", result.portfolio.invocations});
-    table.add_row({"policies simulated/selection",
-                   util::Cell(result.portfolio.mean_simulated_per_invocation, 1)});
-  }
-  if (config.failure.enabled()) {
-    const metrics::FailureStats& f = m.failures;
-    table.add_row({"boot failures", f.boot_failures});
-    table.add_row({"vm crashes", f.vm_crashes});
-    table.add_row({"api rejections (lease/release)",
-                   std::to_string(f.api_rejected_leases) + "/" +
-                       std::to_string(f.api_rejected_releases)});
-    table.add_row({"lease retries", f.lease_retries});
-    table.add_row({"job kills / resubmits / killed for good",
-                   std::to_string(f.job_kills) + "/" +
-                       std::to_string(f.job_resubmissions) + "/" +
-                       std::to_string(f.jobs_killed_final)});
-    table.add_row({"goodput [proc-h]", util::Cell(m.goodput_proc_seconds() / 3600.0, 1)});
-    table.add_row({"paid-but-wasted [VM-h]", util::Cell(f.paid_wasted_seconds / 3600.0, 1)});
-  }
-  if (config.pricing.enabled()) {
-    const metrics::PricingStats& p = m.pricing;
-    table.add_row({"vm families", p.families});
-    table.add_row({"leases od/spot/reserved",
-                   std::to_string(p.on_demand_leases) + "/" +
-                       std::to_string(p.spot_leases) + "/" +
-                       std::to_string(p.reserved_leases)});
-    table.add_row({"spot warnings / revocations",
-                   std::to_string(p.spot_warnings) + "/" +
-                       std::to_string(p.spot_revocations)});
-    char spend[96];
-    std::snprintf(spend, sizeof spend, "%.2f/%.2f/%.2f", p.spend_on_demand_dollars,
-                  p.spend_spot_dollars, p.spend_reserved_dollars);
-    table.add_row({"spend od/spot/reserved [$]", spend});
-    table.add_row({"total spend [$]", util::Cell(p.total_spend_dollars(), 2)});
-    table.add_row({"spot savings [$]", util::Cell(p.spot_savings_dollars, 2)});
-    table.add_row({"revocation waste [VM-h]",
-                   util::Cell(p.revoked_charged_seconds / 3600.0, 1)});
-  }
-  if (config.validation.check_invariants) {
-    table.add_row({"invariant checks", result.run.invariant_checks});
-    table.add_row({"invariant violations", result.run.invariant_violations.size()});
-  }
-  std::fputs(table.render("psched run").c_str(), stdout);
-
-  for (const validate::Violation& v : result.run.invariant_violations)
-    std::fprintf(stderr, "invariant violated: %s at t=%.3f s\n  %s\n",
-                 v.invariant.c_str(), v.when, v.detail.c_str());
-
-  const std::string csv = args.get("csv", "");
-  if (!csv.empty() && !table.save_csv(csv)) {
-    std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
-    return 2;
-  }
-  if (!engine::write_observability_outputs(result, config, rec, report_out,
-                                           trace_out)) {
-    std::fputs("error: cannot write --report-out/--trace-out file\n", stderr);
-    return 2;
-  }
-  return result.run.invariant_violations.empty() ? 0 : 2;
+  return finish_run(args, engine::report_inputs(result, config), predictor,
+                    config.validation.check_invariants, result.run.invariant_violations,
+                    rec, /*per_tenant=*/nullptr);
 }
 
 }  // namespace
