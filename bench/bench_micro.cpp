@@ -20,6 +20,7 @@
 #include "core/selector.hpp"
 #include "core/sim_arena.hpp"
 #include "engine/experiment.hpp"
+#include "engine/tenant.hpp"
 #include "obs/report.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -190,6 +191,34 @@ void BM_EngineDay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineDay);
+
+void BM_TenantStaleTail(benchmark::State& state) {
+  // Two fixed-policy tenants, half a day of KTH-SP2 each, with a one-week
+  // VM MTBF: every lease draws a crash time, and those events stay queued
+  // for weeks after the last job, so most of the run's epochs have nothing
+  // due (the multi-tenant epoch loop, DESIGN.md §13.2).
+  static const policy::Portfolio& portfolio = *new policy::Portfolio(
+      policy::Portfolio::paper_portfolio());
+  std::vector<workload::Trace> traces;
+  for (std::size_t i = 0; i < 2; ++i)
+    traces.push_back(workload::TraceGenerator(workload::kth_sp2_like(0.5))
+                         .generate(engine::tenant_workload_seed(1, i))
+                         .cleaned(64));
+  engine::MultiTenantConfig config;
+  config.engine = engine::paper_engine_config();
+  config.policy = *portfolio.find("ODA-FCFS-FirstFit");
+  for (std::size_t i = 0; i < 2; ++i) {
+    engine::TenantConfig tenant;
+    tenant.failure.vm_mtbf_seconds = 7.0 * 24.0 * kSecondsPerHour;
+    tenant.failure.seed = engine::tenant_failure_seed(1, i);
+    tenant.trace = &traces[i];
+    config.tenants.push_back(tenant);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine::MultiTenantExperiment(config).run());
+  }
+}
+BENCHMARK(BM_TenantStaleTail);
 
 /// Console reporter that additionally captures per-benchmark real times so
 /// the run can be mirrored into a gated bench report.

@@ -128,6 +128,8 @@ class ClusterSimulation {
   void advance_until(SimTime horizon);
   /// True while undispatched events remain.
   [[nodiscard]] bool active() const noexcept { return sim_.has_pending(); }
+  /// Time of the earliest undispatched event; kTimeNever once none remain.
+  [[nodiscard]] SimTime next_event_time() const { return sim_.next_event_time(); }
   /// Final end-of-trace assertions, stats, and metrics. Call once, after
   /// active() turns false.
   [[nodiscard]] RunResult finish();

@@ -217,8 +217,6 @@ MultiTenantResult MultiTenantExperiment::run() {
   }
 
   MultiTenantResult result;
-  double total_weight = 0.0;
-  for (const TenantConfig& t : config_.tenants) total_weight += t.weight;
 
   struct AllocationStats {
     std::size_t min = 0;
@@ -227,9 +225,21 @@ MultiTenantResult MultiTenantExperiment::run() {
   };
   std::vector<AllocationStats> alloc_stats(n);
 
+  // The last decision: its inputs, its output, the checker's view of it,
+  // and the summed live fleets it saw.
+  std::vector<TenantDemand> demands(n);
+  std::vector<std::size_t> alloc;
+  std::vector<validate::TenantAllocation> decision(n);
+  std::size_t fleet = 0;
+
+  // The seeded tenant-unfair-share arbiter (below) depends on how many
+  // decisions came before and on the checker's verdicts, so under it a
+  // decision does not repeat and the epoch loop skips no epoch.
+  const bool unfair_share = config_.engine.validation.inject_fault ==
+                            validate::FaultInjection::kTenantUnfairShare;
+
   const auto arbitrate = [&](SimTime now) {
-    std::vector<TenantDemand> demands(n);
-    std::size_t fleet = 0;
+    fleet = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const ClusterSimulation::LoadView view = sims[i]->load_view();
       TenantDemand& d = demands[i];
@@ -246,15 +256,13 @@ MultiTenantResult MultiTenantExperiment::run() {
     // above the cap; the arbiter never evicts, so widen its cap to the live
     // fleet and let the checker record the tenant.global-cap violation
     // against the *intended* cap below.
-    std::vector<std::size_t> alloc = arbitrate_capacity(demands, std::max(cap, fleet));
+    alloc = arbitrate_capacity(demands, std::max(cap, fleet));
     // Seeded faults (validation self-test): the service checker must catch a
     // broken arbiter.
     if (config_.engine.validation.inject_fault ==
         validate::FaultInjection::kTenantCapOvershoot) {
       alloc[0] += 1;  // allocations already sum to the cap: any extra overshoots
-    } else if (config_.engine.validation.inject_fault ==
-                   validate::FaultInjection::kTenantUnfairShare &&
-               checker && checker->violation_count() == 0 &&
+    } else if (unfair_share && checker && checker->violation_count() == 0 &&
                result.arbitrations < 64) {
       // Everything above the floors goes to tenant 0, starving the rest.
       // Injection stops once the checker has caught it (or after a bounded
@@ -268,7 +276,6 @@ MultiTenantResult MultiTenantExperiment::run() {
       alloc[0] = cap - others;
     }
     if (checker) {
-      std::vector<validate::TenantAllocation> decision(n);
       for (std::size_t i = 0; i < n; ++i) {
         decision[i].tenant = i;
         decision[i].weight = demands[i].weight;
@@ -294,25 +301,67 @@ MultiTenantResult MultiTenantExperiment::run() {
     ++result.arbitrations;
   };
 
+  const SimDuration epoch =
+      config_.engine.schedule_period *
+      static_cast<double>(config_.arbitration_period_ticks);
+  // Epoch e ends at e * epoch, not at a running sum, so horizons carry no
+  // accumulated rounding. fl(e * epoch) is monotone in e, so the first
+  // epoch whose horizon reaches t is well defined.
+  const auto horizon_of = [&](std::uint64_t e) { return static_cast<double>(e) * epoch; };
+  const auto first_epoch_reaching = [&](SimTime t) {
+    auto e = static_cast<std::uint64_t>(std::ceil(t / epoch));
+    while (e > 0 && horizon_of(e - 1) >= t) --e;
+    while (horizon_of(e) < t) ++e;
+    return e;
+  };
+
+  // Epochs [first, end) that the loop skips: the last decision holds for
+  // each, and the checker judges it once per epoch, at that epoch's horizon.
+  const auto repeat_decision = [&](std::uint64_t first, std::uint64_t end) {
+    const std::uint64_t k = end - first;
+    if (checker) {
+      for (std::uint64_t e = first; e < end; ++e)
+        checker->on_tenant_arbitration(decision, cap, horizon_of(e));
+    }
+    // Exact: the allocations are integers, and every partial sum is below 2^53.
+    for (std::size_t i = 0; i < n; ++i)
+      alloc_stats[i].sum += static_cast<double>(k) * static_cast<double>(alloc[i]);
+    result.arbitrations += k;
+  };
+
+  // A tenant with no event due by the horizon and no VM leased is left
+  // where it is: advancing it would dispatch nothing, and with no lease its
+  // charged hours do not depend on its clock. (A leased tenant's next tick
+  // is at most one period away, so it is due all but when that tick lands
+  // an ulp past the horizon.) One due tenant runs on this thread.
+  std::vector<std::size_t> due;
   const auto advance_wave = [&](SimTime horizon) {
-    util::run_batch(pool_, n, n, [&](std::size_t i, std::size_t) {
-      if (sims[i]->active()) sims[i]->advance_until(horizon);
+    due.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      if (sims[i]->next_event_time() <= horizon || demands[i].floor_vms > 0)
+        due.push_back(i);
+    util::run_batch(pool_, due.size(), due.size(), [&](std::size_t k, std::size_t) {
+      sims[due[k]]->advance_until(horizon);
     });
   };
 
   for (std::size_t i = 0; i < n; ++i) sims[i]->start();
   arbitrate(0.0);
-  const SimDuration epoch =
-      config_.engine.schedule_period *
-      static_cast<double>(config_.arbitration_period_ticks);
   while (true) {
-    bool any_active = false;
-    for (std::size_t i = 0; i < n; ++i) any_active = any_active || sims[i]->active();
-    if (!any_active) break;
-    ++result.epochs;
-    // Exact multiples of the epoch keep the horizon aligned with the
-    // engines' phase-aligned ticks (no accumulated FP drift).
-    const SimTime horizon = static_cast<double>(result.epochs) * epoch;
+    SimTime next = kTimeNever;
+    for (const auto& sim : sims) next = std::min(next, sim->next_event_time());
+    if (next == kTimeNever) break;  // every tenant has drained
+    std::uint64_t e = result.epochs + 1;
+    // An epoch whose horizon comes before every tenant's next event changes
+    // none of the arbiter's inputs: nothing leases, queues or releases, and
+    // with no VM leased anywhere no charged hours move with the clock. Its
+    // decision is the last one, so jump to the first epoch with work.
+    if (fleet == 0 && !unfair_share) {
+      e = std::max(e, first_epoch_reaching(next));
+      repeat_decision(result.epochs + 1, e);
+    }
+    result.epochs = e;
+    const SimTime horizon = horizon_of(e);
     advance_wave(horizon);
     arbitrate(horizon);
   }

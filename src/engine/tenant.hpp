@@ -8,15 +8,20 @@
 // (portfolio or fixed policy), runtime predictor, failure seeds, and VM-hour
 // budget — over one shared capacity pool, and steps them in lockstep epochs:
 //
-//   1. every tenant advances to the epoch boundary, wave-parallel on the
-//      shared thread pool (a tenant is an ordinary engine that owns all of
-//      its state, crash-kill counts included, so a wave is embarrassingly
-//      parallel and bit-identical at any worker count);
+//   1. every tenant with an event due (or a VM leased) advances to the
+//      epoch boundary, wave-parallel on the shared thread pool (a tenant is
+//      an ordinary engine that owns all of its state, crash-kill counts
+//      included, so a wave is embarrassingly parallel and bit-identical at
+//      any worker count);
 //   2. the coordinator reads each tenant's demand (live fleet + queued
 //      width) and runs the deterministic fairness arbiter;
 //   3. each tenant's provider cap is set to its allowance for the next
 //      epoch. Allowances are caps, not reservations: unclaimed capacity is
 //      redistributed, and a tenant's cap never drops below its live fleet.
+//
+// While no VM is leased anywhere, the epochs before the tenants' earliest
+// pending event change none of the arbiter's inputs; the loop applies the
+// last decision to all of them in one step (DESIGN.md §13.2).
 //
 // The arbiter is weighted max-min over requested VM(-epoch) units with ties
 // broken by tenant id: floors (live fleets) are protected first, then
@@ -126,8 +131,10 @@ struct MultiTenantResult {
   std::uint64_t ticks = 0;
   std::uint64_t events = 0;
   std::size_t total_leases = 0;
-  std::uint64_t epochs = 0;        ///< epoch waves executed
-  std::uint64_t arbitrations = 0;  ///< arbiter decisions (epochs + the t=0 one)
+  std::uint64_t epochs = 0;        ///< epoch boundaries passed, skipped ones included
+  /// Arbiter decisions: one per epoch plus the t=0 one, counting the
+  /// decisions a skipped epoch repeats.
+  std::uint64_t arbitrations = 0;
   std::size_t peak_leased = 0;     ///< max over arbitrations of summed fleets
   bool is_portfolio = false;
   metrics::PortfolioStats portfolio;  ///< summed across tenants, iff is_portfolio

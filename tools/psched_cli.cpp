@@ -34,11 +34,13 @@
 //       across machines and --eval-threads widths.
 //       Validation: --check-invariants attaches the runtime invariant
 //       checker (aborts with context on the first violation);
-//       --inject-fault NAME (billing-off-by-one, skip-boot-delay,
-//       cap-overshoot) seeds a known-bad provider behavior in record mode
-//       and reports what the checker caught (exit 2); --differential runs
-//       the inner-vs-outer simulator oracle on the workload instead of a
-//       normal experiment (see src/validate/differential.hpp).
+//       --inject-fault NAME seeds a known-bad behavior in record mode and
+//       reports what the checker caught (exit 2): none (the default),
+//       billing-off-by-one, skip-boot-delay, cap-overshoot,
+//       candidate-throw, and, with --tenants only, tenant-cap-overshoot
+//       and tenant-unfair-share; --differential runs the inner-vs-outer
+//       simulator oracle on the workload instead of a normal experiment
+//       (see src/validate/differential.hpp).
 //       Observability (DESIGN.md §9): --obs-level selects the recording
 //       level (default off); --report-out writes the machine-readable
 //       "psched-run-report/v1" JSON (implies at least counters);
@@ -680,6 +682,14 @@ int cmd_run(const util::ArgParser& args) {
     return 1;
   }
   const auto tenant_count = static_cast<std::size_t>(tenants_arg);
+  // A tenant fault lives in the arbiter, which a single cluster never runs.
+  if (tenant_count == 0 &&
+      (config.validation.inject_fault == validate::FaultInjection::kTenantCapOvershoot ||
+       config.validation.inject_fault == validate::FaultInjection::kTenantUnfairShare)) {
+    std::fprintf(stderr, "error: --inject-fault %s needs --tenants N\n",
+                 validate::to_string(config.validation.inject_fault));
+    return 1;
+  }
   if (tenant_count > 0 && args.get_bool("differential")) {
     std::fputs("error: --differential is not supported with --tenants\n", stderr);
     return 1;
