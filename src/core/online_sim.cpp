@@ -1,10 +1,10 @@
 #include "core/online_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "cloud/vm.hpp"
+#include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "workload/job.hpp"
 
@@ -331,20 +331,17 @@ SimOutcome OnlineSimulator::simulate(
     now = next;
   }
 
-  // Release everything still leased. A VM that is still booting and was
-  // never used settles at the engine's release instant: the outer loop can
-  // only release it at the first scheduling tick at or after boot
-  // completion, so the charge runs through `available_at` rounded up to the
-  // tick grid — not bare `available_at`, which under-bills whenever the
-  // boot delay is not a multiple of the schedule period. (On the
-  // differential oracle's ground rules the two coincide; see DESIGN.md §7.)
+  // Release everything still leased. A booting VM that never ran a job
+  // settles where the engine releases it, at the first tick at or after boot
+  // completion: bare `available_at` under-bills whenever the boot delay is
+  // not a multiple of the period (the two coincide on the differential
+  // oracle's ground rules, DESIGN.md §7).
+  const double period = config_.schedule_period;
   for (std::size_t i = 0; i < arena.vm_count(); ++i) {
     const policy::VmAvail& vm = arena.vms[i];
     SimTime release = std::max(vm.available_at, now);
-    if (!arena.vm_busy[i] && vm.available_at > now) {
-      release = std::ceil(vm.available_at / config_.schedule_period) *
-                config_.schedule_period;
-    }
+    if (!arena.vm_busy[i] && vm.available_at > now)
+      release = sim::tick_time(sim::first_tick_at_or_after(vm.available_at, period), period);
     double seconds =
         charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, release, t0,
                        config_.cost_model, snapshot.billing_quantum);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <span>
 #include <string>
 
@@ -93,17 +92,13 @@ void ClusterSimulation::enqueue(const workload::Job& job, SimTime eligible) {
     return;
   }
   queue_.push_back(Waiting{&job, eligible});
-  arm_tick(sim_.now());
+  if (!tick_armed_) arm_tick(sim::first_tick_at_or_after(sim_.now(), config_.schedule_period));
 }
 
-void ClusterSimulation::arm_tick(SimTime not_before) {
-  if (tick_armed_) return;
-  const double period = config_.schedule_period;
-  // Ticks stay phase-aligned to multiples of the period.
-  const double k = std::ceil(not_before / period);
-  const SimTime when = std::max(k * period, not_before);
+void ClusterSimulation::arm_tick(std::uint64_t index) {
   tick_armed_ = true;
-  sim_.at(when, [this] { on_tick(); });
+  tick_index_ = index;
+  sim_.at(sim::tick_time(index, config_.schedule_period), [this] { on_tick(); });
 }
 
 void ClusterSimulation::on_arrival() {
@@ -195,14 +190,12 @@ void ClusterSimulation::on_tick() {
   const obs::Recorder::Scope tick_scope(recorder_, "engine.tick", 0);
   const SimTime now = sim_.now();
   detail::sim_context().set(now, "tick");
-  const auto tick_index =
-      static_cast<std::uint64_t>(std::llround(now / config_.schedule_period));
   ++ticks_run_;
 
   annotate_queue();
   scan_fleet(now);
   const policy::PolicyTriple policy =
-      scheduler_.policy_for_tick(tick_index, annotated_, profile_);
+      scheduler_.policy_for_tick(tick_index_, annotated_, profile_);
   if (policy != context_policy_) {
     // Re-format the context label only on a policy switch (rare).
     context_policy_ = policy;
@@ -364,7 +357,7 @@ void ClusterSimulation::on_tick() {
 
   // --- telemetry ----------------------------------------------------------------
   if (config_.telemetry_every_ticks > 0 &&
-      tick_index % config_.telemetry_every_ticks == 0) {
+      tick_index_ % config_.telemetry_every_ticks == 0) {
     TelemetrySample sample;
     sample.when = now;
     sample.queued_jobs = queue_.size();
@@ -389,10 +382,7 @@ void ClusterSimulation::on_tick() {
   }
 
   // --- 4. keep ticking while the system is active -----------------------------
-  if (!queue_.empty() || provider_.leased_count() > 0) {
-    tick_armed_ = true;
-    sim_.at(now + config_.schedule_period, [this] { on_tick(); });
-  }
+  if (!queue_.empty() || provider_.leased_count() > 0) arm_tick(tick_index_ + 1);
   // Otherwise the next arrival re-arms the tick.
 }
 
@@ -655,6 +645,7 @@ void ClusterSimulation::capture_state(util::StateDigest& digest) const {
   digest.add_bool("sim.started", started_);
   digest.add_u64("sim.ticks", ticks_run_);
   digest.add_bool("sim.tick_armed", tick_armed_);
+  digest.add_u64("sim.tick_index", tick_index_);
   digest.add_size("sim.next_arrival", next_arrival_);
 
   // Provider fleet, in id order (vms() is id-ordered: order-sensitive fold).

@@ -173,7 +173,7 @@ class ClusterSimulation {
   void on_arrival();
   void on_tick();
   void on_job_finish(JobId id);
-  void arm_tick(SimTime not_before);
+  void arm_tick(std::uint64_t index);  // at sim::tick_time(index, period)
   void enqueue(const workload::Job& job, SimTime eligible);
 
   // Failure/resilience paths (no-ops unless config_.failure.enabled()).
@@ -229,6 +229,7 @@ class ClusterSimulation {
   std::vector<Waiting> queue_;                 // submit order
   std::size_t next_arrival_ = 0;               // index into trace jobs
   bool tick_armed_ = false;
+  std::uint64_t tick_index_ = 0;               // the armed (or last fired) tick
   bool started_ = false;
   std::uint64_t ticks_run_ = 0;
   std::vector<TelemetrySample> telemetry_;

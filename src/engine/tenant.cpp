@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "cloud/failure.hpp"
@@ -74,6 +76,13 @@ std::uint64_t tenant_workload_seed(std::uint64_t root, std::size_t tenant) {
 std::uint64_t tenant_failure_seed(std::uint64_t root, std::size_t tenant) {
   return mix_index(cloud::derive_stream_seed(root, util::kStreamTenantFailure),
                    tenant);
+}
+
+std::vector<double> quota_shares(std::size_t global_cap, const std::vector<double>& weights) {
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  std::vector<double> shares = weights;
+  for (double& share : shares) share = static_cast<double>(global_cap) * share / total;
+  return shares;
 }
 
 std::vector<std::size_t> arbitrate_capacity(
@@ -152,25 +161,9 @@ MultiTenantExperiment::MultiTenantExperiment(MultiTenantConfig config,
   PSCHED_ASSERT_MSG(
       config_.portfolio != nullptr || config_.policy.provisioning != nullptr,
       "either a portfolio or a fixed policy triple is required");
-  double total_weight = 0.0;
   for (const TenantConfig& t : config_.tenants) {
     PSCHED_ASSERT_MSG(t.trace != nullptr, "tenant without a trace");
     PSCHED_ASSERT_MSG(t.weight > 0.0, "tenant weights must be positive");
-    total_weight += t.weight;
-  }
-  // Liveness: a job wider than its tenant's guaranteed quota share could
-  // starve forever when every tenant stays hungry (weighted max-min then
-  // pins each tenant near its quota). Clean tenant traces to the quota
-  // floor — see tenant_trace cleaning in the CLI and fuzz harness.
-  const std::size_t cap = config_.engine.provider.max_vms;
-  for (std::size_t i = 0; i < config_.tenants.size(); ++i) {
-    const TenantConfig& t = config_.tenants[i];
-    const auto quota_floor = static_cast<std::size_t>(
-        static_cast<double>(cap) * t.weight / total_weight);
-    for (const workload::Job& j : t.trace->jobs()) {
-      PSCHED_ASSERT_MSG(static_cast<std::size_t>(j.procs) <= quota_floor,
-                        "tenant job wider than its quota share could livelock");
-    }
   }
 }
 
@@ -186,11 +179,13 @@ MultiTenantResult MultiTenantExperiment::run() {
   std::vector<std::unique_ptr<core::Scheduler>> schedulers;
   std::vector<std::unique_ptr<predict::RuntimePredictor>> predictors;
   std::vector<std::unique_ptr<ClusterSimulation>> sims;
+  std::vector<double> weights;
   schedulers.reserve(n);
   predictors.reserve(n);
   sims.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const TenantConfig& t = config_.tenants[i];
+    weights.push_back(t.weight);
     EngineConfig ec = config_.engine;
     ec.failure = t.failure;
     if (config_.portfolio != nullptr) {
@@ -203,6 +198,17 @@ MultiTenantResult MultiTenantExperiment::run() {
     predictors.push_back(make_predictor(config_.predictor));
     sims.push_back(std::make_unique<ClusterSimulation>(
         ec, *t.trace, *schedulers.back(), *predictors.back(), nullptr));
+  }
+  // Liveness: a job wider than its tenant's guaranteed quota share could
+  // starve forever when every tenant stays hungry (weighted max-min then
+  // pins each tenant near its quota). Clean tenant traces to the quota
+  // floor — see tenant_trace cleaning in the CLI and fuzz harness.
+  const std::vector<double> quotas = quota_shares(cap, weights);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const workload::Job& j : config_.tenants[i].trace->jobs()) {
+      PSCHED_ASSERT_MSG(static_cast<double>(j.procs) <= quotas[i],
+                        "tenant job wider than its quota share could livelock");
+    }
   }
 
   // Service-level checker: arbitration decisions and per-tenant conservation
@@ -219,27 +225,21 @@ MultiTenantResult MultiTenantExperiment::run() {
   MultiTenantResult result;
 
   struct AllocationStats {
-    std::size_t min = 0;
+    std::size_t min = std::numeric_limits<std::size_t>::max();
     std::size_t max = 0;
     double sum = 0.0;
   };
   std::vector<AllocationStats> alloc_stats(n);
 
-  // The last decision: its inputs, its output, the checker's view of it,
-  // and the summed live fleets it saw.
+  // The last decision: its inputs, its output, and the checker's view of it.
   std::vector<TenantDemand> demands(n);
   std::vector<std::size_t> alloc;
   std::vector<validate::TenantAllocation> decision(n);
-  std::size_t fleet = 0;
-
-  // The seeded tenant-unfair-share arbiter (below) depends on how many
-  // decisions came before and on the checker's verdicts, so under it a
-  // decision does not repeat and the epoch loop skips no epoch.
-  const bool unfair_share = config_.engine.validation.inject_fault ==
-                            validate::FaultInjection::kTenantUnfairShare;
+  const validate::FaultInjection fault = config_.engine.validation.inject_fault;
+  bool unfair_share_injected = false;
 
   const auto arbitrate = [&](SimTime now) {
-    fleet = 0;
+    std::size_t fleet = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const ClusterSimulation::LoadView view = sims[i]->load_view();
       TenantDemand& d = demands[i];
@@ -259,21 +259,29 @@ MultiTenantResult MultiTenantExperiment::run() {
     alloc = arbitrate_capacity(demands, std::max(cap, fleet));
     // Seeded faults (validation self-test): the service checker must catch a
     // broken arbiter.
-    if (config_.engine.validation.inject_fault ==
-        validate::FaultInjection::kTenantCapOvershoot) {
+    if (fault == validate::FaultInjection::kTenantCapOvershoot) {
       alloc[0] += 1;  // allocations already sum to the cap: any extra overshoots
-    } else if (unfair_share && checker && checker->violation_count() == 0 &&
-               result.arbitrations < 64) {
-      // Everything above the floors goes to tenant 0, starving the rest.
-      // Injection stops once the checker has caught it (or after a bounded
-      // number of arbitrations): a permanently unfair arbiter would starve
-      // queued tenants forever and the epoch loop would never terminate.
+    } else if (fault == validate::FaultInjection::kTenantUnfairShare &&
+               !unfair_share_injected) {
+      // Tenant 0 gets all but the other fleets at the first decision where
+      // that breaks tenant.fairness, and only then: an arbiter unfair for
+      // good would starve queued tenants for good. The starved tenant's
+      // queued job keeps it ticking, so no skipped epoch repeats this split.
       std::size_t others = 0;
+      bool starved = false;
       for (std::size_t i = 1; i < n; ++i) {
-        alloc[i] = demands[i].floor_vms;
-        others += alloc[i];
+        const TenantDemand& d = demands[i];
+        others += d.floor_vms;
+        starved = starved || (!d.over_budget && d.demand_vms > d.floor_vms &&
+                              static_cast<double>(d.floor_vms + 1) < quotas[i]);
       }
-      alloc[0] = cap - others;
+      const std::size_t hoard = cap - others;
+      if (starved && hoard > demands[0].floor_vms &&
+          static_cast<double>(hoard) > quotas[0] + 1.0) {
+        for (std::size_t i = 1; i < n; ++i) alloc[i] = demands[i].floor_vms;
+        alloc[0] = hoard;
+        unfair_share_injected = true;
+      }
     }
     if (checker) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -289,31 +297,18 @@ MultiTenantResult MultiTenantExperiment::run() {
     for (std::size_t i = 0; i < n; ++i) {
       sims[i]->set_vm_allowance(alloc[i]);
       AllocationStats& stats = alloc_stats[i];
-      if (result.arbitrations == 0) {
-        stats.min = stats.max = alloc[i];
-      } else {
-        stats.min = std::min(stats.min, alloc[i]);
-        stats.max = std::max(stats.max, alloc[i]);
-      }
+      stats.min = std::min(stats.min, alloc[i]);
+      stats.max = std::max(stats.max, alloc[i]);
       stats.sum += static_cast<double>(alloc[i]);
     }
     result.peak_leased = std::max(result.peak_leased, fleet);
     ++result.arbitrations;
   };
 
-  const SimDuration epoch =
-      config_.engine.schedule_period *
-      static_cast<double>(config_.arbitration_period_ticks);
-  // Epoch e ends at e * epoch, not at a running sum, so horizons carry no
-  // accumulated rounding. fl(e * epoch) is monotone in e, so the first
-  // epoch whose horizon reaches t is well defined.
-  const auto horizon_of = [&](std::uint64_t e) { return static_cast<double>(e) * epoch; };
-  const auto first_epoch_reaching = [&](SimTime t) {
-    auto e = static_cast<std::uint64_t>(std::ceil(t / epoch));
-    while (e > 0 && horizon_of(e - 1) >= t) --e;
-    while (horizon_of(e) < t) ++e;
-    return e;
-  };
+  // Epoch e ends at tick e × arbitration_period_ticks of the tenants' grid.
+  const SimDuration period = config_.engine.schedule_period;
+  const std::uint64_t epoch_ticks = config_.arbitration_period_ticks;
+  const auto horizon_of = [&](std::uint64_t e) { return sim::tick_time(e * epoch_ticks, period); };
 
   // Epochs [first, end) that the loop skips: the last decision holds for
   // each, and the checker judges it once per epoch, at that epoch's horizon.
@@ -329,17 +324,19 @@ MultiTenantResult MultiTenantExperiment::run() {
     result.arbitrations += k;
   };
 
-  // A tenant with no event due by the horizon and no VM leased is left
-  // where it is: advancing it would dispatch nothing, and with no lease its
-  // charged hours do not depend on its clock. (A leased tenant's next tick
-  // is at most one period away, so it is due all but when that tick lands
-  // an ulp past the horizon.) One due tenant runs on this thread.
+  // A tenant with no event due by the horizon is left where it is: it would
+  // dispatch nothing, and it holds no VM (a leased tenant's next tick is
+  // due by the next horizon, DESIGN.md §13.2), so its charged hours do not
+  // depend on its clock. One due tenant runs on this thread.
   std::vector<std::size_t> due;
   const auto advance_wave = [&](SimTime horizon) {
     due.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      if (sims[i]->next_event_time() <= horizon || demands[i].floor_vms > 0)
-        due.push_back(i);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool is_due = sims[i]->next_event_time() <= horizon;
+      PSCHED_ASSERT_MSG(is_due || demands[i].floor_vms == 0,
+                        "a tenant holding a VM has no tick due by the horizon");
+      if (is_due) due.push_back(i);
+    }
     util::run_batch(pool_, due.size(), due.size(), [&](std::size_t k, std::size_t) {
       sims[due[k]]->advance_until(horizon);
     });
@@ -351,15 +348,14 @@ MultiTenantResult MultiTenantExperiment::run() {
     SimTime next = kTimeNever;
     for (const auto& sim : sims) next = std::min(next, sim->next_event_time());
     if (next == kTimeNever) break;  // every tenant has drained
-    std::uint64_t e = result.epochs + 1;
     // An epoch whose horizon comes before every tenant's next event changes
     // none of the arbiter's inputs: nothing leases, queues or releases, and
-    // with no VM leased anywhere no charged hours move with the clock. Its
-    // decision is the last one, so jump to the first epoch with work.
-    if (fleet == 0 && !unfair_share) {
-      e = std::max(e, first_epoch_reaching(next));
-      repeat_decision(result.epochs + 1, e);
-    }
+    // no tenant holds a VM (see advance_wave). Its decision is the last one,
+    // so jump to the first epoch whose horizon reaches that event.
+    const std::uint64_t first_due =
+        (sim::first_tick_at_or_after(next, period) + epoch_ticks - 1) / epoch_ticks;
+    const std::uint64_t e = std::max(result.epochs + 1, first_due);
+    repeat_decision(result.epochs + 1, e);
     result.epochs = e;
     const SimTime horizon = horizon_of(e);
     advance_wave(horizon);
@@ -387,10 +383,7 @@ MultiTenantResult MultiTenantExperiment::run() {
     tr.over_budget = t.budget_vm_hours > 0.0 && tr.charged_hours >= t.budget_vm_hours;
     tr.min_allocation = alloc_stats[i].min;
     tr.max_allocation = alloc_stats[i].max;
-    tr.mean_allocation = result.arbitrations > 0
-                             ? alloc_stats[i].sum /
-                                   static_cast<double>(result.arbitrations)
-                             : 0.0;
+    tr.mean_allocation = alloc_stats[i].sum / static_cast<double>(result.arbitrations);
 
     if (checker) {
       checker->on_tenant_run_end(i, t.trace->size(), m.jobs,

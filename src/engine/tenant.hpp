@@ -8,20 +8,20 @@
 // (portfolio or fixed policy), runtime predictor, failure seeds, and VM-hour
 // budget — over one shared capacity pool, and steps them in lockstep epochs:
 //
-//   1. every tenant with an event due (or a VM leased) advances to the
-//      epoch boundary, wave-parallel on the shared thread pool (a tenant is
-//      an ordinary engine that owns all of its state, crash-kill counts
-//      included, so a wave is embarrassingly parallel and bit-identical at
-//      any worker count);
+//   1. every tenant with an event due advances to the epoch boundary,
+//      wave-parallel on the shared thread pool (a tenant is an ordinary
+//      engine that owns all of its state, crash-kill counts included, so a
+//      wave is embarrassingly parallel and bit-identical at any worker
+//      count);
 //   2. the coordinator reads each tenant's demand (live fleet + queued
 //      width) and runs the deterministic fairness arbiter;
 //   3. each tenant's provider cap is set to its allowance for the next
 //      epoch. Allowances are caps, not reservations: unclaimed capacity is
 //      redistributed, and a tenant's cap never drops below its live fleet.
 //
-// While no VM is leased anywhere, the epochs before the tenants' earliest
-// pending event change none of the arbiter's inputs; the loop applies the
-// last decision to all of them in one step (DESIGN.md §13.2).
+// Epoch boundaries are ticks of the engine's grid (sim::tick_time), so a
+// tenant holding a VM has a tick due by the next one; the loop passes the
+// epochs before the tenants' earliest event in one step (DESIGN.md §13.2).
 //
 // The arbiter is weighted max-min over requested VM(-epoch) units with ties
 // broken by tenant id: floors (live fleets) are protected first, then
@@ -92,6 +92,10 @@ struct TenantDemand {
   std::size_t demand_vms = 0;  ///< live fleet + queued width
   bool over_budget = false;    ///< lowest arbitration class
 };
+
+/// Each tenant's quota share, global_cap × weight / Σweights, in input order.
+[[nodiscard]] std::vector<double> quota_shares(std::size_t global_cap,
+                                               const std::vector<double>& weights);
 
 /// Deterministic weighted max-min division of `global_cap` VMs (see the
 /// header comment). Returns one allowance per demand, in input order;

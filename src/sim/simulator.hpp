@@ -3,6 +3,7 @@
 // callbacks; run() dispatches them in deterministic order until the queue
 // drains or a horizon is reached.
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/event_queue.hpp"
@@ -51,8 +52,9 @@ class Simulator {
   /// Dispatch events until the queue is empty. Returns events dispatched.
   std::uint64_t run();
 
-  /// Dispatch events with time <= horizon; the clock ends at
-  /// max(now, min(horizon, last event time)). Returns events dispatched.
+  /// Dispatch events with time <= horizon; the clock ends at max(now,
+  /// horizon), or at the last event's time when the horizon is kTimeNever.
+  /// Returns events dispatched.
   std::uint64_t run_until(SimTime horizon);
 
   /// Dispatch exactly one event if present. Returns true if one fired.
@@ -64,5 +66,20 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
   SimObserver* observer_ = nullptr;
 };
+
+/// The one scheduling grid (engine ticks, tenant epoch horizons, online-sim
+/// settle instants): tick k is at fl(k × period), never at a running sum.
+[[nodiscard]] inline SimTime tick_time(std::uint64_t k, SimDuration period) {
+  return static_cast<double>(k) * period;
+}
+
+/// The smallest k with tick_time(k, period) >= t, for finite t >= 0; well
+/// defined because fl(k × period) is monotone in k.
+[[nodiscard]] inline std::uint64_t first_tick_at_or_after(SimTime t, SimDuration period) {
+  auto k = static_cast<std::uint64_t>(std::ceil(t / period));  // may be one off
+  while (k > 0 && tick_time(k - 1, period) >= t) --k;
+  while (tick_time(k, period) < t) ++k;
+  return k;
+}
 
 }  // namespace psched::sim

@@ -25,7 +25,8 @@ enum class FaultInjection {
                      ///< it (quarantine + last-known-good), not abort
   kTenantCapOvershoot,  ///< the multi-tenant arbiter allocates one VM beyond
                         ///< the shared global cap (tenant.global-cap)
-  kTenantUnfairShare,   ///< the arbiter hands the lowest-id tenant everything
+  kTenantUnfairShare,   ///< once, at the first decision where that is unfair,
+                        ///< the arbiter hands the lowest-id tenant everything
                         ///< above the other tenants' floors (tenant.fairness)
 };
 

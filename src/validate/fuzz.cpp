@@ -238,21 +238,17 @@ RunOutcome run_scenario(const Scenario& s, std::size_t job_count,
   if (s.tenant_count >= 2) {
     // Multi-tenant path: shard the prefix round-robin, clean each shard to
     // its tenant's quota floor (jobs wider than the guaranteed share could
-    // livelock under max-min; see MultiTenantExperiment's ctor), and run
+    // livelock under max-min; see MultiTenantExperiment::run), and run
     // the service loop. Tenant faults are injected at arbitration; provider
     // faults hit every tenant's own engine and checker.
-    double total_weight = 0.0;
-    for (const double w : s.tenant_weights) total_weight += w;
-    const auto cap = static_cast<double>(s.config.provider.max_vms);
+    const std::vector<double> quotas =
+        engine::quota_shares(s.config.provider.max_vms, s.tenant_weights);
     const std::vector<workload::Trace> shards =
         workload::shard_round_robin(trace, s.tenant_count);
     std::vector<workload::Trace> tenant_traces;
     tenant_traces.reserve(s.tenant_count);
-    for (std::size_t i = 0; i < s.tenant_count; ++i) {
-      const auto quota_floor =
-          static_cast<int>(cap * s.tenant_weights[i] / total_weight);
-      tenant_traces.push_back(shards[i].cleaned(quota_floor));
-    }
+    for (std::size_t i = 0; i < s.tenant_count; ++i)
+      tenant_traces.push_back(shards[i].cleaned(static_cast<int>(quotas[i])));
 
     engine::MultiTenantConfig mt;
     mt.engine = s.config;

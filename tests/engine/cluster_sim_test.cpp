@@ -42,7 +42,8 @@ RunResult run_one(const workload::Trace& trace, const std::string& policy_name,
 }
 
 /// Answers like a SinglePolicyScheduler and keeps a copy of every profile
-/// the engine hands it, with the length of the queue that came with it.
+/// the engine hands it, with the tick index and the length of the queue
+/// that came with it.
 class RecordingScheduler final : public core::Scheduler {
  public:
   explicit RecordingScheduler(policy::PolicyTriple policy) : inner_(std::move(policy)) {}
@@ -50,12 +51,14 @@ class RecordingScheduler final : public core::Scheduler {
   [[nodiscard]] policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) override {
+    ticks.push_back(tick);
     profiles.push_back(profile);
     queue_sizes.push_back(queue.size());
     return inner_.policy_for_tick(tick, queue, profile);
   }
   [[nodiscard]] std::string name() const override { return inner_.name(); }
 
+  std::vector<std::uint64_t> ticks;
   std::vector<cloud::CloudProfile> profiles;
   std::vector<std::size_t> queue_sizes;
 
@@ -118,6 +121,29 @@ TEST(ClusterSimulation, SchedulerProfileShowsPredictedEndsNeverActualOnes) {
   EXPECT_EQ(profile.max_vms, 8u);
   EXPECT_DOUBLE_EQ(profile.boot_delay, 120.0);
   EXPECT_DOUBLE_EQ(profile.billing_quantum, 60.0);
+}
+
+TEST(ClusterSimulation, TicksStayOnThePeriodGrid) {
+  // 13.7 s is inexact in binary, so a tick re-armed at now + period drifts
+  // off k × 13.7 within a few ticks. Every tick must fire at its own grid
+  // point: the first after an idle spell and each one after it.
+  constexpr double kPeriod = 13.7;
+  EngineConfig config = paper_engine_config();
+  config.schedule_period = kPeriod;
+  const auto trace =
+      workload::TraceGenerator(workload::kth_sp2_like(0.5)).generate(3).cleaned(64);
+  RecordingScheduler scheduler(policy_by_name("ODA-FCFS-FirstFit"));
+  const auto predictor = make_predictor(PredictorKind::kPerfect);
+  ClusterSimulation sim(config, trace, scheduler, *predictor);
+  const RunResult r = sim.run();
+  ASSERT_GT(r.ticks, 1000u);
+  ASSERT_EQ(scheduler.ticks.size(), r.ticks);
+  std::size_t off_grid = 0;
+  for (std::size_t i = 0; i < r.ticks; ++i) {
+    if (scheduler.profiles[i].now != static_cast<double>(scheduler.ticks[i]) * kPeriod)
+      ++off_grid;
+  }
+  EXPECT_EQ(off_grid, 0u) << "of " << r.ticks << " ticks";
 }
 
 TEST(ClusterSimulation, SchedulerProfileListsTheFleetOnlyWhileJobsWait) {

@@ -390,8 +390,9 @@ TEST(MultiTenant, BudgetExhaustionDemotesWithoutEviction) {
 // --- idle-epoch skipping is exact (DESIGN.md §13.2) -------------------------
 
 /// The epoch loop with nothing skipped, through the public engine API: every
-/// epoch advances every active tenant and arbitrates afresh. Fixed-policy
-/// runs only; tenant-cap-overshoot is injected as the experiment injects it.
+/// epoch advances every active tenant to its horizon on the tick grid and
+/// arbitrates afresh. Fixed-policy runs only; tenant-cap-overshoot and
+/// tenant-unfair-share are injected by the experiment's rules.
 /// `idle_epochs` counts the epochs in which no tenant had an event due.
 MultiTenantResult stepped_run(const MultiTenantConfig& config,
                               std::uint64_t& idle_epochs) {
@@ -416,6 +417,12 @@ MultiTenantResult stepped_run(const MultiTenantConfig& config,
                                                            intended);
   }
 
+  std::vector<double> weights;
+  for (const TenantConfig& t : config.tenants) weights.push_back(t.weight);
+  const std::vector<double> quota = quota_shares(cap, weights);
+  const validate::FaultInjection fault = config.engine.validation.inject_fault;
+  bool unfair_share_injected = false;
+
   MultiTenantResult result;
   result.tenants.resize(n);
   std::vector<double> alloc_sums(n, 0.0);
@@ -432,9 +439,25 @@ MultiTenantResult stepped_run(const MultiTenantConfig& config,
       fleet += view.leased_vms;
     }
     std::vector<std::size_t> alloc = arbitrate_capacity(demands, std::max(cap, fleet));
-    if (config.engine.validation.inject_fault ==
-        validate::FaultInjection::kTenantCapOvershoot)
-      alloc[0] += 1;
+    if (fault == validate::FaultInjection::kTenantCapOvershoot) alloc[0] += 1;
+    if (fault == validate::FaultInjection::kTenantUnfairShare && !unfair_share_injected) {
+      // Tenant 0 takes all but the other fleets, once, where that is unfair.
+      std::vector<std::size_t> starving(n);
+      bool starves_someone = false;
+      for (std::size_t i = 1; i < n; ++i) {
+        const TenantDemand& d = demands[i];
+        starving[i] = d.floor_vms;
+        if (!d.over_budget && d.demand_vms > d.floor_vms &&
+            static_cast<double>(d.floor_vms) + 1.0 < quota[i])
+          starves_someone = true;
+      }
+      starving[0] = cap - sum(starving);
+      if (starves_someone && starving[0] > demands[0].floor_vms &&
+          static_cast<double>(starving[0]) > quota[0] + 1.0) {
+        alloc = starving;
+        unfair_share_injected = true;
+      }
+    }
     if (checker) {
       std::vector<validate::TenantAllocation> decision;
       for (const TenantDemand& d : demands)
@@ -456,14 +479,13 @@ MultiTenantResult stepped_run(const MultiTenantConfig& config,
 
   for (const auto& sim : sims) sim->start();
   arbitrate(0.0);
-  const SimDuration epoch =
-      config.engine.schedule_period * static_cast<double>(config.arbitration_period_ticks);
   const auto any_active = [&] {
     return std::any_of(sims.begin(), sims.end(), [](const auto& sim) { return sim->active(); });
   };
   while (any_active()) {
     ++result.epochs;
-    const SimTime horizon = static_cast<double>(result.epochs) * epoch;
+    const SimTime horizon = sim::tick_time(result.epochs * config.arbitration_period_ticks,
+                                           config.engine.schedule_period);
     if (std::all_of(sims.begin(), sims.end(), [&](const auto& sim) {
           return sim->next_event_time() > horizon;
         }))
@@ -568,16 +590,18 @@ void expect_same_result(const MultiTenantResult& got, const MultiTenantResult& w
 TEST(MultiTenantEpochSkip, MatchesAnOracleThatStepsEveryEpoch) {
   // Random service mixes: 2-4 weighted tenants, some on a VM-hour budget,
   // arbitrating every 1-4 ticks on a 20 s or a 13.7 s period (whose
-  // multiples are inexact in binary, so ticks land on or an ulp beside a
-  // horizon), with crashes and boot failures, a spot market, the checker
-  // and tenant-cap-overshoot each on or off. Crash and revocation times
-  // outlive the trace, so every mix ends in a tail of idle epochs.
+  // multiples are inexact in binary: ticks and horizons meet only because
+  // both are points k × period of one grid), with crashes and boot
+  // failures, a spot market, the checker, and tenant-cap-overshoot or
+  // tenant-unfair-share each on or off. Crash and revocation times outlive
+  // the trace, so every mix ends in a tail of idle epochs.
   const policy::Portfolio paper = policy::Portfolio::paper_portfolio();
   const policy::Portfolio pricing = policy::Portfolio::pricing_portfolio();
   std::uint64_t mixes_with_idle_epochs = 0;
   std::uint64_t checked_mixes_with_idle_epochs = 0;
   std::uint64_t period_13_7_mixes = 0;
   std::uint64_t overshoot_mixes = 0;
+  std::uint64_t unfair_share_caught_mixes = 0;
   for (std::uint64_t seed = 1; seed <= 56; ++seed) {
     SCOPED_TRACE("mix seed " + std::to_string(seed));
     util::Rng rng(seed);
@@ -605,20 +629,22 @@ TEST(MultiTenantEpochSkip, MatchesAnOracleThatStepsEveryEpoch) {
     if (rng.bernoulli(0.5)) {
       config.engine.validation.check_invariants = true;
       config.engine.validation.abort_on_violation = false;
-      if (rng.bernoulli(0.3)) {
+      const double fault = rng.uniform();
+      if (fault < 0.3) {
         config.engine.validation.inject_fault = validate::FaultInjection::kTenantCapOvershoot;
         ++overshoot_mixes;
+      } else if (fault < 0.6) {
+        config.engine.validation.inject_fault = validate::FaultInjection::kTenantUnfairShare;
       }
     }
     std::vector<double> weights;
     for (std::size_t i = 0; i < n; ++i) weights.push_back(rng.uniform(0.5, 3.0));
-    const double total_weight = std::accumulate(weights.begin(), weights.end(), 0.0);
+    const std::vector<double> quota = quota_shares(48, weights);
     std::vector<workload::Trace> traces;
     traces.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto floor = static_cast<int>(48.0 * weights[i] / total_weight);
       traces.push_back(small_trace(tenant_workload_seed(seed, i), rng.uniform(0.05, 0.15),
-                                   std::max(floor, 1)));
+                                   std::max(static_cast<int>(quota[i]), 1)));
     }
     for (std::size_t i = 0; i < n; ++i) {
       TenantConfig tenant;
@@ -637,6 +663,9 @@ TEST(MultiTenantEpochSkip, MatchesAnOracleThatStepsEveryEpoch) {
     const MultiTenantResult want = stepped_run(config, idle_epochs);
     const MultiTenantResult got = MultiTenantExperiment(config).run();
     expect_same_result(got, want);
+    if (config.engine.validation.inject_fault == validate::FaultInjection::kTenantUnfairShare &&
+        mentions(got.invariant_violations, "tenant.fairness"))
+      ++unfair_share_caught_mixes;
     if (idle_epochs > 0) {
       ++mixes_with_idle_epochs;
       if (config.engine.validation.check_invariants) ++checked_mixes_with_idle_epochs;
@@ -647,6 +676,7 @@ TEST(MultiTenantEpochSkip, MatchesAnOracleThatStepsEveryEpoch) {
   EXPECT_GT(checked_mixes_with_idle_epochs, 10u);
   EXPECT_GT(period_13_7_mixes, 10u);
   EXPECT_GT(overshoot_mixes, 3u);
+  EXPECT_GT(unfair_share_caught_mixes, 2u);
 }
 
 }  // namespace

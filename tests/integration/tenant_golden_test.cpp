@@ -75,14 +75,14 @@ TEST(TenantGoldenTrace, MixedFailurePricingTenantsOnKthSp2) {
   // seed (the "tenant-failure" stream), scheduled by the tier-aware
   // portfolio in fixed-count budget mode. Invariants on, record mode: the
   // golden run re-proves the arbitration invariants every time it executes.
-  const double weights[] = {2.0, 1.0, 1.0};
+  const std::vector<double> weights = {2.0, 1.0, 1.0};
   const std::size_t cap = 64;
+  const std::vector<double> quota = engine::quota_shares(cap, weights);
   std::vector<workload::Trace> traces;
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto floor = static_cast<int>(static_cast<double>(cap) * weights[i] / 4.0);
     traces.push_back(workload::TraceGenerator(workload::kth_sp2_like(0.25))
                          .generate(engine::tenant_workload_seed(13, i))
-                         .cleaned(floor));
+                         .cleaned(static_cast<int>(quota[i])));
     ASSERT_FALSE(traces.back().empty());
   }
 

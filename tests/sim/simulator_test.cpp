@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace psched::sim {
@@ -106,6 +108,27 @@ TEST(Simulator, SameTimeEventsFireInScheduleOrder) {
   sim.at(1.0, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TickGrid, FirstTickAtOrAfterMatchesABruteForceScan) {
+  // Each grid point k × period and both of its floating-point neighbours,
+  // near zero and eight million ticks out, for the paper's period and three
+  // that are inexact in binary. The scan walks the grid upward: the points
+  // are visited in increasing order, so the answer never moves back.
+  for (const double period : {20.0, 13.7, 7.3, 0.1}) {
+    for (const std::uint64_t first : {std::uint64_t{0}, std::uint64_t{1} << 23}) {
+      std::uint64_t scan = first == 0 ? 0 : first - 1;  // below every t here
+      for (std::uint64_t k = first; k < first + 4096; ++k) {
+        const SimTime at = tick_time(k, period);
+        EXPECT_EQ(at, static_cast<double>(k) * period);
+        for (const SimTime t : {std::nextafter(at, 0.0), at, std::nextafter(at, kTimeNever)}) {
+          while (tick_time(scan, period) < t) ++scan;
+          ASSERT_EQ(first_tick_at_or_after(t, period), scan)
+              << "period " << period << ", t " << t << " beside tick " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -133,13 +133,13 @@ for stream in $streams; do
   fi
 done
 
-# --- 4. "DESIGN.md §N" references must resolve to a real section -----------
-# Sections are "## N. Title" headings; references appear in the docs and in
-# source comments across the tree (e.g. "DESIGN.md §11").
-for n in $(grep -rohE 'DESIGN\.md §[0-9]+' $docs src tools bench tests examples \
-             2>/dev/null | grep -oE '[0-9]+' | sort -un); do
-  if ! grep -qE "^## $n\. " DESIGN.md; then
-    echo "docs-lint: DESIGN.md §$n is referenced but DESIGN.md has no '## $n.' section" >&2
+# --- 4. "DESIGN.md §N[.M]" references must resolve to a real heading -------
+# ("## N. Title" or "### N.M Title"); references appear in the docs and in
+# source comments across the tree (e.g. "DESIGN.md §11", "DESIGN.md §13.2").
+for ref in $(grep -rohE 'DESIGN\.md §[0-9]+(\.[0-9]+)?' $docs src tools bench tests examples \
+               2>/dev/null | grep -oE '[0-9.]+$' | sort -u); do
+  if ! grep -qE "^(## $ref\.|### $ref) " DESIGN.md; then
+    echo "docs-lint: DESIGN.md §$ref is referenced but DESIGN.md has no '## $ref.' or '### $ref' heading" >&2
     fail=1
   fi
 done

@@ -38,9 +38,10 @@
 //       reports what the checker caught (exit 2): none (the default),
 //       billing-off-by-one, skip-boot-delay, cap-overshoot,
 //       candidate-throw, and, with --tenants only, tenant-cap-overshoot
-//       and tenant-unfair-share; --differential runs the inner-vs-outer
-//       simulator oracle on the workload instead of a normal experiment
-//       (see src/validate/differential.hpp).
+//       and tenant-unfair-share (which starves all but tenant 0 once, at
+//       the first decision where that is unfair); --differential runs the
+//       inner-vs-outer simulator oracle on the workload instead of a
+//       normal experiment (see src/validate/differential.hpp).
 //       Observability (DESIGN.md §9): --obs-level selects the recording
 //       level (default off); --report-out writes the machine-readable
 //       "psched-run-report/v1" JSON (implies at least counters);
@@ -431,8 +432,8 @@ int finish_run(const util::ArgParser& args, const obs::RunReportInputs& inputs,
 /// so the arbiter can always make progress.
 std::vector<workload::Trace> tenant_traces_from_args(
     const util::ArgParser& args, const workload::Trace& shared,
-    const std::vector<int>& quota_floors) {
-  const std::size_t count = quota_floors.size();
+    const std::vector<double>& quotas) {
+  const std::size_t count = quotas.size();
   bool generated = !args.get_bool("workflows");
   for (const std::string& positional : args.positional())
     if (positional.find(".swf") != std::string::npos) generated = false;
@@ -448,13 +449,13 @@ std::vector<workload::Trace> tenant_traces_from_args(
       for (std::size_t i = 0; i < count; ++i)
         traces.push_back(workload::TraceGenerator(config)
                              .generate(engine::tenant_workload_seed(root, i))
-                             .cleaned(std::min(quota_floors[i], 64)));
+                             .cleaned(std::min(static_cast<int>(quotas[i]), 64)));
     }
     return traces;
   }
   std::vector<workload::Trace> shards = workload::shard_round_robin(shared, count);
   for (std::size_t i = 0; i < count; ++i)
-    traces.push_back(shards[i].cleaned(quota_floors[i]));
+    traces.push_back(shards[i].cleaned(static_cast<int>(quotas[i])));
   return traces;
 }
 
@@ -488,24 +489,19 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
       return 1;
     }
   }
-  double total_weight = 0.0;
-  for (const double w : weights) total_weight += w;
-  std::vector<int> quota_floors;
+  const std::vector<double> quotas = engine::quota_shares(config.provider.max_vms, weights);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto floor = static_cast<int>(
-        static_cast<double>(config.provider.max_vms) * weights[i] / total_weight);
-    if (floor < 1) {
+    if (quotas[i] < 1.0) {
       std::fprintf(stderr,
                    "error: tenant %zu's quota floor is zero — raise the cap "
                    "(%zu VMs across %zu tenants) or its weight\n",
                    i, config.provider.max_vms, count);
       return 1;
     }
-    quota_floors.push_back(floor);
   }
 
   const std::vector<workload::Trace> tenant_traces =
-      tenant_traces_from_args(args, trace, quota_floors);
+      tenant_traces_from_args(args, trace, quotas);
   if (tenant_traces.size() != count) {
     std::fputs("error: could not build per-tenant traces\n", stderr);
     return 2;
