@@ -238,9 +238,15 @@ SimOutcome OnlineSimulator::simulate(
 
     // --- 2. allocation (shared planner; head-of-line or EASY backfill) -------
     policy::order_queue(pending, *policy.job_selection, now, arena.order);
-    policy::plan_allocation_into(now, pending, arena.vms, *policy.vm_selection,
-                                 config_.allocation, snapshot.billing_quantum,
-                                 arena.plan, arena.alloc);
+    // The counts are current, so a decision that can start nothing skips
+    // the planner's walk over the rows.
+    if (policy::can_start(pending, ctx.idle_vms, config_.allocation)) {
+      policy::plan_allocation_into(now, pending, arena.vms, *policy.vm_selection,
+                                   config_.allocation, snapshot.billing_quantum,
+                                   arena.plan, arena.alloc);
+    } else {
+      arena.plan.clear();
+    }
     if (!arena.agreeing.empty() && !arena.plan.empty())
       check_siblings(now, pending, ctx.idle_vms, snapshot.billing_quantum, siblings, arena);
     if (!arena.plan.empty()) {

@@ -11,6 +11,8 @@ constexpr std::size_t kReflectionHints = 6;
 
 }  // namespace
 
+bool Scheduler::reads_fleet() const { return true; }
+
 SinglePolicyScheduler::SinglePolicyScheduler(policy::PolicyTriple policy)
     : policy_(policy) {
   PSCHED_ASSERT(policy.provisioning && policy.job_selection && policy.vm_selection);
@@ -21,6 +23,8 @@ policy::PolicyTriple SinglePolicyScheduler::policy_for_tick(
     const cloud::CloudProfile& /*profile*/) {
   return policy_;
 }
+
+bool SinglePolicyScheduler::reads_fleet() const { return false; }
 
 std::string SinglePolicyScheduler::name() const { return policy_.name(); }
 

@@ -25,14 +25,22 @@ class Scheduler {
   /// The policy governing this scheduling tick. `tick` counts scheduling
   /// periods from 0; the queue carries predicted runtimes.
   ///
-  /// Profile contract: with a non-empty queue `profile.vms` lists every
-  /// leased VM. With an empty queue the engine skips its fleet pass, so
-  /// `profile.vms` is empty; `now`, the caps and the market view are still
-  /// current. An implementation must therefore not read `profile.vms` when
-  /// `queue` is empty (every scheduler in the tree returns at once then).
+  /// Profile contract: `now`, the caps and the market view are always
+  /// current. `profile.vms` lists every leased VM only when the queue is
+  /// non-empty and reads_fleet() is true; otherwise the engine skips its
+  /// fleet pass and `profile.vms` is empty. An implementation must
+  /// therefore not read `profile.vms` when `queue` is empty (every
+  /// scheduler in the tree returns at once then), nor at all if it answers
+  /// reads_fleet() with false.
   [[nodiscard]] virtual policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) = 0;
+
+  /// Whether policy_for_tick reads `profile.vms`. The engine asks once, at
+  /// construction. The base answers true, so a scheduler that wraps
+  /// another (a timing decorator, say) gets the fleet unless it overrides
+  /// this; only a scheduler that never looks at the fleet answers false.
+  [[nodiscard]] virtual bool reads_fleet() const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -48,7 +56,7 @@ class Scheduler {
   virtual void capture_state(util::StateDigest& /*digest*/) const {}
 };
 
-/// Applies one fixed policy forever.
+/// Applies one fixed policy forever; it never reads the fleet.
 class SinglePolicyScheduler final : public Scheduler {
  public:
   explicit SinglePolicyScheduler(policy::PolicyTriple policy);
@@ -56,6 +64,7 @@ class SinglePolicyScheduler final : public Scheduler {
   [[nodiscard]] policy::PolicyTriple policy_for_tick(
       std::uint64_t tick, std::span<const policy::QueuedJob> queue,
       const cloud::CloudProfile& profile) override;
+  [[nodiscard]] bool reads_fleet() const override;
   [[nodiscard]] std::string name() const override;
 
  private:

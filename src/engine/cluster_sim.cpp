@@ -29,6 +29,7 @@ ClusterSimulation::ClusterSimulation(EngineConfig config, const workload::Trace&
       trace_(trace),
       scheduler_(scheduler),
       predictor_(predictor),
+      reads_fleet_(scheduler.reads_fleet()),
       provider_(config_.provider),
       collector_(config_.slowdown_bound),
       recorder_(recorder != nullptr && recorder->counters_on() ? recorder : nullptr) {
@@ -136,7 +137,7 @@ void ClusterSimulation::annotate_queue() {
   }
 }
 
-void ClusterSimulation::scan_fleet(SimTime now) {
+void ClusterSimulation::fill_profile(SimTime now) {
   cloud::CloudProfile& profile = profile_;
   profile.now = now;
   // Planning cap, not the provider's live cap: under a multi-tenant arbiter
@@ -149,39 +150,54 @@ void ClusterSimulation::scan_fleet(SimTime now) {
   profile.boot_delay = provider_.config().boot_delay;
   profile.billing_quantum = provider_.config().billing_quantum;
   profile.vms.clear();
-  avail_.clear();
   // Market view first: provisioning reads it (SchedContext::pricing) whether
   // or not anything is queued.
   provider_.fill_pricing_view(profile.pricing, now);
-  if (annotated_.empty()) return;
+  if (annotated_.empty() || !reads_fleet_) return;
   for (const cloud::VmInstance& vm : provider_.vms()) {
     cloud::VmView view;
     view.lease_time = vm.lease_time;
     view.family = vm.family;
     view.tier = vm.tier;
-    SimTime row_at = now;  // the planner's availability for this VM
     switch (vm.state) {
       case cloud::VmState::kBooting:
-        view.available_at = row_at = vm.boot_complete;
+        view.available_at = vm.boot_complete;
         break;
       case cloud::VmState::kBusy:
-        // Schedulers and the planner see the *predicted* completion, never
-        // the actual. A stale prediction (already in the past) reads as
-        // `now` in the profile, but must still read as "busy, free any
-        // moment" to the planner — never as idle-now, which only kIdle VMs
-        // are.
+        // Schedulers see the *predicted* completion, never the actual; a
+        // stale prediction (already in the past) reads as `now`.
         view.available_at = std::max(vm.predicted_end, now);
         view.busy = true;
-        row_at = std::max(vm.predicted_end, now + 1e-6);
         break;
       case cloud::VmState::kIdle:
         view.available_at = now;
         break;
     }
     profile.vms.push_back(view);
+  }
+}
+
+void ClusterSimulation::fill_rows(SimTime now) {
+  avail_.clear();
+  for (const cloud::VmInstance& vm : provider_.vms()) {
     // A doomed spot VM (revocation warning delivered) finishes what it has
     // but takes no new work: no planner row; always false with pricing off.
-    if (!vm.doomed) avail_.push_back(policy::VmAvail{vm.id, vm.lease_time, row_at});
+    if (vm.doomed) continue;
+    SimTime at = now;
+    switch (vm.state) {
+      case cloud::VmState::kBooting:
+        at = vm.boot_complete;
+        break;
+      case cloud::VmState::kBusy:
+        // The planner, too, sees only the predicted completion. A stale one
+        // must still read as "busy, free any moment", never as idle-now,
+        // which only kIdle VMs are.
+        at = std::max(vm.predicted_end, now + 1e-6);
+        break;
+      case cloud::VmState::kIdle:
+        break;
+    }
+    avail_.push_back(policy::VmAvail{vm.id, vm.lease_time, at});
   }
 }
 
@@ -193,7 +209,7 @@ void ClusterSimulation::on_tick() {
   ++ticks_run_;
 
   annotate_queue();
-  scan_fleet(now);
+  fill_profile(now);
   const policy::PolicyTriple policy =
       scheduler_.policy_for_tick(tick_index_, annotated_, profile_);
   if (policy != context_policy_) {
@@ -248,9 +264,8 @@ void ClusterSimulation::on_tick() {
       next_lease_attempt_ = 0.0;
     }
   }
-  // This tick's leases sit at the fleet's tail, after every VM the pass saw:
-  // lease() only appends and ids only grow. Arm their events and append
-  // their planner rows behind the pass's, which keeps the rows in id order.
+  // This tick's leases sit at the fleet's tail (lease() only appends): arm
+  // their events.
   for (std::size_t i = leased_before; i < fleet.size(); ++i) {
     const cloud::VmInstance& vm = fleet[i];
     const VmId id = vm.id;
@@ -265,22 +280,23 @@ void ClusterSimulation::on_tick() {
     // A fresh lease is booting, or idle at once under a zero boot delay (or
     // the skip-boot-delay validation fault); only a booting one awaits a
     // boot-complete event, at its family's boot_complete.
-    const bool booting = vm.state == cloud::VmState::kBooting;
-    if (booting) sim_.at(vm.boot_complete, [this, id] { on_boot_complete(id); });
-    avail_.push_back(policy::VmAvail{id, vm.lease_time, booting ? vm.boot_complete : now});
+    if (vm.state == cloud::VmState::kBooting)
+      sim_.at(vm.boot_complete, [this, id] { on_boot_complete(id); });
   }
 
   // --- 2. allocation (shared planner; head-of-line or EASY backfill) ---------
   policy::order_queue(annotated_, *policy.job_selection, now, order_scratch_);
-  // A start takes at least one VM, and only an idle one that is not doomed:
-  // with none (this tick's leases included) or nothing queued, the plan is
-  // empty without asking the planner.
-  if (annotated_.empty() || provider_.count(cloud::VmState::kIdle, false) == 0) {
-    plan_.clear();
-  } else {
+  // A start takes only idle VMs that are not doomed, this tick's leases
+  // included (the tally says how many). When no job the mode may start fits
+  // them, the plan is empty without building the rows or asking the planner.
+  if (policy::can_start(annotated_, provider_.count(cloud::VmState::kIdle, false),
+                        config_.allocation)) {
+    fill_rows(now);
     policy::plan_allocation_into(now, annotated_, avail_, *policy.vm_selection,
                                  config_.allocation, config_.provider.billing_quantum,
                                  plan_, alloc_scratch_);
+  } else {
+    plan_.clear();
   }
 
   served_.assign(annotated_.size(), false);

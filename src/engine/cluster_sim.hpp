@@ -202,12 +202,13 @@ class ClusterSimulation {
   /// machinery as a crash) and settles the lease at the spot price.
   void on_spot_revoke(VmId id);
 
-  /// Refill profile_'s header and market view. With jobs queued, also make
-  /// the tick's one pass over the fleet: profile_'s VMs (every VM, busy ones
-  /// at their predicted end) and avail_ (the planner's rows, doomed VMs left
-  /// out). With none queued both stay empty: schedulers ignore the VMs then
-  /// (Scheduler::policy_for_tick) and the planner has nothing to place.
-  void scan_fleet(SimTime now);
+  /// Refill profile_'s header and market view. Its VMs (every VM, busy ones
+  /// at their predicted end) only with jobs queued and a scheduler that
+  /// reads them (Scheduler::policy_for_tick, reads_fleet); empty otherwise.
+  void fill_profile(SimTime now);
+  /// Refill avail_, the planner's rows, from the fleet after provisioning:
+  /// every VM that is not doomed, in id order.
+  void fill_rows(SimTime now);
   /// Refill annotated_ from queue_ (submit order, predicted runtimes).
   void annotate_queue();
   /// fstats_ plus the provider's boot-failure, crash and API-rejection counts.
@@ -217,6 +218,7 @@ class ClusterSimulation {
   const workload::Trace& trace_;
   core::Scheduler& scheduler_;
   predict::RuntimePredictor& predictor_;
+  const bool reads_fleet_;  // scheduler_.reads_fleet(), asked once
 
   sim::Simulator sim_;
   cloud::CloudProvider provider_;

@@ -27,6 +27,16 @@ void take_vms(std::vector<VmCandidate>& idle, const QueuedJob& job, std::size_t 
 
 }  // namespace
 
+bool can_start(std::span<const QueuedJob> ordered_queue, std::size_t idle,
+               AllocationMode mode) {
+  const auto fits = [idle](const QueuedJob& job) {
+    return static_cast<std::size_t>(job.procs) <= idle;
+  };
+  if (mode == AllocationMode::kHeadOfLine)
+    return !ordered_queue.empty() && fits(ordered_queue.front());
+  return std::any_of(ordered_queue.begin(), ordered_queue.end(), fits);
+}
+
 void plan_allocation_into(SimTime now, std::span<const QueuedJob> ordered_queue,
                           std::span<const VmAvail> vms,
                           const VmSelectionPolicy& vm_selection, AllocationMode mode,

@@ -68,6 +68,16 @@ struct AllocationScratch {
   std::vector<SimTime> times;
 };
 
+/// Whether plan_allocation_into can start anything on `ordered_queue` when
+/// `idle` VMs are idle now: under kHeadOfLine iff the head job fits, under
+/// kEasyBackfill only if some queued job does. A false answer means an
+/// empty plan, so both callers skip the planner (and the engine its rows)
+/// then. Under kHeadOfLine a true answer means a non-empty plan; under EASY
+/// the plan can still be empty, e.g. when the blocked head is wider than
+/// the whole fleet.
+[[nodiscard]] bool can_start(std::span<const QueuedJob> ordered_queue, std::size_t idle,
+                             AllocationMode mode);
+
 /// Compute the starts for this scheduling decision into `out` (cleared
 /// first). `ordered_queue` must already be in service order (see
 /// order_queue); VM ids must be unique. `vms` is read-only: the planner

@@ -96,16 +96,22 @@ void InvariantChecker::on_finish_boot(const cloud::VmInstance& vm, SimTime now) 
 }
 
 void InvariantChecker::on_assign(const cloud::VmInstance& vm, JobId job, SimTime now) {
+  const auto job_id = static_cast<long long>(job);
+  const auto vm_id = static_cast<long long>(vm.id);
   if (!check(vm.state == cloud::VmState::kIdle)) {
     fail("vm.idle-before-assign", now,
-         "job " + std::to_string(job) + " assigned to VM " + std::to_string(vm.id) +
-             " which is not idle");
+         format("job %lld assigned to VM %lld which is not idle", job_id, vm_id));
   }
   if (!check(now + kEps >= vm.boot_complete)) {
     fail("vm.boot-before-run", now,
-         "job " + std::to_string(job) + " starts on VM " + std::to_string(vm.id) +
-             format(" at t=%.3f, %.3f s before its boot completes", now,
-                    vm.boot_complete - now));
+         format("job %lld starts on VM %lld at t=%.3f, %.3f s before its boot completes",
+                job_id, vm_id, now, vm.boot_complete - now));
+  }
+  // A doomed spot lease finishes what it runs but takes no new job.
+  if (pricing_model_ != nullptr && !check(!vm.doomed)) {
+    fail("pricing.revocation", now,
+         format("job %lld assigned to VM %lld after its revocation warning", job_id,
+                vm_id));
   }
 }
 

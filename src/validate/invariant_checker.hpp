@@ -34,7 +34,8 @@
 //                          independent lease_cost recomputation
 //   pricing.commitment     live reserved leases never exceed the commitment
 //   pricing.revocation     only doomed spot leases are revoked (warning
-//                          precedes the kill), billed ceil like a crash
+//                          precedes the kill), billed ceil like a crash;
+//                          a doomed lease takes no new job
 //   pricing.consistent     pricing metrics match the observed event stream
 //                          (warnings, revocations, per-tier spend, waste)
 //   tenant.global-cap      arbiter allocations (and live leases) summed

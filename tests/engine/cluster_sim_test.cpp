@@ -6,6 +6,8 @@
 #include <span>
 
 #include "engine/experiment.hpp"
+#include "expect_same_metrics.hpp"
+#include "util/state_digest.hpp"
 #include "workload/generator.hpp"
 
 namespace psched::engine {
@@ -372,6 +374,111 @@ TEST(ClusterSimulation, EasyBackfillNeverLosesJobs) {
                                         PredictorKind::kTsafrir);
   EXPECT_EQ(result.run.metrics.jobs, trace.size());
   EXPECT_GE(result.run.metrics.avg_bounded_slowdown, 1.0);
+}
+
+TEST(ClusterSimulation, EasyBackfillStartsANarrowJobBehindABlockedWideHead) {
+  // The engine twin of OnlineSimBackfill.ShortJobSlipsPastBlockedWideHead.
+  // Job 0 holds VM 0 over 120..220. At the 200 tick ODM leases 8 VMs for
+  // the 8-wide job 1, booting until 320. The 220 tick finds job 1 blocked
+  // at the head and VM 0 idle: the 10 s job 2 ends before job 1's 320
+  // reservation, so EASY starts it there, while head-of-line holds it
+  // until job 1 starts at 320.
+  const workload::Trace trace("t", 64,
+                              {make_job(0, 0.0, 100.0, 1), make_job(1, 200.0, 1000.0, 8),
+                               make_job(2, 210.0, 10.0, 1)});
+  const auto start_of_job_2 = [&trace](policy::AllocationMode mode) {
+    EngineConfig config = paper_engine_config();
+    config.allocation = mode;
+    config.keep_job_records = true;
+    const RunResult r = run_single_policy(config, trace, policy_by_name("ODM-FCFS-FirstFit"),
+                                          PredictorKind::kPerfect)
+                            .run;
+    EXPECT_EQ(r.metrics.jobs, 3u);
+    const auto it = std::find_if(r.job_records.begin(), r.job_records.end(),
+                                 [](const metrics::JobRecord& j) { return j.id == 2; });
+    return it == r.job_records.end() ? -1.0 : it->start;
+  };
+  EXPECT_DOUBLE_EQ(start_of_job_2(policy::AllocationMode::kEasyBackfill), 220.0);
+  EXPECT_DOUBLE_EQ(start_of_job_2(policy::AllocationMode::kHeadOfLine), 320.0);
+}
+
+TEST(ClusterSimulation, FixedPolicyRunIgnoresTheFleetView) {
+  // A SinglePolicyScheduler answers reads_fleet() with false, so the engine
+  // never lists the fleet in its profile. RecordingScheduler answers the
+  // same policy but reads the fleet, so the engine lists it there. With
+  // failures and a two-family spot market on, under both allocation modes,
+  // the two runs must agree bit for bit: in the state digest after every
+  // stride and in the run's result.
+  const policy::Portfolio pricing_portfolio = policy::Portfolio::pricing_portfolio();
+  // Cheapest-feasible spills across both families once the cheap one's cap
+  // binds.
+  const policy::PolicyTriple* policy = pricing_portfolio.find("CPF-FCFS-BestFit");
+  ASSERT_NE(policy, nullptr);
+  EngineConfig config = paper_engine_config();
+  config.failure.vm_mtbf_seconds = 12.0 * kSecondsPerHour;
+  config.failure.p_boot_fail = 0.02;
+  config.failure.seed = 23;
+  config.pricing.families.push_back(cloud::VmFamily{"small", 0.5, 30.0, 32});
+  config.pricing.families.push_back(cloud::VmFamily{"std", 1.0, 120.0, 0});
+  config.pricing.spot_price_fraction = 0.3;
+  config.pricing.spot_mtbf_seconds = 4.0 * kSecondsPerHour;
+  config.pricing.spot_warning_seconds = 300.0;
+  config.pricing.seed = 31;
+  const auto trace =
+      workload::TraceGenerator(workload::kth_sp2_like(2.0)).generate(5).cleaned(64);
+
+  struct Stepped {
+    std::vector<util::StateDigest> digests;
+    RunResult result;
+  };
+  const auto stepped = [&](const EngineConfig& c, core::Scheduler& scheduler) {
+    const auto predictor = make_predictor(PredictorKind::kUserEstimate);
+    ClusterSimulation sim(c, trace, scheduler, *predictor);
+    Stepped out;
+    sim.start();
+    for (double k = 1.0; sim.active(); k += 1.0) {
+      sim.advance_until(k * 300.0 * c.schedule_period);
+      sim.capture_state(out.digests.emplace_back());
+    }
+    out.result = sim.finish();
+    return out;
+  };
+
+  for (const policy::AllocationMode mode :
+       {policy::AllocationMode::kHeadOfLine, policy::AllocationMode::kEasyBackfill}) {
+    SCOPED_TRACE(mode == policy::AllocationMode::kHeadOfLine ? "head-of-line" : "EASY");
+    config.allocation = mode;
+    core::SinglePolicyScheduler single(*policy);
+    RecordingScheduler recording(*policy);
+    EXPECT_FALSE(single.reads_fleet());
+    EXPECT_TRUE(recording.reads_fleet());
+    const Stepped a = stepped(config, single);
+    const Stepped b = stepped(config, recording);
+
+    // The run exercises what it claims: the recorded profiles list VMs of
+    // both families, crashes kill jobs and spot leases are revoked.
+    EXPECT_TRUE(std::any_of(recording.profiles.begin(), recording.profiles.end(),
+                            [](const cloud::CloudProfile& p) {
+                              return std::any_of(p.vms.begin(), p.vms.end(),
+                                                 [](const cloud::VmView& v) {
+                                                   return v.family == 1;
+                                                 });
+                            }));
+    EXPECT_GT(a.result.metrics.failures.job_kills, 0u);
+    EXPECT_GT(a.result.metrics.pricing.spot_revocations, 0u);
+
+    ASSERT_EQ(a.digests.size(), b.digests.size());
+    ASSERT_GE(a.digests.size(), 2u);
+    for (std::size_t i = 0; i < a.digests.size(); ++i) {
+      ASSERT_EQ(a.digests[i], b.digests[i])
+          << "capture " << i << ": first difference at "
+          << a.digests[i].first_difference(b.digests[i]);
+    }
+    expect_same_metrics(a.result.metrics, b.result.metrics);
+    EXPECT_EQ(a.result.ticks, b.result.ticks);
+    EXPECT_EQ(a.result.events, b.result.events);
+    EXPECT_EQ(a.result.total_leases, b.result.total_leases);
+  }
 }
 
 TEST(ClusterSimulation, EmptyTraceProducesEmptyMetrics) {

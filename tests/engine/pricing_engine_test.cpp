@@ -11,6 +11,7 @@
 #include "engine/cluster_sim.hpp"
 #include "engine/experiment.hpp"
 #include "expect_same_metrics.hpp"
+#include "workload/generator.hpp"
 
 namespace psched::engine {
 namespace {
@@ -301,6 +302,28 @@ TEST(PricingEngine, EmptyQueueTickReleasesADoomedIdleSpotVm) {
   EXPECT_EQ(before.idle_vms, 1u);
   EXPECT_EQ(last.leased_vms, 0u);
   EXPECT_DOUBLE_EQ(run.metrics.rv_charged_seconds, 3600.0);
+}
+
+TEST(PricingEngine, DoomedIdleSpotVmsTakeNoNewJob) {
+  // A one-hour spot MTBF with a 600 s warning dooms spot leases often, some
+  // while idle with jobs queued. Such a VM finishes what it runs but takes
+  // no new job: pricing.revocation checks every assignment for it.
+  EngineConfig config = checked_config();
+  config.validation.abort_on_violation = false;
+  config.pricing.spot_price_fraction = 0.3;
+  config.pricing.spot_mtbf_seconds = kSecondsPerHour;
+  config.pricing.spot_warning_seconds = 600.0;
+  config.pricing.seed = 41;
+  const auto trace =
+      workload::TraceGenerator(workload::kth_sp2_like(2.0)).generate(3).cleaned(64);
+  const RunResult run =
+      run_single_policy(config, trace, policy_by_name("SPT-FCFS-FirstFit"),
+                        PredictorKind::kUserEstimate).run;
+  EXPECT_GT(run.metrics.pricing.spot_warnings, 0u);
+  EXPECT_GT(run.invariant_checks, 0u);
+  EXPECT_TRUE(run.invariant_violations.empty())
+      << run.invariant_violations.front().invariant << ": "
+      << run.invariant_violations.front().detail;
 }
 
 TEST(PricingEngine, PricingStatsReachTheRunReport) {

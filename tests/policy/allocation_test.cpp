@@ -413,5 +413,50 @@ TEST(Allocation, MatchesWorkingCopyReferenceOnRandomInstances) {
   EXPECT_GT(easy_backfills, 400u);
 }
 
+TEST(Allocation, CanStartMatchesThePlannerOnRandomInstances) {
+  // can_start decides from the idle count alone whether the planner may be
+  // skipped. Under head-of-line it must agree with the planner exactly;
+  // under EASY a "no" must mean an empty plan, while a "yes" may still plan
+  // nothing (the head wider than the fleet, or no job fits its window).
+  const auto selections = all_vm_selection();
+  std::size_t hol_yes = 0;
+  std::size_t hol_no = 0;
+  std::size_t easy_no = 0;
+  std::size_t easy_only = 0;   // EASY may start, head-of-line may not
+  std::size_t easy_empty = 0;  // EASY may start, yet planned nothing
+  AllocationPlan flat;
+  AllocationScratch scratch;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    const Instance in = random_instance(seed);
+    const auto idle = static_cast<std::size_t>(
+        std::count_if(in.vms.begin(), in.vms.end(),
+                      [&in](const VmAvail& vm) { return vm.available_at <= in.now; }));
+    const bool hol = can_start(in.queue, idle, AllocationMode::kHeadOfLine);
+    const bool easy = can_start(in.queue, idle, AllocationMode::kEasyBackfill);
+    for (const auto& selection : selections) {
+      plan_allocation_into(in.now, in.queue, in.vms, *selection,
+                           AllocationMode::kHeadOfLine, kSecondsPerHour, flat, scratch);
+      ASSERT_EQ(hol, !flat.empty()) << "seed " << seed << ", " << selection->name();
+      plan_allocation_into(in.now, in.queue, in.vms, *selection,
+                           AllocationMode::kEasyBackfill, kSecondsPerHour, flat, scratch);
+      if (!easy) {
+        ASSERT_TRUE(flat.empty()) << "seed " << seed << ", " << selection->name();
+      } else if (flat.empty()) {
+        ++easy_empty;
+      }
+    }
+    hol ? ++hol_yes : ++hol_no;
+    if (!easy) ++easy_no;
+    if (easy && !hol) ++easy_only;
+  }
+  // Every branch is taken often enough to mean something (600 instances;
+  // easy_empty counts instance and VM-selection pairs).
+  EXPECT_GT(hol_yes, 200u);
+  EXPECT_GT(hol_no, 150u);
+  EXPECT_GT(easy_no, 50u);
+  EXPECT_GT(easy_only, 100u);
+  EXPECT_GT(easy_empty, 200u);
+}
+
 }  // namespace
 }  // namespace psched::policy
