@@ -1,6 +1,7 @@
 #include "core/online_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "cloud/vm.hpp"
@@ -28,14 +29,71 @@ double charge_seconds(SimTime lease_time, bool fresh, SimTime release, SimTime t
   return std::max(0.0, total - sunk);
 }
 
+/// Keeps in `agreeing` the siblings whose `part` policy passes `agrees`
+/// (DESIGN.md §11.5). A sibling with the leader's policy passes unasked;
+/// any other policy is judged once per call, by its first sibling in
+/// `agreeing`, and a throw fails it (its own run throws there too, and
+/// simulated alone it is quarantined as it would be without the check).
+template <class Policy, class Agrees>
+void keep_agreeing(std::vector<std::uint32_t>& agreeing,
+                   std::span<const policy::PolicyTriple> siblings,
+                   const Policy* policy::PolicyTriple::*part, const Policy* leader,
+                   Agrees agrees) {
+  // Verdicts are marked in place, so later siblings can look them up.
+  constexpr std::uint32_t kDropped = 1U << 31;
+  bool dropped = false;
+  for (std::size_t k = 0; k < agreeing.size(); ++k) {
+    const Policy* mine = siblings[agreeing[k]].*part;
+    if (mine == leader) continue;
+    std::size_t first = 0;
+    while (first < k && siblings[agreeing[first] & ~kDropped].*part != mine) ++first;
+    bool passes = false;
+    if (first < k) {
+      passes = (agreeing[first] & kDropped) == 0;
+    } else {
+      try {
+        passes = agrees(*mine);
+      } catch (const std::exception&) {
+      }
+    }
+    if (!passes) {
+      agreeing[k] |= kDropped;
+      dropped = true;
+    }
+  }
+  if (dropped) std::erase_if(agreeing, [](std::uint32_t i) { return (i & kDropped) != 0; });
+}
+
+/// Whether `job_selection`'s own order_queue would leave `queue`, the
+/// leader's ordered queue, as it is: strictly in (priority, submit, id)
+/// order. A NaN priority (on which order_queue throws) or an exact key tie
+/// (which order_queue breaks by a queue position the leader's order may
+/// have moved) counts as disagreement.
+bool orders_alike(const policy::JobSelectionPolicy& job_selection, SimTime now,
+                  std::span<const policy::QueuedJob> queue) {
+  double prev = 0.0;
+  for (std::size_t k = 0; k < queue.size(); ++k) {
+    const double key = job_selection.priority(queue[k], now);
+    if (std::isnan(key)) return false;
+    if (k > 0 && !(prev > key)) {
+      const policy::QueuedJob& a = queue[k - 1];
+      const policy::QueuedJob& b = queue[k];
+      if (prev < key || a.submit > b.submit || (a.submit == b.submit && a.id >= b.id))
+        return false;
+    }
+    prev = key;
+  }
+  return true;
+}
+
 /// Whether `vm_selection`, replaying each start of this decision on its own
 /// pool (its own order(), then the first procs VMs), takes the same set of
 /// VMs as the plan at every start before `checked_end`; `arena.taken_ids`
 /// holds each start's planned ids sorted. Starts from `checked_end` on
 /// leave no choice.
-bool sibling_agrees(const policy::VmSelectionPolicy& vm_selection, SimTime now,
-                    std::span<const policy::QueuedJob> queue, SimDuration quantum,
-                    std::size_t checked_end, SimArena& arena) {
+bool vms_alike(const policy::VmSelectionPolicy& vm_selection, SimTime now,
+               std::span<const policy::QueuedJob> queue, SimDuration quantum,
+               std::size_t checked_end, SimArena& arena) {
   std::vector<policy::VmCandidate>& pool = arena.sibling_pool;
   pool.assign(arena.idle_rows.begin(), arena.idle_rows.end());
   for (std::size_t s = 0; s < checked_end; ++s) {
@@ -57,16 +115,16 @@ bool sibling_agrees(const policy::VmSelectionPolicy& vm_selection, SimTime now,
   return true;
 }
 
-/// Drops from `arena.agreeing` every sibling that would have taken other VMs
-/// than the plan at some start of this decision (DESIGN.md §11.5). Runs
-/// before the plan is applied, while the rows still hold the planner's idle
-/// pool of `idle` VMs. Only starts whose pool holds more VMs than they take
-/// are checked: the fit tests read only pool sizes, so every sibling makes
-/// the same starts, and a start that takes the whole pool has no choice.
-void check_siblings(SimTime now, std::span<const policy::QueuedJob> queue, std::size_t idle,
-                    SimDuration quantum,
-                    std::span<const policy::VmSelectionPolicy* const> siblings,
-                    SimArena& arena) {
+/// Drops from `arena.agreeing` every sibling whose VM selection would have
+/// taken other VMs than the plan at some start of this decision (DESIGN.md
+/// §11.5). Runs before the plan is applied, while the rows still hold the
+/// planner's idle pool of `idle` VMs. Only starts whose pool holds more VMs
+/// than they take are checked: the fit tests read only pool sizes, so every
+/// sibling makes the same starts, and a start that takes the whole pool has
+/// no choice.
+void check_vm_choices(SimTime now, std::span<const policy::QueuedJob> queue, std::size_t idle,
+                      SimDuration quantum, const policy::VmSelectionPolicy* leader,
+                      std::span<const policy::PolicyTriple> siblings, SimArena& arena) {
   const policy::AllocationPlan& plan = arena.plan;
   std::size_t checked_end = 0;
   std::size_t left = idle;
@@ -77,26 +135,23 @@ void check_siblings(SimTime now, std::span<const policy::QueuedJob> queue, std::
     left -= taken;
   }
   if (checked_end == 0) return;
-  arena.idle_rows.clear();
-  for (const policy::VmAvail& vm : arena.vms)
-    if (vm.available_at <= now) arena.idle_rows.push_back({vm.id, vm.lease_time});
-  PSCHED_ASSERT(arena.idle_rows.size() == idle);
-  arena.taken_ids.assign(plan.vm_ids.begin(), plan.vm_ids.end());
-  for (std::size_t s = 0; s < checked_end; ++s)
-    std::sort(arena.taken_ids.begin() + plan.starts[s].vm_begin,
-              arena.taken_ids.begin() + plan.starts[s].vm_end);
-  std::size_t kept = 0;
-  for (const std::uint32_t i : arena.agreeing) {
-    bool agrees = false;
-    try {
-      agrees = sibling_agrees(*siblings[i], now, queue, quantum, checked_end, arena);
-    } catch (const std::exception&) {
-      // Its own run would throw here too; simulated alone, it is
-      // quarantined exactly as it would be without the check.
+  // The replays' inputs, gathered for the first sibling that needs them.
+  bool gathered = false;
+  const auto agrees = [&](const policy::VmSelectionPolicy& vm_selection) {
+    if (!gathered) {
+      gathered = true;
+      arena.idle_rows.clear();
+      for (const policy::VmAvail& vm : arena.vms)
+        if (vm.available_at <= now) arena.idle_rows.push_back({vm.id, vm.lease_time});
+      PSCHED_ASSERT(arena.idle_rows.size() == idle);
+      arena.taken_ids.assign(plan.vm_ids.begin(), plan.vm_ids.end());
+      for (std::size_t s = 0; s < checked_end; ++s)
+        std::sort(arena.taken_ids.begin() + plan.starts[s].vm_begin,
+                  arena.taken_ids.begin() + plan.starts[s].vm_end);
     }
-    if (agrees) arena.agreeing[kept++] = i;
-  }
-  arena.agreeing.resize(kept);
+    return vms_alike(vm_selection, now, queue, quantum, checked_end, arena);
+  };
+  keep_agreeing(arena.agreeing, siblings, &policy::PolicyTriple::vm_selection, leader, agrees);
 }
 
 }  // namespace
@@ -121,15 +176,18 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   return simulate(snapshot, policy, {}, {}, arena);
 }
 
-SimOutcome OnlineSimulator::simulate(
-    const RoundSnapshot& snapshot, const policy::PolicyTriple& policy,
-    std::span<const policy::VmSelectionPolicy* const> siblings,
-    std::span<unsigned char> agreed, SimArena& arena) const {
+SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
+                                     const policy::PolicyTriple& policy,
+                                     std::span<const policy::PolicyTriple> siblings,
+                                     std::span<unsigned char> agreed, SimArena& arena) const {
   // Const-thread-safe for distinct arenas (see header): all mutable state
   // lives in `arena`; config_, the snapshot, and the policies are only read.
   PSCHED_ASSERT(agreed.size() == siblings.size());
   std::fill(agreed.begin(), agreed.end(), 0);
   PSCHED_ASSERT(policy.provisioning && policy.job_selection && policy.vm_selection);
+  for (const policy::PolicyTriple& sibling : siblings)
+    PSCHED_ASSERT_MSG(sibling.provisioning == policy.provisioning,
+                      "a sibling shares the leader's provisioning policy");
   if (config_.inject_fault == validate::FaultInjection::kCandidateThrow)
     throw std::runtime_error("injected fault: candidate simulation throw");
   const SimTime t0 = snapshot.t0;
@@ -238,6 +296,12 @@ SimOutcome OnlineSimulator::simulate(
 
     // --- 2. allocation (shared planner; head-of-line or EASY backfill) -------
     policy::order_queue(pending, *policy.job_selection, now, arena.order);
+    if (!arena.agreeing.empty()) {
+      keep_agreeing(arena.agreeing, siblings, &policy::PolicyTriple::job_selection,
+                    policy.job_selection, [&](const policy::JobSelectionPolicy& js) {
+                      return orders_alike(js, now, pending);
+                    });
+    }
     // The counts are current, so a decision that can start nothing skips
     // the planner's walk over the rows.
     if (policy::can_start(pending, ctx.idle_vms, config_.allocation)) {
@@ -248,7 +312,8 @@ SimOutcome OnlineSimulator::simulate(
       arena.plan.clear();
     }
     if (!arena.agreeing.empty() && !arena.plan.empty())
-      check_siblings(now, pending, ctx.idle_vms, snapshot.billing_quantum, siblings, arena);
+      check_vm_choices(now, pending, ctx.idle_vms, snapshot.billing_quantum,
+                       policy.vm_selection, siblings, arena);
     if (!arena.plan.empty()) {
       arena.served.assign(pending.size(), 0);
       for (const policy::AllocationPlan::Start& start : arena.plan.starts) {

@@ -10,10 +10,11 @@
 // the next availability, and leases, starts and releases update them in
 // place; the planner reads the arena's VM rows without copying them, and an
 // already-ordered queue is not re-sorted. One run can also stand for the
-// candidates that differ from it only in VM selection, for as long as their
-// VM choices agree (DESIGN.md §11.5). Jobs run for their *predicted*
-// runtime — the simulator must not peek at actual runtimes (paper evaluates
-// exactly this information gap in §6.3).
+// candidates that share its provisioning policy, for as long as their job
+// selection orders the queue alike and their VM choices agree (DESIGN.md
+// §11.5). Jobs run for their *predicted* runtime — the simulator must not
+// peek at actual runtimes (paper evaluates exactly this information gap in
+// §6.3).
 //
 // Cost accounting mirrors the outer engine's billing but only counts cost
 // incurred *from the snapshot onward*: already-paid time on existing VMs is
@@ -152,19 +153,19 @@ class OnlineSimulator {
                                     const policy::PolicyTriple& policy,
                                     SimArena& arena) const;
 
-  /// The same run, checked against VM-selection siblings (DESIGN.md §11.5):
-  /// `siblings` are the VM-selection policies of candidates that share
-  /// `policy`'s provisioning and job selection. On return `agreed[i]` is 1
-  /// iff `siblings[i]` would have taken the same VMs as
-  /// `policy.vm_selection` at every start of this run, in which case
-  /// simulating (policy.provisioning, policy.job_selection, siblings[i])
-  /// returns this outcome bit for bit. `agreed` must be as long as
-  /// `siblings`; it is all 0 when the call throws. With no siblings this is
-  /// the overload above.
-  [[nodiscard]] SimOutcome simulate(
-      const RoundSnapshot& snapshot, const policy::PolicyTriple& policy,
-      std::span<const policy::VmSelectionPolicy* const> siblings,
-      std::span<unsigned char> agreed, SimArena& arena) const;
+  /// The same run, checked against selection siblings (DESIGN.md §11.5):
+  /// `siblings` are candidates with `policy`'s provisioning. On return
+  /// `agreed[i]` is 1 iff `siblings[i]`'s job selection would have put the
+  /// queue in the same order as `policy.job_selection` at every decision of
+  /// this run and its VM selection taken the same VMs as
+  /// `policy.vm_selection` at every start, in which case simulating
+  /// `siblings[i]` returns this outcome bit for bit. `agreed` must be as
+  /// long as `siblings`; it is all 0 when the call throws. With no siblings
+  /// this is the overload above.
+  [[nodiscard]] SimOutcome simulate(const RoundSnapshot& snapshot,
+                                    const policy::PolicyTriple& policy,
+                                    std::span<const policy::PolicyTriple> siblings,
+                                    std::span<unsigned char> agreed, SimArena& arena) const;
 
  private:
   OnlineSimConfig config_;  ///< immutable after construction

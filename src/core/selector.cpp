@@ -48,24 +48,31 @@ TimeConstrainedSelector::TimeConstrainedSelector(const policy::Portfolio& portfo
   slots_.resize(portfolio_.size());
   list_.reserve(portfolio_.size());
   wave_ends_.reserve(portfolio_.size());
-  // Candidates that share provisioning and job selection (by pointer) differ
-  // only in VM selection; their key is the first index with that pair.
+  // Sibling-group keys (DESIGN.md §11.5): the provisioning part is fixed
+  // here, the job-selection part is set each round by order_at_t0().
   const std::vector<policy::PolicyTriple>& policies = portfolio_.policies();
-  group_key_.resize(policies.size());
+  sibling_key_.resize(policies.size());
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto same_pair = [&](const policy::PolicyTriple& t) {
-      return t.provisioning == policies[i].provisioning &&
-             t.job_selection == policies[i].job_selection;
-    };
-    group_key_[i] = static_cast<std::uint32_t>(
-        std::find_if(policies.begin(), policies.end(), same_pair) - policies.begin());
+    const auto it = std::find(job_selections_.begin(), job_selections_.end(),
+                              policies[i].job_selection);
+    sibling_key_[i].job_selection = static_cast<std::uint32_t>(it - job_selections_.begin());
+    if (it == job_selections_.end()) job_selections_.push_back(policies[i].job_selection);
   }
-  key_group_.assign(policies.size(), kNoGroup);
+  const std::size_t orders = job_selections_.size();
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const auto same = [&](const policy::PolicyTriple& t) {
+      return t.provisioning == policies[i].provisioning;
+    };
+    sibling_key_[i].provisioning = static_cast<std::uint32_t>(
+        (std::find_if(policies.begin(), policies.end(), same) - policies.begin()) * orders);
+  }
+  order_class_.resize(orders);
+  key_group_.assign(policies.size() * orders, kNoGroup);
   group_begin_.resize(policies.size());
   group_end_.resize(policies.size());
   group_runs_.resize(policies.size());
   members_.resize(policies.size());
-  member_vm_.resize(policies.size());
+  member_triple_.resize(policies.size());
   member_agreed_.resize(policies.size());
   span_order_.reserve(policies.size());
   reset();
@@ -99,6 +106,37 @@ void TimeConstrainedSelector::capture_state(util::StateDigest& digest) const {
   digest.add_size("selector.poor_len", poor_.size());
 }
 
+void TimeConstrainedSelector::order_at_t0() {
+  // Candidates whose job selection orders the queue differently at the
+  // first decision cannot share a run, so they go to separate groups, which
+  // the batch can run side by side. Between batches the arenas belong to
+  // this thread, so lane 0's queue and ordering scratch do the work. A job
+  // selection whose order_queue throws leaves the queue as it was: its
+  // candidates throw at their first decision and vouch for no one, so any
+  // class will do.
+  SimArena& arena = arenas_[0];
+  const std::size_t jobs = snapshot_.job_count();
+  t0_ids_.resize(job_selections_.size() * jobs);
+  for (std::size_t j = 0; j < job_selections_.size(); ++j) {
+    snapshot_.fill_pending(arena.pending);
+    try {
+      policy::order_queue(arena.pending, *job_selections_[j], snapshot_.t0, arena.order);
+    } catch (const std::exception&) {
+    }
+    const auto ids = t0_ids_.begin() + static_cast<std::ptrdiff_t>(j * jobs);
+    std::ranges::transform(arena.pending, ids, &policy::QueuedJob::id);
+    order_class_[j] = static_cast<std::uint32_t>(j);
+    for (std::size_t k = 0; k < j; ++k) {
+      if (order_class_[k] == k &&
+          std::equal(ids, ids + static_cast<std::ptrdiff_t>(jobs),
+                     t0_ids_.begin() + static_cast<std::ptrdiff_t>(k * jobs))) {
+        order_class_[j] = static_cast<std::uint32_t>(k);
+        break;
+      }
+    }
+  }
+}
+
 std::size_t TimeConstrainedSelector::evaluate(std::size_t first, std::size_t last) {
   PSCHED_ASSERT(first <= last && last <= slots_.size());
   const bool fixed = config_.budget_mode == BudgetMode::kFixedCount;
@@ -106,12 +144,12 @@ std::size_t TimeConstrainedSelector::evaluate(std::size_t first, std::size_t las
   // the budget clock, so tracing can never perturb budget accounting.
   const bool tracing = recorder_ != nullptr && recorder_->tracing_on();
 
-  // Group the positions by (provisioning, job selection): groups are
-  // numbered by their first member, members kept in list order (a counting
-  // sort: sizes into group_end_, then offsets, then placement).
+  // Group the positions by (provisioning, t0 order): groups are numbered by
+  // their first member, members kept in list order (a counting sort: sizes
+  // into group_end_, then offsets, then placement).
   std::size_t groups = 0;
   for (std::size_t p = first; p < last; ++p) {
-    std::uint32_t& g = key_group_[group_key_[list_[p]]];
+    std::uint32_t& g = key_group_[group_key(list_[p])];
     if (g == kNoGroup) {
       g = static_cast<std::uint32_t>(groups++);
       group_end_[g] = 0;
@@ -125,8 +163,8 @@ std::size_t TimeConstrainedSelector::evaluate(std::size_t first, std::size_t las
     group_end_[g] = group_begin_[g];
   }
   for (std::size_t p = first; p < last; ++p)
-    members_[group_end_[key_group_[group_key_[list_[p]]]]++] = p;
-  for (std::size_t p = first; p < last; ++p) key_group_[group_key_[list_[p]]] = kNoGroup;
+    members_[group_end_[key_group_[group_key(list_[p])]]++] = p;
+  for (std::size_t p = first; p < last; ++p) key_group_[group_key(list_[p])] = kNoGroup;
 
   // Group g writes only its members' slots, its members_ range and
   // group_runs_[g]; lane l owns arenas_[l] for the whole batch.
@@ -169,9 +207,9 @@ std::size_t TimeConstrainedSelector::evaluate_group(std::size_t begin, std::size
   while (begin < end) {
     const std::size_t leader = members_[begin];
     for (std::size_t m = begin + 1; m < end; ++m)
-      member_vm_[m] = portfolio_.policies()[list_[members_[m]]].vm_selection;
-    const std::span<const policy::VmSelectionPolicy* const> siblings(
-        member_vm_.data() + begin + 1, end - begin - 1);
+      member_triple_[m] = portfolio_.policies()[list_[members_[m]]];
+    const std::span<const policy::PolicyTriple> siblings(member_triple_.data() + begin + 1,
+                                                         end - begin - 1);
     const std::span<unsigned char> agreed(member_agreed_.data() + begin + 1, end - begin - 1);
 
     // Exceptions are trapped per run so that one never escapes run_batch
@@ -257,6 +295,7 @@ SelectionResult TimeConstrainedSelector::select(
   // Build the shared round snapshot once (DESIGN.md §11): every candidate
   // wave reads it.
   snapshot_.build(queue, profile);
+  order_at_t0();
 
   const obs::Recorder::Scope round_scope(recorder_, "selector.round", 0);
   const bool obs_on = recorder_ != nullptr && recorder_->counters_on();

@@ -20,9 +20,11 @@
 //
 // Every candidate goes through one evaluation routine, which simulates a
 // run of the round's candidate list in one util::ThreadPool::run_batch (or
-// inline without a pool), one task per group of candidates that differ only
-// in VM selection: a group shares one online-sim run for as long as its VM
-// choices agree (DESIGN.md §11.5). The list is built on the coordinating
+// inline without a pool), one task per group of selection siblings:
+// candidates with the same provisioning policy whose job selection orders
+// the round's queue alike at its first decision. A group shares one
+// online-sim run for as long as its members order the queue alike and their
+// VM choices agree (DESIGN.md §11.5). The list is built on the coordinating
 // thread in Algorithm 1's order and grouped per set into waves of up to
 // SelectorConfig::eval_threads candidates; a wave is charged against the
 // budget as the maximum of its members' measured costs plus one synthetic
@@ -230,10 +232,18 @@ class TimeConstrainedSelector {
     std::int64_t end_us = 0;
   };
 
+  /// Orders the round snapshot's queue once per job-selection policy and
+  /// sets each policy's order class (DESIGN.md §11.5).
+  void order_at_t0();
+  /// A portfolio index's sibling-group key this round: its provisioning
+  /// and the order class of its job selection.
+  [[nodiscard]] std::uint32_t group_key(std::size_t index) const noexcept {
+    return sibling_key_[index].provisioning + order_class_[sibling_key_[index].job_selection];
+  }
   /// The single candidate-evaluation routine: simulates list_[first, last)
   /// against the current round snapshot in one batch (util::run_batch,
   /// inline without a pool, at most wave_width_ lanes), one task per group
-  /// of VM-selection siblings (DESIGN.md §11.5). Position p reports into
+  /// of selection siblings (DESIGN.md §11.5). Position p reports into
   /// slots_[p]; a group simulates in the arena of the lane that runs it.
   /// Trace spans go to lane 1 + the run_batch lane. Returns the number of
   /// simulator runs.
@@ -280,18 +290,30 @@ class TimeConstrainedSelector {
   std::vector<std::size_t> list_;       ///< the round's candidates, in order
   std::vector<std::size_t> wave_ends_;  ///< one-batch rounds: wave boundaries
 
-  // Sibling groups (DESIGN.md §11.5). group_key_[i] is the first portfolio
-  // index with index i's (provisioning, job selection) pointer pair.
-  // Per batch, group g's list positions are members_[group_begin_[g],
-  // group_end_[g]) in list order; member_vm_ and member_agreed_ run
-  // parallel to members_. A group task owns its range and group_runs_[g].
-  std::vector<std::uint32_t> group_key_;
+  // Sibling groups (DESIGN.md §11.5). job_selections_ lists the
+  // portfolio's distinct job-selection policies (by pointer). Index i's
+  // sibling_key_ holds the first portfolio index with i's provisioning
+  // pointer times that list's length, and i's position in the list. Each
+  // round, t0_ids_ holds the job ids of the snapshot queue in each job
+  // selection's order at t0, one queue length per policy, and
+  // order_class_[j] is the first job selection with j's order. Per batch,
+  // group g's list positions are members_[group_begin_[g], group_end_[g])
+  // in list order; member_triple_ and member_agreed_ run parallel to
+  // members_. A group task owns its range and group_runs_[g].
+  struct SiblingKey {
+    std::uint32_t provisioning = 0;
+    std::uint32_t job_selection = 0;
+  };
+  std::vector<const policy::JobSelectionPolicy*> job_selections_;
+  std::vector<SiblingKey> sibling_key_;
+  std::vector<std::uint32_t> order_class_;
+  std::vector<JobId> t0_ids_;
   std::vector<std::uint32_t> key_group_;  ///< key -> batch group, or none
   std::vector<std::size_t> group_begin_;
   std::vector<std::size_t> group_end_;
   std::vector<std::size_t> group_runs_;
   std::vector<std::size_t> members_;
-  std::vector<const policy::VmSelectionPolicy*> member_vm_;
+  std::vector<policy::PolicyTriple> member_triple_;
   std::vector<unsigned char> member_agreed_;
   std::vector<std::size_t> span_order_;  ///< tracing: positions by lane, time
 };

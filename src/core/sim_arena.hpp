@@ -2,7 +2,7 @@
 // Reusable scratch arena for the online simulator's fast path (DESIGN.md
 // §11). One SimArena holds every piece of mutable state a single inner
 // simulation needs — the VM table, the pending queue, the allocation plan
-// and its scratch, and the pools of the VM-selection sibling check — as
+// and its scratch, and the state of the sibling checks — as
 // vectors that are cleared (capacity kept) between candidates instead of
 // reallocated.
 //
@@ -46,7 +46,7 @@ struct SimArena {
   /// headroom. Market state stays frozen at the snapshot (DESIGN.md §12).
   cloud::PricingView pricing;
 
-  // --- VM-selection sibling check (DESIGN.md §11.5) ----------------------
+  // --- sibling checks (DESIGN.md §11.5) ----------------------------------
   std::vector<std::uint32_t> agreeing;  ///< siblings that agreed so far
   std::vector<policy::VmCandidate> idle_rows;     ///< the decision's idle pool
   std::vector<policy::VmCandidate> sibling_pool;  ///< one sibling's replayed pool

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "util/state_digest.hpp"
@@ -250,33 +251,40 @@ TEST(OnlineSimulator, BestFitBeatsWorstFitOnCostHere) {
   EXPECT_LE(bf.rv_charged_seconds, wf.rv_charged_seconds);
 }
 
-/// Runs `leader` with the VM-selection policies of the `siblings` triples
-/// checked alongside it and returns the agreement flags. A sibling reported
-/// as agreeing must score exactly like the leader when simulated alone.
+/// Runs `leader` with `siblings` checked alongside it and returns the
+/// agreement flags. A sibling reported as agreeing must score exactly like
+/// the leader when simulated alone.
+std::vector<unsigned char> sibling_report(const OnlineSimulator& sim,
+                                          const std::vector<policy::QueuedJob>& queue,
+                                          const cloud::CloudProfile& profile,
+                                          const policy::PolicyTriple& leader,
+                                          const std::vector<policy::PolicyTriple>& siblings) {
+  RoundSnapshot snapshot;
+  snapshot.build(queue, profile);
+  SimArena arena;
+  std::vector<unsigned char> agreed(siblings.size(), 2);
+  const SimOutcome lead = sim.simulate(snapshot, leader, siblings, agreed, arena);
+  for (std::size_t i = 0; i < siblings.size(); ++i) {
+    if (agreed[i] == 0) continue;
+    const SimOutcome alone = sim.simulate(snapshot, siblings[i], arena);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.utility),
+              std::bit_cast<std::uint64_t>(lead.utility))
+        << siblings[i].name();
+    EXPECT_EQ(alone.rv_charged_seconds, lead.rv_charged_seconds) << siblings[i].name();
+    EXPECT_EQ(alone.decisions, lead.decisions) << siblings[i].name();
+  }
+  return agreed;
+}
+
+/// The same, with the leader and its siblings named as portfolio policies.
 std::vector<unsigned char> sibling_report(const OnlineSimulator& sim,
                                           const std::vector<policy::QueuedJob>& queue,
                                           const cloud::CloudProfile& profile,
                                           const std::string& leader,
                                           const std::vector<std::string>& siblings) {
-  RoundSnapshot snapshot;
-  snapshot.build(queue, profile);
-  SimArena arena;
-  std::vector<const policy::VmSelectionPolicy*> vm_selection;
-  for (const std::string& name : siblings)
-    vm_selection.push_back(policy_by_name(name).vm_selection);
-  std::vector<unsigned char> agreed(siblings.size(), 2);
-  const SimOutcome lead =
-      sim.simulate(snapshot, policy_by_name(leader), vm_selection, agreed, arena);
-  for (std::size_t i = 0; i < siblings.size(); ++i) {
-    if (agreed[i] == 0) continue;
-    const SimOutcome alone = sim.simulate(snapshot, policy_by_name(siblings[i]), arena);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(alone.utility),
-              std::bit_cast<std::uint64_t>(lead.utility))
-        << siblings[i];
-    EXPECT_EQ(alone.rv_charged_seconds, lead.rv_charged_seconds) << siblings[i];
-    EXPECT_EQ(alone.decisions, lead.decisions) << siblings[i];
-  }
-  return agreed;
+  std::vector<policy::PolicyTriple> triples;
+  for (const std::string& name : siblings) triples.push_back(policy_by_name(name));
+  return sibling_report(sim, queue, profile, policy_by_name(leader), triples);
 }
 
 /// Two idle VMs: 600 s and 3500 s of their paid hour left at t = 3000.
@@ -328,14 +336,124 @@ TEST(OnlineSimSiblings, ThrowingLeaderVouchesForNoSibling) {
   RoundSnapshot snapshot;
   snapshot.build(queue, two_idle_phases());
   SimArena arena;
-  const std::vector<const policy::VmSelectionPolicy*> siblings{
-      policy_by_name("ODB-FCFS-FirstFit").vm_selection,
-      policy_by_name("ODB-FCFS-WorstFit").vm_selection};
+  const std::vector<policy::PolicyTriple> siblings{policy_by_name("ODB-FCFS-FirstFit"),
+                                                   policy_by_name("ODB-LXF-WorstFit")};
   std::vector<unsigned char> agreed(2, 1);
   EXPECT_THROW((void)sim.simulate(snapshot, policy_by_name("ODB-FCFS-BestFit"), siblings,
                                   agreed, arena),
                std::runtime_error);
   EXPECT_EQ(agreed, (std::vector<unsigned char>{0, 0}));
+}
+
+TEST(OnlineSimSiblings, OneQueuedJobIsOrderedAlikeByEveryJobSelection) {
+  // Every job selection orders a one-job queue alike, and FirstFit takes
+  // BestFit's VM (the one with 600 s left).
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 2900.0, 1, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-FCFS-BestFit",
+                           {"ODB-LXF-BestFit", "ODB-UNICEF-BestFit", "ODB-WFP3-BestFit",
+                            "ODB-FCFS-FirstFit", "ODB-WFP3-FirstFit"}),
+            (std::vector<unsigned char>(5, 1)));
+}
+
+TEST(OnlineSimSiblings, JobOrderThatDivergesAtALaterDecisionDropsTheSibling) {
+  // Two serial jobs and one VM, under a cap of one: a 3000 s job that has
+  // waited 3000 s and a 200 s job that has waited 100 s. At t0 = 3000 LXF
+  // ranks the long job first, (3000 + 3000) / 3000 = 2 against
+  // (100 + 200) / 200 = 1.5, as FCFS does, and UNICEF and WFP3, which rank
+  // serial jobs by wait / runtime too, agree; about 107 s later the short
+  // job overtakes it.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 0.0, 1, 3000.0),
+                                             make_queued(1, 2900.0, 1, 200.0)};
+  const std::vector<std::string> siblings{"ODB-LXF-BestFit", "ODB-FCFS-FirstFit",
+                                          "ODB-UNICEF-WorstFit", "ODB-WFP3-BestFit"};
+  // With the VM idle at t0 the long job starts at once, and the short one
+  // is then alone in the queue.
+  cloud::CloudProfile idle = empty_cloud(3000.0, /*cap=*/1);
+  idle.vms.push_back(cloud::VmView{0.0, 3000.0});
+  EXPECT_EQ(sibling_report(sim, queue, idle, "ODB-FCFS-BestFit", siblings),
+            (std::vector<unsigned char>(4, 1)));
+  // With the VM busy until 3600 the next decision is at 3600, where LXF,
+  // UNICEF and WFP3 would start the short job.
+  cloud::CloudProfile busy = empty_cloud(3000.0, /*cap=*/1);
+  busy.vms.push_back(cloud::VmView{0.0, 3600.0, true});
+  EXPECT_EQ(sibling_report(sim, queue, busy, "ODB-FCFS-BestFit", siblings),
+            (std::vector<unsigned char>{0, 1, 0, 0}));
+}
+
+TEST(OnlineSimSiblings, OrderBehindAnAlikeHeadCounts) {
+  // Three serial jobs on an empty cloud: FCFS and LXF both put the first
+  // submitted job first (LXF 4.0), but LXF ranks the last one, a 400 s job
+  // (2.25), before the 5000 s one (1.2), so the three start in another
+  // order once their VMs boot.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 0.0, 1, 1000.0),
+                                             make_queued(1, 2000.0, 1, 5000.0),
+                                             make_queued(2, 2500.0, 1, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, empty_cloud(3000.0), "ODB-FCFS-BestFit",
+                           {"ODB-LXF-BestFit", "ODB-FCFS-FirstFit"}),
+            (std::vector<unsigned char>{0, 1}));
+}
+
+/// FCFS, except that job 1's priority is NaN.
+class NanForJobOne final : public policy::JobSelectionPolicy {
+ public:
+  [[nodiscard]] double priority(const policy::QueuedJob& job, SimTime now) const override {
+    return job.id == 1 ? std::nan("") : job.wait(now);
+  }
+  [[nodiscard]] std::string name() const override { return "NaN1"; }
+};
+
+/// A job selection whose every priority throws.
+class ThrowingSelection final : public policy::JobSelectionPolicy {
+ public:
+  [[nodiscard]] double priority(const policy::QueuedJob& /*job*/, SimTime /*now*/) const override {
+    throw std::runtime_error("priority failed");
+  }
+  [[nodiscard]] std::string name() const override { return "Throw"; }
+};
+
+TEST(OnlineSimSiblings, NanOrThrowingPriorityIsNotShared) {
+  // Either sibling's own run throws at its first decision, so neither may
+  // take the leader's outcome, and checking them leaves that outcome as it
+  // is.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(0, 2900.0, 1, 400.0),
+                                             make_queued(1, 2950.0, 1, 400.0)};
+  const policy::PolicyTriple leader = policy_by_name("ODB-FCFS-BestFit");
+  const NanForJobOne nan_selection;
+  const ThrowingSelection throwing;
+  const std::vector<policy::PolicyTriple> siblings{
+      {leader.provisioning, &nan_selection, leader.vm_selection},
+      {leader.provisioning, &throwing, leader.vm_selection}};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), leader, siblings),
+            (std::vector<unsigned char>{0, 0}));
+  RoundSnapshot snapshot;
+  snapshot.build(queue, two_idle_phases());
+  SimArena arena;
+  const SimOutcome alone = sim.simulate(snapshot, leader, arena);
+  std::vector<unsigned char> agreed(siblings.size());
+  const SimOutcome checked = sim.simulate(snapshot, leader, siblings, agreed, arena);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(checked.utility),
+            std::bit_cast<std::uint64_t>(alone.utility));
+  EXPECT_EQ(checked.rv_charged_seconds, alone.rv_charged_seconds);
+  EXPECT_EQ(checked.decisions, alone.decisions);
+  EXPECT_THROW((void)sim.simulate(snapshot, siblings[0], arena), std::invalid_argument);
+  EXPECT_THROW((void)sim.simulate(snapshot, siblings[1], arena), std::runtime_error);
+}
+
+TEST(OnlineSimSiblings, ExactKeyTieIsNotShared) {
+  // Two jobs with one (submit, id) and one runtime, one serial and one two
+  // wide. WFP3, which scales by width, starts the wide job on both idle VMs;
+  // FCFS and LXF tie the two and keep queue order, so they start the serial
+  // job first and the wide one waits.
+  const OnlineSimulator sim(default_config());
+  const std::vector<policy::QueuedJob> queue{make_queued(7, 2900.0, 1, 400.0),
+                                             make_queued(7, 2900.0, 2, 400.0)};
+  EXPECT_EQ(sibling_report(sim, queue, two_idle_phases(), "ODB-WFP3-BestFit",
+                           {"ODB-FCFS-BestFit", "ODB-LXF-BestFit"}),
+            (std::vector<unsigned char>{0, 0}));
 }
 
 std::string g17(double v) {

@@ -310,8 +310,8 @@ TEST(SelectorDegradation, ThrowingCandidatesAreQuarantinedToPoor) {
   const SelectionResult result = s.select(queue, empty_cloud(), 3);
   EXPECT_TRUE(result.degraded);
   EXPECT_EQ(result.quarantined, 60u);
-  // A throwing leader vouches for no VM-selection sibling: each one is
-  // simulated on its own and quarantined, as without grouping.
+  // A throwing leader vouches for no sibling: each one is simulated on its
+  // own and quarantined, as without grouping.
   EXPECT_DOUBLE_EQ(rec.counters().at("selector.simulations"), 60.0);
   EXPECT_TRUE(result.scores.empty());
   EXPECT_EQ(result.best_index, 3u);  // last-known-good carried forward

@@ -416,7 +416,7 @@ TEST(ObsEndToEnd, PortfolioTraceAndReportValidate) {
     // An unbounded round is one evaluation batch, pooled or inline.
     EXPECT_DOUBLE_EQ(rec.counters().at("selector.batches"),
                      rec.counters().at("selector.rounds"));
-    // VM-selection siblings share runs, so there are never more simulator
+    // Selection siblings share runs, so there are never more simulator
     // runs than attempted candidates.
     const double quarantined = rec.counters().count("selector.quarantined") != 0
                                    ? rec.counters().at("selector.quarantined")
