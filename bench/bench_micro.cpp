@@ -127,15 +127,15 @@ void BM_OnlineSim_WarmArena(benchmark::State& state) {
 BENCHMARK(BM_OnlineSim_WarmArena)->RangeMultiplier(4)->Range(1, 256);
 
 void BM_RoundSnapshot_Build(benchmark::State& state) {
-  // Once-per-round cost of snapshotting queue + profile into columns
-  // (amortized over all 60 candidates).
+  // Once-per-round cost of snapshotting queue + profile into the inner
+  // simulation's starting rows (amortized over all 60 candidates).
   const auto queue = make_queue(static_cast<std::size_t>(state.range(0)));
   const auto profile = typical_profile();
   core::RoundSnapshot snapshot;
   for (auto _ : state) {
     snapshot.build(queue, profile);
-    benchmark::DoNotOptimize(snapshot.job_id.data());
-    benchmark::DoNotOptimize(snapshot.vm_available.data());
+    benchmark::DoNotOptimize(snapshot.queue.data());
+    benchmark::DoNotOptimize(snapshot.vms.data());
   }
 }
 BENCHMARK(BM_RoundSnapshot_Build)->RangeMultiplier(4)->Range(16, 256);

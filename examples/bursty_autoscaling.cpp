@@ -1,7 +1,7 @@
 // Bursty autoscaling: watch the portfolio scheduler adapt to a bursty
 // grid-style workload (DAS2-fs0-like). Uses the lower-level API —
-// PortfolioScheduler + ClusterSimulation directly — to read the reflection
-// store's selection history and print an hour-by-hour timeline of arrival
+// PortfolioScheduler + ClusterSimulation directly — to read the selection
+// rounds a Recorder kept and print an hour-by-hour timeline of arrival
 // intensity versus the provisioning cluster the scheduler selected.
 //
 //   ./bursty_autoscaling [--days N] [--seed S]
@@ -12,6 +12,7 @@
 
 #include "engine/cluster_sim.hpp"
 #include "engine/experiment.hpp"
+#include "obs/obs.hpp"
 #include "util/argparse.hpp"
 #include "util/histogram.hpp"
 #include "workload/generator.hpp"
@@ -32,21 +33,23 @@ int main(int argc, char** argv) {
   core::PortfolioScheduler scheduler(portfolio,
                                      engine::paper_portfolio_config(config));
   const auto predictor = engine::make_predictor(engine::PredictorKind::kPerfect);
-  engine::ClusterSimulation sim(config, trace, scheduler, *predictor);
+  // A counters-level recorder keeps one record per selection round.
+  obs::Recorder recorder(obs::ObsConfig{.level = obs::ObsLevel::kCounters});
+  engine::ClusterSimulation sim(config, trace, scheduler, *predictor, &recorder);
   const engine::RunResult result = sim.run();
 
   // Arrival intensity per hour, for the timeline's left column.
   util::TimeSeriesCounter arrivals(3600.0);
   for (const workload::Job& j : trace.jobs()) arrivals.add(j.submit);
 
-  // Selection history -> dominant provisioning cluster per hour.
+  // Selection rounds -> dominant provisioning cluster per hour.
   struct HourStats {
     std::map<std::string, int> clusters;
     int selections = 0;
   };
   std::vector<HourStats> hours(arrivals.buckets());
-  for (const core::SelectionRecord& record : scheduler.reflection().history()) {
-    const auto hour = static_cast<std::size_t>(record.when / 3600.0);
+  for (const obs::SelectionRoundRecord& record : recorder.rounds()) {
+    const auto hour = static_cast<std::size_t>(record.sim_now / 3600.0);
     if (hour >= hours.size()) continue;
     const auto& policy = portfolio.policies()[record.chosen];
     hours[hour].clusters[policy.provisioning->name()]++;

@@ -124,10 +124,11 @@ struct LeaseRequest {
 };
 
 /// Read-only pricing snapshot for one scheduling instant, embedded in
-/// CloudProfile (and copied into RoundSnapshot for the selector fast
-/// path). Prices are effective — base price × current multiplier. With
-/// pricing off `enabled` is false and RoundSnapshot fills in the one-family
-/// degenerate market (price 1.0, the provider's boot delay, cap 0).
+/// CloudProfile. A selection round's RoundSnapshot copies it once, and each
+/// inner simulation copies that into its SimArena to track occupancy.
+/// Prices are effective — base price × current multiplier. With pricing off
+/// `enabled` is false and RoundSnapshot fills in the one-family degenerate
+/// market (price 1.0, the provider's boot delay, cap 0).
 struct PricingView {
   struct Family {
     double price = 1.0;           ///< on-demand $/quantum at current multiplier

@@ -192,7 +192,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
     throw std::runtime_error("injected fault: candidate simulation throw");
   const SimTime t0 = snapshot.t0;
 
-  arena.reset();
+  arena.start(snapshot);
   arena.agreeing.clear();
   for (std::size_t i = 0; i < siblings.size(); ++i)
     arena.agreeing.push_back(static_cast<std::uint32_t>(i));
@@ -209,21 +209,12 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   /// as a multiplier on charged seconds.
   const auto price_weight = [&arena](std::size_t row) -> double {
     const cloud::PricingView& pv = arena.pricing;
+    const VmFacts& fact = arena.facts[row];
     double fraction = 1.0;
-    const auto tier = static_cast<cloud::PurchaseTier>(arena.vm_tier[row]);
-    if (tier == cloud::PurchaseTier::kSpot) fraction = pv.spot_price_fraction;
-    else if (tier == cloud::PurchaseTier::kReserved) fraction = 0.0;
-    return pv.families[arena.vm_family[row]].price * fraction;
+    if (fact.tier == cloud::PurchaseTier::kSpot) fraction = pv.spot_price_fraction;
+    else if (fact.tier == cloud::PurchaseTier::kReserved) fraction = 0.0;
+    return pv.families[fact.family].price * fraction;
   };
-  VmId next_vm_id = 0;
-  for (std::size_t i = 0; i < snapshot.vm_count(); ++i) {
-    // Snapshot availability is already clamped to t0.
-    arena.push_vm(next_vm_id++, snapshot.vm_lease[i], snapshot.vm_available[i],
-                  /*fresh=*/false, snapshot.vm_busy[i] != 0, snapshot.vm_family[i],
-                  snapshot.vm_tier[i]);
-  }
-
-  snapshot.fill_pending(arena.pending);
   std::vector<policy::QueuedJob>& pending = arena.pending;
 
   SimOutcome out;
@@ -254,7 +245,7 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
       if (at <= now) {
         ++ctx.idle_vms;
       } else {
-        if (!arena.vm_busy[i]) ++ctx.booting_vms;
+        if (!arena.facts[i].busy) ++ctx.booting_vms;
         next_avail = std::min(next_avail, at);
       }
     }
@@ -276,10 +267,8 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
       if (req.tier == cloud::PurchaseTier::kReserved)
         grant = std::min(grant, arena.pricing.reserved_free());
       const SimTime ready = now + arena.pricing.families[req.family].boot_delay;
-      for (std::size_t i = 0; i < grant; ++i) {
-        arena.push_vm(next_vm_id++, now, ready, /*fresh=*/true,
-                      /*busy=*/false, req.family, static_cast<unsigned char>(req.tier));
-      }
+      for (std::size_t i = 0; i < grant; ++i)
+        arena.push_vm(now, ready, VmFacts{.family = req.family, .tier = req.tier, .fresh = true});
       // A zero boot delay leases VMs that are idle at once.
       if (ready <= now) {
         ctx.idle_vms += grant;
@@ -315,15 +304,13 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
       check_vm_choices(now, pending, ctx.idle_vms, snapshot.billing_quantum,
                        policy.vm_selection, siblings, arena);
     if (!arena.plan.empty()) {
-      arena.served.assign(pending.size(), 0);
       for (const policy::AllocationPlan::Start& start : arena.plan.starts) {
-        arena.served[start.queue_index] = 1;
         const policy::QueuedJob& job = pending[start.queue_index];
         const SimTime completion = now + job.predicted_runtime;
         for (const VmId chosen : arena.plan.vms_of(start)) {
           const std::size_t row = arena.vm_row[static_cast<std::size_t>(chosen)];
           arena.vms[row].available_at = completion;
-          arena.vm_busy[row] = 1;
+          arena.facts[row].busy = true;
         }
         // The chosen VMs were idle; they stay idle only if the job takes
         // no time.
@@ -337,9 +324,13 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
         last_completion = std::max(last_completion, completion);
         ++finished;
       }
+      // The starts are in queue order, so one pass drops the started jobs.
       std::size_t kept = 0;
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        if (!arena.served[i]) pending[kept++] = pending[i];
+      auto start = arena.plan.starts.begin();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        if (start != arena.plan.starts.end() && start->queue_index == i) ++start;
+        else pending[kept++] = pending[i];
+      }
       pending.resize(kept);
     }
 
@@ -363,15 +354,13 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
         if (vm.available_at <= now &&
             cloud::remaining_paid_at(vm.lease_time, now, snapshot.billing_quantum) <=
                 config_.schedule_period) {
-          double seconds =
-              charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, now, t0,
-                             config_.cost_model, snapshot.billing_quantum);
+          const VmFacts& fact = arena.facts[i];
+          double seconds = charge_seconds(vm.lease_time, fact.fresh, now, t0,
+                                          config_.cost_model, snapshot.billing_quantum);
           seconds *= price_weight(i);
-          cloud::PricingView::Family& fam = arena.pricing.families[arena.vm_family[i]];
+          cloud::PricingView::Family& fam = arena.pricing.families[fact.family];
           if (fam.in_use > 0) --fam.in_use;
-          if (arena.vm_tier[i] ==
-                  static_cast<unsigned char>(cloud::PurchaseTier::kReserved) &&
-              arena.pricing.reserved_in_use > 0)
+          if (fact.tier == cloud::PurchaseTier::kReserved && arena.pricing.reserved_in_use > 0)
             --arena.pricing.reserved_in_use;
           out.rv_charged_seconds += seconds;
           arena.remove_vm(i);
@@ -411,11 +400,10 @@ SimOutcome OnlineSimulator::simulate(const RoundSnapshot& snapshot,
   for (std::size_t i = 0; i < arena.vm_count(); ++i) {
     const policy::VmAvail& vm = arena.vms[i];
     SimTime release = std::max(vm.available_at, now);
-    if (!arena.vm_busy[i] && vm.available_at > now)
+    if (!arena.facts[i].busy && vm.available_at > now)
       release = sim::tick_time(sim::first_tick_at_or_after(vm.available_at, period), period);
-    double seconds =
-        charge_seconds(vm.lease_time, arena.vm_fresh[i] != 0, release, t0,
-                       config_.cost_model, snapshot.billing_quantum);
+    double seconds = charge_seconds(vm.lease_time, arena.facts[i].fresh, release, t0,
+                                    config_.cost_model, snapshot.billing_quantum);
     seconds *= price_weight(i);
     out.rv_charged_seconds += seconds;
   }

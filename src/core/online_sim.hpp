@@ -138,8 +138,8 @@ class OnlineSimulator {
   /// Deterministic: same inputs -> same outcome on every platform. Throws
   /// OnlineSimError when the run reaches config().max_iterations.
   /// Convenience wrapper over the snapshot/arena fast path below: builds a
-  /// fresh RoundSnapshot and SimArena per call, so it is allocation-heavy
-  /// but needs no caller-side state. Safe to call concurrently.
+  /// RoundSnapshot and a SimArena per call, so every call allocates their
+  /// rows, but it needs no caller-side state. Safe to call concurrently.
   [[nodiscard]] SimOutcome simulate(std::span<const policy::QueuedJob> queue,
                                     const cloud::CloudProfile& profile,
                                     const policy::PolicyTriple& policy) const;

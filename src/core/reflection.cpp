@@ -6,24 +6,18 @@
 
 namespace psched::core {
 
-ReflectionStore::ReflectionStore(std::size_t portfolio_size, std::size_t max_history)
-    : max_history_(max_history), chosen_counts_(portfolio_size, 0) {
+ReflectionStore::ReflectionStore(std::size_t portfolio_size)
+    : chosen_counts_(portfolio_size, 0) {
   PSCHED_ASSERT(portfolio_size > 0);
 }
 
-void ReflectionStore::record(SimTime when, const SelectionResult& result,
-                             std::uint64_t context) {
+void ReflectionStore::record(const SelectionResult& result, std::uint64_t context) {
   PSCHED_ASSERT(result.best_index < chosen_counts_.size());
   ++invocations_;
   ++chosen_counts_[result.best_index];
   total_cost_ms_ += result.total_cost_ms;
   total_simulated_ += result.simulated();
   if (context != 0) ++context_wins_[context][result.best_index];
-  if (max_history_ == 0 || history_.size() < max_history_) {
-    history_.push_back(SelectionRecord{when, result.best_index, result.best_utility,
-                                       result.simulated(), result.total_cost_ms,
-                                       context});
-  }
 }
 
 std::vector<std::size_t> ReflectionStore::top_for_context(std::uint64_t context,
@@ -57,7 +51,6 @@ void ReflectionStore::capture_digest(util::StateDigest& digest) const {
   for (const std::size_t c : chosen_counts_)
     chosen = util::digest_mix(chosen, static_cast<std::uint64_t>(c));
   digest.add_u64("reflection.chosen_counts", chosen);
-  digest.add_size("reflection.history", history_.size());
   util::UnorderedFold contexts;
   // psched-lint: order-insensitive(UnorderedFold is commutative)
   for (const auto& [context, wins] : context_wins_) {

@@ -2,14 +2,14 @@
 // The shared, rebuild-free selection-round snapshot (DESIGN.md §11).
 //
 // One selection round simulates up to the whole portfolio against the SAME
-// problem instance (queue + cloud profile). Before this layer existed,
-// every OnlineSimulator::simulate call re-derived its working state from
-// the raw inputs: clamp each VmView's available_at to the snapshot instant,
-// copy the queue, allocate fresh vectors. A RoundSnapshot does that
-// derivation exactly once per round, stores the result in contiguous
-// struct-of-arrays columns every candidate reads.
+// problem instance (queue + cloud profile). A RoundSnapshot derives, once
+// per round, the rows every candidate's inner simulation starts from: the
+// queue, one policy::VmAvail row per leased VM (ids 0..n-1 in profile
+// order, availability clamped to the snapshot instant, since the inner sim
+// only cares "usable now") and the VMs' facts. SimArena::start copies them
+// into a candidate's arena.
 //
-// build() reuses the column capacity from the previous round, so a
+// build() reuses the rows' capacity from the previous round, so a
 // long-running selector stops allocating here after the first few rounds.
 //
 // Thread-safety: a RoundSnapshot is written by the selector's coordinating
@@ -17,14 +17,25 @@
 // candidate simulations share it read-only.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "cloud/profile.hpp"
+#include "policy/allocation.hpp"
 #include "policy/context.hpp"
 #include "util/types.hpp"
 
 namespace psched::core {
+
+/// What the inner simulation knows of one VM besides its policy::VmAvail
+/// row. With pricing off every VM is family 0, on-demand.
+struct VmFacts {
+  std::uint32_t family = 0;  ///< family index into the round's market
+  cloud::PurchaseTier tier = cloud::PurchaseTier::kOnDemand;
+  bool busy = false;   ///< has (ever) run a job
+  bool fresh = false;  ///< leased during this simulation
+};
 
 struct RoundSnapshot {
   // Scalars (copied from the CloudProfile).
@@ -32,21 +43,9 @@ struct RoundSnapshot {
   std::size_t max_vms = 0;
   SimDuration billing_quantum = 0.0;
 
-  // Queue columns (one row per queued job, queue order preserved).
-  std::vector<JobId> job_id;
-  std::vector<SimTime> job_submit;
-  std::vector<int> job_procs;
-  std::vector<double> job_predicted;
-
-  // VM columns (one row per leased VM, profile order preserved);
-  // vm_available is already clamped to t0 (an idle VM's available_at may
-  // predate the snapshot instant; the inner sim only cares "usable now").
-  // vm_family/vm_tier are 0 (family 0, on-demand) with pricing off.
-  std::vector<SimTime> vm_lease;
-  std::vector<SimTime> vm_available;
-  std::vector<unsigned char> vm_busy;
-  std::vector<std::uint32_t> vm_family;
-  std::vector<unsigned char> vm_tier;
+  std::vector<policy::QueuedJob> queue;  ///< queue order preserved
+  std::vector<policy::VmAvail> vms;      ///< row i is VM id i, profile order
+  std::vector<VmFacts> facts;            ///< parallel to `vms`; none fresh
 
   // The round's market (DESIGN.md §12), always present. With pricing on it
   // is the profile's view, frozen at t0 (multiplier + epoch); candidate
@@ -56,17 +55,12 @@ struct RoundSnapshot {
   // inner sim's single provisioning path reproduces the paper's cloud.
   cloud::PricingView pricing;
 
-  /// Derive the snapshot from the raw selection inputs. Reuses column
+  /// Derive the snapshot from the raw selection inputs. Reuses row
   /// capacity; safe to call once per round on a long-lived instance.
-  void build(std::span<const policy::QueuedJob> queue, const cloud::CloudProfile& profile);
+  void build(std::span<const policy::QueuedJob> jobs, const cloud::CloudProfile& profile);
 
-  [[nodiscard]] std::size_t job_count() const noexcept { return job_id.size(); }
-  [[nodiscard]] std::size_t vm_count() const noexcept { return vm_lease.size(); }
-
-  /// Materialize the queue rows as policy::QueuedJob values into `out`
-  /// (cleared first, capacity reused) — the per-candidate mutable pending
-  /// queue the inner sim's policy interface consumes.
-  void fill_pending(std::vector<policy::QueuedJob>& out) const;
+  [[nodiscard]] std::size_t job_count() const noexcept { return queue.size(); }
+  [[nodiscard]] std::size_t vm_count() const noexcept { return vms.size(); }
 };
 
 }  // namespace psched::core

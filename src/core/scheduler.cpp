@@ -61,7 +61,7 @@ policy::PolicyTriple PortfolioScheduler::policy_for_tick(
     }
     const SelectionResult result =
         selector_.select(queue, profile, current_index_, hints);
-    reflection_.record(profile.now, result, signature_key(signature));
+    reflection_.record(result, signature_key(signature));
     current_index_ = result.best_index;
     current_ = portfolio_.policies()[result.best_index];
     next_selection_tick_ = tick + config_.selection_period_ticks;

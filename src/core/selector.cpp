@@ -118,7 +118,7 @@ void TimeConstrainedSelector::order_at_t0() {
   const std::size_t jobs = snapshot_.job_count();
   t0_ids_.resize(job_selections_.size() * jobs);
   for (std::size_t j = 0; j < job_selections_.size(); ++j) {
-    snapshot_.fill_pending(arena.pending);
+    arena.pending = snapshot_.queue;
     try {
       policy::order_queue(arena.pending, *job_selections_[j], snapshot_.t0, arena.order);
     } catch (const std::exception&) {
@@ -265,7 +265,7 @@ double TimeConstrainedSelector::charge(std::size_t first, std::size_t last,
   // member: concurrent members overlap in wall time.
   double slowest_ms = 0.0;
   for (std::size_t p = first; p < last; ++p) {
-    SlotResult& slot = slots_[p];
+    const SlotResult& slot = slots_[p];
     double cost = 1.0;
     if (!fixed) {
       cost = config_.synthetic_overhead_ms;
@@ -273,10 +273,6 @@ double TimeConstrainedSelector::charge(std::size_t first, std::size_t last,
         cost += slot.measured_ms;
         slowest_ms = std::max(slowest_ms, slot.measured_ms);
       }
-      // Per-candidate budget blow-out: the time was spent (cost is charged),
-      // but the result is not trusted into the ranking.
-      if (config_.candidate_timeout_ms > 0.0 && cost > config_.candidate_timeout_ms)
-        slot.failed = true;
     }
     if (slot.failed)
       quarantined.push_back(list_[p]);
@@ -345,7 +341,7 @@ SelectionResult TimeConstrainedSelector::select(
 
   std::vector<PolicyScore> scores;
   scores.reserve(portfolio_.size());
-  std::vector<std::size_t> quarantined;  // threw / blew per-candidate budget
+  std::vector<std::size_t> quarantined;  // candidates whose simulation threw
   double charged_ms = 0.0;  // budget actually charged (sum of wave costs)
   std::size_t batches = 0;  // evaluate() calls, pooled or inline
   std::size_t simulations = 0;  // simulator runs: leaders + re-run siblings
@@ -440,9 +436,9 @@ SelectionResult TimeConstrainedSelector::select(
   result.quarantined = quarantined.size();
   std::size_t tied = 0;
   if (scores.empty()) {
-    // Graceful degradation: every attempted candidate threw or blew its
-    // per-candidate budget. Apply the last-known-good policy instead of
-    // aborting the run; next round re-samples the quarantined set.
+    // Graceful degradation: every attempted candidate's simulation threw.
+    // Apply the last-known-good policy instead of aborting the run; next
+    // round re-samples the quarantined set.
     result.degraded = true;
     result.best_index = preferred_index < portfolio_.size() ? preferred_index : 0;
   } else {

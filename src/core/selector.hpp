@@ -40,8 +40,7 @@
 // bit-identical to the original sequential algorithm.
 //
 // Graceful degradation (DESIGN.md §10): a candidate whose online simulation
-// throws — or, under a candidate_timeout_ms bound, blows its per-candidate
-// budget — is quarantined to the Poor set instead of aborting the run. If a
+// throws is quarantined to the Poor set instead of aborting the run. If a
 // whole round yields no usable score, select() returns a degraded result
 // that carries the last-known-good (preferred) policy forward.
 
@@ -123,14 +122,6 @@ struct SelectorConfig {
   /// budget Delta simulates up to k× more policies. 0 means hardware
   /// concurrency.
   std::size_t eval_threads = 1;
-  /// Per-candidate budget blow-out bound (kWallclock mode only): a
-  /// candidate whose charged cost exceeds this many milliseconds is
-  /// quarantined to Poor instead of entering the ranking. <= 0 (default)
-  /// disables the bound. With use_measured_cost the comparison involves
-  /// measured wall time and is machine-dependent, like the mode itself;
-  /// with synthetic-only accounting it is deterministic. Ignored in
-  /// kFixedCount mode (every candidate charges exactly one unit there).
-  double candidate_timeout_ms = 0.0;
 };
 
 /// Utility score of one simulated policy.
@@ -148,8 +139,7 @@ struct SelectionResult {
   /// of the scores' cost_ms when eval_threads = 1; smaller with parallel
   /// waves (concurrent members overlap in wall time).
   double total_cost_ms = 0.0;
-  /// Candidates quarantined this round: their online simulation threw, or
-  /// (kWallclock + candidate_timeout_ms) blew the per-candidate budget.
+  /// Candidates quarantined this round: their online simulation threw.
   /// Quarantined candidates charge the budget they consumed, contribute no
   /// score, and are demoted to the Poor set.
   std::size_t quarantined = 0;
@@ -226,7 +216,7 @@ class TimeConstrainedSelector {
   struct SlotResult {
     SimOutcome outcome;
     double measured_ms = 0.0;    ///< kWallclock only; 0 in kFixedCount
-    bool failed = false;         ///< threw, or (charge loop) blew the timeout
+    bool failed = false;         ///< the simulation threw
     std::size_t lane = 0;        ///< run_batch lane that simulated it
     std::int64_t begin_us = 0;   ///< candidate trace span (tracing only)
     std::int64_t end_us = 0;

@@ -77,7 +77,7 @@ struct SelectionRoundRecord {
   std::size_t smart_in = 0, stale_in = 0, poor_in = 0;    ///< set sizes before
   std::size_t smart_out = 0, stale_out = 0, poor_out = 0; ///< set sizes after
   std::size_t smart_churn = 0;    ///< |new Smart \ old Smart|
-  std::size_t quarantined = 0;    ///< candidates that threw / blew budget
+  std::size_t quarantined = 0;    ///< candidates whose simulation threw
   std::size_t chosen = 0;         ///< winning portfolio index
   double chosen_utility = 0.0;
   std::size_t tie_set = 0;        ///< scores tied with the best

@@ -36,7 +36,8 @@ struct VmAvail {
 };
 
 /// Allocation decisions in flat struct-of-arrays form: each start's chosen
-/// VM ids occupy the contiguous range [vm_begin, vm_end) of `vm_ids`. Both
+/// VM ids occupy the contiguous range [vm_begin, vm_end) of `vm_ids`, and
+/// the starts are in queue order (ascending `queue_index`). Both
 /// callers (the engine and the online simulator) own one AllocationPlan and
 /// reuse it across decisions — two vectors that only grow, no per-start
 /// allocations.

@@ -1,5 +1,6 @@
 #include "util/argparse.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -86,6 +87,15 @@ double ArgParser::get_double(const std::string& name, double fallback) const {
   double value = 0.0;
   if (!parse_double(it->second, value)) malformed(name, "a finite number", it->second);
   return value;
+}
+
+void ArgParser::reject_unknown_flags(std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      std::exit(1);
+    }
+  }
 }
 
 bool ArgParser::get_bool(const std::string& name, bool fallback) const {

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psched::util {
@@ -32,6 +34,11 @@ class ArgParser {
   /// out-of-range values, and non-finite doubles. False leaves `out` alone.
   [[nodiscard]] static bool parse_int(const std::string& text, std::int64_t& out);
   [[nodiscard]] static bool parse_double(const std::string& text, double& out);
+
+  /// Usage check, made before a command does any work: a flag given that
+  /// is none of `known` prints "error: unknown flag --name" and exits 1, so
+  /// a mistyped flag is never silently left at its default.
+  void reject_unknown_flags(std::span<const std::string_view> known) const;
 
   /// Positional (non-flag) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }

@@ -173,12 +173,12 @@ TEST(ReflectionStore, TopForContextRanksByWins) {
   SelectionResult r;
   r.scores.push_back(PolicyScore{0, 1.0, 1.0});
   r.best_index = 3;
-  store.record(0.0, r, /*context=*/42);
-  store.record(1.0, r, 42);
+  store.record(r, /*context=*/42);
+  store.record(r, 42);
   r.best_index = 5;
-  store.record(2.0, r, 42);
+  store.record(r, 42);
   r.best_index = 7;
-  store.record(3.0, r, 99);  // different context
+  store.record(r, 99);  // different context
 
   const auto top = store.top_for_context(42, 8);
   ASSERT_EQ(top.size(), 2u);
@@ -194,10 +194,10 @@ TEST(ReflectionStore, RatiosSumToOne) {
   r.best_index = 2;
   r.best_utility = 1.0;
   r.scores.push_back(PolicyScore{2, 1.0, 0.5});
-  store.record(0.0, r);
+  store.record(r);
   r.best_index = 1;
-  store.record(1.0, r);
-  store.record(2.0, r);
+  store.record(r);
+  store.record(r);
   const auto ratios = store.invocation_ratios();
   EXPECT_DOUBLE_EQ(ratios[1], 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(ratios[2], 1.0 / 3.0);
@@ -206,24 +206,14 @@ TEST(ReflectionStore, RatiosSumToOne) {
   EXPECT_DOUBLE_EQ(sum, 1.0);
 }
 
-TEST(ReflectionStore, HistoryBounded) {
-  ReflectionStore store(2, /*max_history=*/3);
-  SelectionResult r;
-  r.best_index = 0;
-  r.scores.push_back(PolicyScore{0, 1.0, 1.0});
-  for (int i = 0; i < 10; ++i) store.record(i, r);
-  EXPECT_EQ(store.history().size(), 3u);
-  EXPECT_EQ(store.invocations(), 10u);
-}
-
 TEST(ReflectionStore, TracksCostAndSimulatedMeans) {
   ReflectionStore store(2);
   SelectionResult r;
   r.best_index = 0;
   r.total_cost_ms = 30.0;
   r.scores = {PolicyScore{0, 1.0, 10.0}, PolicyScore{1, 0.5, 20.0}};
-  store.record(0.0, r);
-  store.record(1.0, r);
+  store.record(r);
+  store.record(r);
   EXPECT_DOUBLE_EQ(store.total_cost_ms(), 60.0);
   EXPECT_DOUBLE_EQ(store.mean_simulated_per_invocation(), 2.0);
 }

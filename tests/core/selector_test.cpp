@@ -291,9 +291,9 @@ TEST(Selector, ScoresCarryPositiveCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Graceful degradation: throwing or budget-blowing candidates are quarantined
-// to Poor, and a round with no usable score carries the last-known-good
-// policy forward instead of aborting the run.
+// Graceful degradation: throwing candidates are quarantined to Poor, and a
+// round with no usable score carries the last-known-good policy forward
+// instead of aborting the run.
 
 OnlineSimConfig throwing_sim_config() {
   OnlineSimConfig c = sim_config();
@@ -340,33 +340,6 @@ TEST(SelectorDegradation, SecondRoundAfterTotalQuarantineStaysDegraded) {
   EXPECT_TRUE(again.degraded);
   EXPECT_EQ(again.best_index, 5u);
   expect_partition(s, 60);
-}
-
-TEST(SelectorDegradation, CandidateTimeoutQuarantinesBudgetBlowers) {
-  // Synthetic-only accounting: every candidate charges exactly 10 ms, so a
-  // 5 ms per-candidate bound quarantines every one of them —
-  // deterministically, with no wall-clock dependence.
-  SelectorConfig config = budgeted(1000.0, 10.0);
-  config.candidate_timeout_ms = 5.0;
-  TimeConstrainedSelector s(portfolio(), OnlineSimulator(sim_config()), config);
-  const auto queue = small_queue();
-  const SelectionResult result = s.select(queue, empty_cloud(), 2);
-  EXPECT_TRUE(result.degraded);
-  EXPECT_GE(result.quarantined, 1u);
-  EXPECT_TRUE(result.scores.empty());
-  EXPECT_EQ(result.best_index, 2u);
-  EXPECT_GT(result.total_cost_ms, 0.0);  // quarantined work still charges
-}
-
-TEST(SelectorDegradation, GenerousTimeoutQuarantinesNothing) {
-  SelectorConfig config = budgeted(1000.0, 10.0);
-  config.candidate_timeout_ms = 15.0;
-  TimeConstrainedSelector s(portfolio(), OnlineSimulator(sim_config()), config);
-  const auto queue = small_queue();
-  const SelectionResult result = s.select(queue, empty_cloud());
-  EXPECT_FALSE(result.degraded);
-  EXPECT_EQ(result.quarantined, 0u);
-  EXPECT_FALSE(result.scores.empty());
 }
 
 TEST(SelectorDegradation, ParallelWavesQuarantineDeterministically) {

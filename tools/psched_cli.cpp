@@ -79,6 +79,7 @@
 //       "psched-tenants/v1" section; --trace-out and --differential are
 //       not supported in this mode.
 //
+// A flag the subcommand does not read is a usage error.
 // Exit codes: 0 success, 1 usage error, 2 runtime error.
 #include <algorithm>
 #include <cstdint>
@@ -86,6 +87,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/experiment.hpp"
@@ -110,6 +112,19 @@ int usage() {
       "       see the header of tools/psched_cli.cpp or README.md\n",
       stderr);
   return 1;
+}
+
+/// The flags trace_from_args reads.
+constexpr std::string_view kTraceFlags[] = {"archetype", "days",      "seed",
+                                            "max-procs", "workflows", "rate"};
+
+/// Usage check, before a subcommand that takes a trace does any work: every
+/// flag given must be one of trace_from_args's or of `own`.
+void reject_unknown_flags(const util::ArgParser& args,
+                          std::initializer_list<std::string_view> own) {
+  std::vector<std::string_view> known(std::begin(kTraceFlags), std::end(kTraceFlags));
+  known.insert(known.end(), own);
+  args.reject_unknown_flags(known);
 }
 
 workload::Trace trace_from_args(const util::ArgParser& args, bool& ok) {
@@ -149,7 +164,8 @@ workload::Trace trace_from_args(const util::ArgParser& args, bool& ok) {
   return {};
 }
 
-int cmd_list_policies() {
+int cmd_list_policies(const util::ArgParser& args) {
+  args.reject_unknown_flags({});
   const policy::Portfolio portfolio = policy::Portfolio::paper_portfolio();
   for (const policy::PolicyTriple& triple : portfolio.policies())
     std::printf("%s\n", triple.name().c_str());
@@ -157,6 +173,7 @@ int cmd_list_policies() {
 }
 
 int cmd_generate(const util::ArgParser& args) {
+  reject_unknown_flags(args, {"out"});
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -172,6 +189,7 @@ int cmd_generate(const util::ArgParser& args) {
 }
 
 int cmd_characterize(const util::ArgParser& args) {
+  reject_unknown_flags(args, {});
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -561,6 +579,14 @@ int cmd_run_tenants(const util::ArgParser& args, const engine::EngineConfig& con
 }
 
 int cmd_run(const util::ArgParser& args) {
+  reject_unknown_flags(
+      args, {"scheduler", "predictor", "delta", "budget-mode", "fixed-count",
+             "eval-threads", "period", "backfill", "on-change", "reflection", "quantum",
+             "csv", "check-invariants", "inject-fault", "differential", "obs-level",
+             "report-out", "trace-out", "failures", "boot-fail-rate", "vm-mtbf",
+             "api-outage", "api-outage-duration", "failure-seed", "max-resubmits",
+             "vm-families", "spot-rate", "price-schedule", "reserved", "pricing-seed",
+             "tenants", "tenant-weights", "tenant-budget", "arbitration-ticks"});
   bool ok = true;
   const workload::Trace trace = trace_from_args(args, ok);
   if (!ok) return 2;
@@ -773,7 +799,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const util::ArgParser args(argc - 1, argv + 1);
-  if (command == "list-policies") return cmd_list_policies();
+  if (command == "list-policies") return cmd_list_policies(args);
   if (command == "generate") return cmd_generate(args);
   if (command == "characterize") return cmd_characterize(args);
   if (command == "run") return cmd_run(args);

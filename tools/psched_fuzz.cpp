@@ -10,11 +10,12 @@
 // --inject-fault (billing-off-by-one, skip-boot-delay, cap-overshoot,
 // candidate-throw, tenant-cap-overshoot, tenant-unfair-share) turns the run
 // into a checker self-test: it is then EXPECTED to fail. --seeds must be at
-// least 1.
+// least 1. A flag not listed above is a usage error.
 //
 // Exit codes: 0 all seeds clean, 1 usage error, 2 invariant violation found.
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "util/argparse.hpp"
 #include "validate/fuzz.hpp"
@@ -22,6 +23,9 @@
 int main(int argc, char** argv) {
   using namespace psched;
   const util::ArgParser args(argc, argv);
+  constexpr std::string_view kFlags[] = {"seeds", "base-seed", "max-seconds",
+                                         "inject-fault", "no-shrink"};
+  args.reject_unknown_flags(kFlags);
 
   validate::FuzzConfig config;
   config.num_seeds = static_cast<std::size_t>(args.get_int("seeds", 50, 1));
